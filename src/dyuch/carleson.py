@@ -56,8 +56,8 @@ class DiscreteMeasure:
             if not root.contains(I):
                 raise ValueError(f"{I.id} lies outside the measure root {root.id}")
             m = (m if isinstance(m, Fraction) else Fraction(m)) if exact else float(m)
-            if m < 0:
-                raise ValueError(f"negative mass {float(m):.6g} at {I.id}")
+            if not 0 <= m < math.inf:
+                raise ValueError(f"mass {float(m):.6g} at {I.id} is not finite and nonnegative")
             if m == 0:
                 continue
             clean[I] = m

@@ -6,6 +6,20 @@ ancestor's sibling, so the kernel is itself a conjugate pair.  Pairing a
 conjugate pair against the kernel recovers its averaged value on I.  The
 testing half of the module turns kernel evaluations into a measure quality
 gauge: packing intensity never exceeds three times the worst kernel test.
+
+Testing sums have a closed form.  Let I sit at level l, let r be the tree
+root's level, write lim = 2**l / 3 and acc(a) = 1/2 * sum of 2**j over the
+levels r < j < a with j - r odd.  A mass at K then contributes
+
+* lim when K lies inside I;
+* acc(k)**2 / lim when K is a strict ancestor of I at level k;
+* when K leaves I's path at common-ancestor level a (so K sits below the
+  sibling of I's ancestor at level a + 1): (acc(a)**2 + 4**a) / lim when
+  a - r is even, (acc(a) - 2**(a - 1))**2 / lim when it is odd.
+
+So the sum at I is one walk down its path over subtree masses, O(depth) per
+node, and all N nodes of a measure tree take one top-down pass (at most
+O(N * depth)) in which each node extends its parent's walk by one level.
 """
 from __future__ import annotations
 
@@ -18,7 +32,6 @@ from typing import NamedTuple
 from .dyadic import (
     UNIT,
     DyadicInterval,
-    four_adic_nodes,
     haar_coefficient,
     haar_inner_indicator,
     window_root,
@@ -151,9 +164,11 @@ def _full_height_kernel(I: DyadicInterval) -> KernelRep:
 def normalized_testing_value(I: DyadicInterval, K: DyadicInterval) -> float:
     """Squared modulus at K of the unit-norm mean-free kernel of I.
 
-    Inside I the kernel is constant and self-reproducing, so the value is
-    pinned to the exact limit 1 / (3 |I|); outside, the deepest available
-    truncation is evaluated and normalized against the same limit.
+    The pairwise reference for the closed form of `testing_sum`, one kernel
+    evaluation per pair.  Inside I the kernel is constant and
+    self-reproducing, so the value is pinned to the exact limit 1 / (3 |I|);
+    outside, the deepest available truncation is evaluated and normalized
+    against the same limit.
     """
     if not I.is_four_adic or not K.is_four_adic:
         raise ValueError("testing values attach to 4-adic intervals")
@@ -169,21 +184,48 @@ def normalized_testing_value(I: DyadicInterval, K: DyadicInterval) -> float:
     return (re * re + im * im) / float(limit)
 
 
+def _quarter_paths(mu: DiscreteMeasure, A: DyadicInterval, path: float):
+    """(quarter, subtree mass, path term) for each of the four quarters of A.
+
+    A node's path term is lim times the part of its testing sum that comes
+    from masses outside it.  A quarter's term is A's own plus the masses of
+    A itself, of the far half of A and of the quarter's sibling, each times
+    its closed-form weight at A's level a (acc(a) = (2**a - 2**r) / 3).
+    """
+    sums, z = mu._closure_sums(), mu.zero
+    step = 2.0 ** A.level
+    acc = (step - 2.0 ** A.root_level) / 3
+    quarters = A.grandchildren()
+    s = [sums.get(Q, z) for Q in quarters]
+    path += float(mu.masses.get(A, z)) * acc * acc
+    far, near = acc * acc + step * step, (acc - step) ** 2
+    return [
+        (Q, s[q], path + float(s[q ^ 2] + s[q ^ 3]) * far + float(s[q ^ 1]) * near)
+        for q, Q in enumerate(quarters)
+    ]
+
+
+def _testing_value(I: DyadicInterval, mass, path: float) -> float:
+    lim = 2.0 ** I.level / 3
+    return lim * float(mass) + path / lim
+
+
 def testing_sum(mu: DiscreteMeasure, I: DyadicInterval) -> float:
-    """Measure mass seen through the normalized kernel of I."""
-    return sum(
-        float(m) * normalized_testing_value(I, J) for J, m in mu.masses.items()
-    )
+    """Measure mass seen through the normalized kernel of I.
 
-
-def testing_constant(mu: DiscreteMeasure) -> float:
-    """Worst kernel test over all 4-adic nodes of the measure tree."""
-    worst = 0.0
-    for I in four_adic_nodes(mu.root, mu.depth):
-        t = testing_sum(mu, I)
-        if t > worst:
-            worst = t
-    return worst
+    Closed form of the module docstring, in one walk from the measure root
+    down to I: at each 4-adic ancestor A on the way, A's own mass, the mass
+    of A's far half and the mass of the sibling of I's ancestor two levels
+    down enter with their weights.  No mass sits above the measure root, so
+    the walk starts there; I must be that root or lie below it.
+    """
+    root = mu.root
+    if not I.is_four_adic or not root.contains(I):
+        raise ValueError(f"{I.id} is not a 4-adic node below the measure root {root.id}")
+    node = (root, mu.subtree_mass(root), 0.0)
+    for a in range(root.level, I.level, 2):
+        node = _quarter_paths(mu, node[0], node[2])[(I.index >> (I.level - a - 2)) & 3]
+    return _testing_value(*node)
 
 
 class TestingReport(NamedTuple):
@@ -193,15 +235,58 @@ class TestingReport(NamedTuple):
     slack: float
 
 
+def _packing_report(I: DyadicInterval, mass, t: float) -> TestingReport:
+    packing = float(mass / I.length)
+    return TestingReport(t, packing, 3.0 * t, 3.0 * t - packing)
+
+
 def testing_to_packing(mu: DiscreteMeasure, I: DyadicInterval) -> TestingReport:
     """Packing control at one node: S(I)/|I| is at most three kernel tests.
 
     The kernel of I is flat at height 1/(3|I|) on its own subtree, so the
     subtree mass alone already contributes a third of the packing ratio.
     """
-    t = testing_sum(mu, I)
-    packing = float(mu.subtree_mass(I) / I.length)
-    return TestingReport(t, packing, 3.0 * t, 3.0 * t - packing)
+    return _packing_report(I, mu.subtree_mass(I), testing_sum(mu, I))
+
+
+class TestingScan(NamedTuple):
+    """Worst kernel test and worst packing slack over a measure tree."""
+
+    testing_constant: float
+    worst_testing_node: DyadicInterval
+    min_packing_slack: float
+    worst_packing_node: DyadicInterval
+    nodes_checked: int
+
+
+def testing_scan(mu: DiscreteMeasure) -> TestingScan:
+    """Kernel tests and packing slacks of all 4-adic nodes in one pass.
+
+    Goes down the tree level by level, so each node extends its parent's
+    path term once.  Ties go to the first node in `four_adic_nodes` order; a
+    NaN wins its reduction and sticks, so it can never hide behind a finite
+    value.
+    """
+    worst_t, worst_s = -math.inf, math.inf
+    node_t = node_s = None
+    n = 0
+    level = [(mu.root, mu.subtree_mass(mu.root), 0.0)]
+    for k in range(0, mu.depth + 1, 2):
+        if k:
+            level = [q for A, _, path in level for q in _quarter_paths(mu, A, path)]
+        for I, mass, path in level:
+            rep = _packing_report(I, mass, _testing_value(I, mass, path))
+            if worst_t == worst_t and not rep.testing_sum <= worst_t:
+                worst_t, node_t = rep.testing_sum, I
+            if worst_s == worst_s and not rep.slack >= worst_s:
+                worst_s, node_s = rep.slack, I
+        n += len(level)
+    return TestingScan(worst_t, node_t, worst_s, node_s, n)
+
+
+def testing_constant(mu: DiscreteMeasure) -> float:
+    """Worst kernel test over all 4-adic nodes of the measure tree."""
+    return testing_scan(mu).testing_constant
 
 
 def testing_embedding_slack(f: DyadicAnalytic, mu: DiscreteMeasure) -> float:

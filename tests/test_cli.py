@@ -303,6 +303,40 @@ class TestCheck3e:
         )
         assert code == 2
 
+    def test_report_says_where_the_verdict_comes_from(self, capsys, fixtures, tmp_path):
+        out_path = tmp_path / "rep.json"
+        code, _, _ = run(
+            capsys, "check-3e", "--measure", fixtures["mu"], "--out", str(out_path)
+        )
+        assert code == 0
+        summary = json.loads(out_path.read_text())["summary"]
+        assert summary["nodes_checked"] == 1 + 4 + 16
+        for key in ("worst_testing_node", "worst_packing_node"):
+            assert summary[key].startswith("L")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_mass_rejected(self, capsys, fixtures, tmp_path, bad):
+        obj = json.loads(open(fixtures["mu"]).read())
+        obj["masses"][next(iter(obj["masses"]))] = bad
+        path = tmp_path / "mu_bad.json"
+        path.write_text(json.dumps(obj))
+        for extra in ([], ["--function", fixtures["pair"]]):
+            code, out, err = run(capsys, "check-3e", "--measure", str(path), *extra)
+            assert code == 2
+            assert "result: PASS" not in out
+            assert "not finite" in err
+
+    def test_nan_leaf_does_not_pass(self, capsys, fixtures, tmp_path):
+        obj = json.loads(open(fixtures["pair"]).read())
+        obj["u"]["leaves"][3] = math.nan
+        path = tmp_path / "pair_nan.json"
+        path.write_text(json.dumps(obj))
+        code, out, _ = run(
+            capsys, "check-3e", "--measure", fixtures["mu"], "--function", str(path)
+        )
+        assert code != 0
+        assert "result: PASS" not in out
+
 
 class TestSearchExtremal:
     def test_deterministic_bytes(self, capsys, tmp_path):

@@ -33,6 +33,29 @@ E = math.e
 INV_2RT2 = 1.0 / (2.0 * math.sqrt(2.0))
 
 
+def pairwise_testing_sum(mu, I):
+    """Reference testing sum: one pairwise kernel value per support node."""
+    return sum(float(m) * normalized_testing_value(I, J) for J, m in mu.masses.items())
+
+
+def sparse_measure(rng, root, depth, support=40):
+    """Unbalanced exact measure on about `support` random 4-adic nodes."""
+    nodes = list(four_adic_nodes(root, depth))
+    picked = rng.sample(nodes, min(support, len(nodes)))
+    return DiscreteMeasure(
+        {I: Fraction(rng.randrange(1, 64), 16) for I in picked}, root, depth
+    )
+
+
+def assert_matches_pairwise(mu):
+    refs = []
+    for I in four_adic_nodes(mu.root, mu.depth):
+        fast, ref = kern.testing_sum(mu, I), pairwise_testing_sum(mu, I)
+        assert math.isclose(fast, ref, rel_tol=1e-12), (I.id, fast, ref)
+        refs.append(ref)
+    assert math.isclose(kern.testing_constant(mu), max(refs), rel_tol=1e-12)
+
+
 class TestKernelConstruction:
     def test_window_worked_example(self):
         I = DyadicInterval(0, 0, REAL_LINE, 1)
@@ -248,3 +271,93 @@ class TestTestingConstant:
             f = random_analytic(rng, 4)
             mu = random_balanced_measure(rng, 4)
             assert kern.testing_embedding_slack(f, mu) >= -1e-9
+
+
+ROOTS = {
+    "unit": unit_root(),
+    "window1": window_root(1),
+    "window2": window_root(2),
+    "below_root": DyadicInterval(2, 1),
+    "window_below_root": DyadicInterval(-2, 3, REAL_LINE, 2),
+}
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("depth", [2, 4, 6, 8])
+    @pytest.mark.parametrize("name", sorted(ROOTS))
+    def test_matches_pairwise_sparse(self, name, depth):
+        rng = random.Random(f"{name}-{depth}")
+        assert_matches_pairwise(sparse_measure(rng, ROOTS[name], depth))
+
+    @pytest.mark.parametrize("depth", [2, 4, 6])
+    @pytest.mark.parametrize("name", sorted(ROOTS))
+    def test_matches_pairwise_balanced(self, name, depth):
+        rng = random.Random(f"balanced-{name}-{depth}")
+        assert_matches_pairwise(random_balanced_measure(rng, depth, ROOTS[name]))
+
+    def test_matches_pairwise_float_masses(self):
+        rng = random.Random(71)
+        masses = {I: rng.random() for I in four_adic_nodes(unit_root(), 4)}
+        assert_matches_pairwise(DiscreteMeasure(masses, depth=4))
+
+    def test_rejects_nodes_off_the_measure_tree(self):
+        mu = DiscreteMeasure({DyadicInterval(4, 5): 1}, DyadicInterval(2, 1), 2)
+        with pytest.raises(ValueError, match="below the measure root"):
+            kern.testing_sum(mu, unit_root())
+        with pytest.raises(ValueError, match="below the measure root"):
+            kern.testing_sum(mu, DyadicInterval(2, 0))
+        with pytest.raises(ValueError, match="below the measure root"):
+            kern.testing_sum(mu, DyadicInterval(3, 2))
+
+    def test_constant_leaves_pair_cache_alone(self):
+        mu = random_balanced_measure(random.Random(72), 8)
+        before = normalized_testing_value.cache_info()
+        kern.testing_constant(mu)
+        assert normalized_testing_value.cache_info() == before
+
+
+class TestTestingScan:
+    @pytest.mark.parametrize("name", sorted(ROOTS))
+    def test_matches_per_node_reports(self, name):
+        mu = sparse_measure(random.Random(f"scan-{name}"), ROOTS[name], 6)
+        nodes = list(four_adic_nodes(mu.root, mu.depth))
+        reports = [kern.testing_to_packing(mu, I) for I in nodes]
+        scan = kern.testing_scan(mu)
+        assert scan.nodes_checked == len(nodes) == 1 + 4 + 16 + 64
+        assert scan.testing_constant == max(r.testing_sum for r in reports)
+        assert scan.testing_constant == kern.testing_constant(mu)
+        assert scan.min_packing_slack == min(r.slack for r in reports)
+        i = [r.testing_sum for r in reports].index(scan.testing_constant)
+        assert scan.worst_testing_node == nodes[i]
+        i = [r.slack for r in reports].index(scan.min_packing_slack)
+        assert scan.worst_packing_node == nodes[i]
+
+    def test_ties_go_to_first_node(self):
+        # every leaf-level node carries the same mass, so the leaves tie
+        mu = DiscreteMeasure(
+            {I: 1 for I in four_adic_nodes(unit_root(), 2) if I.level == 2}, depth=2
+        )
+        scan = kern.testing_scan(mu)
+        assert scan.worst_testing_node == DyadicInterval(2, 0)
+        assert scan.min_packing_slack == 0.0
+        assert scan.worst_packing_node == unit_root()
+
+    def test_overflowing_slack_is_nan_and_sticks(self):
+        # 3 * inf - inf at L2N0; the later nodes have finite slacks
+        mu = DiscreteMeasure({DyadicInterval(2, 0): 1e308}, depth=2)
+        scan = kern.testing_scan(mu)
+        assert math.isnan(scan.min_packing_slack)
+        assert scan.worst_packing_node == DyadicInterval(2, 0)
+
+    def test_nan_testing_sum_sticks(self, monkeypatch):
+        mu = DiscreteMeasure({I: 1 for I in four_adic_nodes(unit_root(), 2)}, depth=2)
+        real = kern._packing_report
+        bad = DyadicInterval(2, 1)
+
+        def poisoned(I, mass, t):
+            return real(I, mass, math.nan if I == bad else t)
+
+        monkeypatch.setattr(kern, "_packing_report", poisoned)
+        scan = kern.testing_scan(mu)
+        assert math.isnan(scan.testing_constant)
+        assert scan.worst_testing_node == bad
