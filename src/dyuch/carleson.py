@@ -108,7 +108,12 @@ class DiscreteMeasure:
         """Total mass on 4-adic nodes inside I (I itself included)."""
         if not I.is_four_adic:
             raise ValueError(f"{I.id} is not 4-adic")
-        return self._closure_sums().get(I, self.zero)
+        s = self._closure_sums().get(I)
+        if s is not None:
+            return s
+        if I.level < self.root.level and I.contains(self.root):
+            return self.total_mass()
+        return self.zero
 
     def half_subtree_masses(self, I: DyadicInterval):
         """Masses strictly inside the left and right halves of a 4-adic I."""
@@ -468,6 +473,38 @@ def bellman_chain_slacks(f: DyadicAnalytic, mu: DiscreteMeasure) -> dict:
     return gaps
 
 
+def _split_measure(root: DyadicInterval, depth: int, total, split) -> DiscreteMeasure:
+    """Balanced measure spread top down from a total mass at the root.
+
+    split(r, j) gives (own, ax, ay) for the node at relative level r, index
+    j: the node keeps own of its mass, and each half gets an equal share of
+    the rest, split ax : 1 - ax between x- and x+ and ay : 1 - ay between
+    y- and y+.  Bottom nodes keep all they get.  split is called only for
+    nodes with positive mass, depth first in x-, x+, y-, y+ order, which is
+    also the insertion order of the masses.
+    """
+    masses = {}
+
+    def spread(r, j, mass):
+        if mass <= 0:
+            return
+        if r == depth:
+            masses[root.descendant(r, j)] = mass
+            return
+        own, ax, ay = split(r, j)
+        take = own * mass
+        if take > 0:
+            masses[root.descendant(r, j)] = take
+        half = (mass - take) / 2
+        spread(r + 2, 4 * j + 2, ax * half)
+        spread(r + 2, 4 * j + 3, (1 - ax) * half)
+        spread(r + 2, 4 * j, ay * half)
+        spread(r + 2, 4 * j + 1, (1 - ay) * half)
+
+    spread(0, 0, total)
+    return DiscreteMeasure(masses, root, depth)
+
+
 def random_balanced_measure(
     rng,
     depth: int,
@@ -490,28 +527,8 @@ def random_balanced_measure(
     def frac():
         return rng.getrandbits(denom_bits) * unit
 
-    masses = {}
-
-    def spread(I, mass, rel):
-        if mass == 0:
-            return
-        if rel == depth:
-            masses[I] = masses.get(I, Fraction(0)) + mass
-            return
-        own = frac() * mass
-        bx, by = frac(), frac()
-        if own > 0:
-            masses[I] = masses.get(I, Fraction(0)) + own
-        half = (mass - own) / 2
-        ym, yp, xm, xp = I.grandchildren()
-        spread(xm, bx * half, rel + 2)
-        spread(xp, (1 - bx) * half, rel + 2)
-        spread(ym, by * half, rel + 2)
-        spread(yp, (1 - by) * half, rel + 2)
-
     total = (rng.getrandbits(denom_bits) + 1) * unit
-    spread(root, total, 0)
-    mu = DiscreteMeasure(masses, root, depth)
+    mu = _split_measure(root, depth, total, lambda r, j: (frac(), frac(), frac()))
     packing = mu.packing_intensity()
     cap = max_intensity if isinstance(max_intensity, Fraction) else Fraction(max_intensity)
     if packing > cap:

@@ -75,9 +75,13 @@ def _load_measure(path: str) -> carleson.DiscreteMeasure:
     return mu
 
 
-def _require_balanced(mu, tol):
+def _require_compatible(f, mu, tol):
+    if mu.root != f.root:
+        raise UsageError("function and measure use different bases")
+    if mu.depth > f.depth:
+        raise UsageError("measure reaches deeper than the function tree")
     res = float(mu.balance_residual())
-    if res > tol:
+    if not res <= tol:
         raise UsageError(
             f"measure is not balanced (residual {res:.6g}); this check needs"
             " equal half masses"
@@ -191,11 +195,7 @@ def _cmd_scan_unsliced(args) -> dict:
 def _cmd_embed(args) -> dict:
     f = _load_pair(args.function)
     mu = _load_measure(args.measure)
-    if mu.root != f.root:
-        raise UsageError("function and measure use different bases")
-    if mu.depth > f.depth:
-        raise UsageError("measure reaches deeper than the function tree")
-    _require_balanced(mu, args.tolerance)
+    _require_compatible(f, mu, args.tolerance)
 
     total = float(carleson.embedding_sum(f, mu))
     norm2 = float(f.norm2())
@@ -203,9 +203,9 @@ def _cmd_embed(args) -> dict:
     slack = carleson.embedding_slack(f, mu)
     weighted = carleson.weighted_embedding_slack(f, mu)
     violations = []
-    if slack < -args.tolerance:
+    if not slack >= -args.tolerance:
         violations.append(f"embedding bound violated by {-slack!r}")
-    if weighted < -args.tolerance:
+    if not weighted >= -args.tolerance:
         violations.append(f"weighted bound violated by {-weighted!r}")
     summary = {
         "embedding_sum": total,
@@ -222,19 +222,15 @@ def _cmd_embed(args) -> dict:
 def _cmd_uchiyama_check(args) -> dict:
     f = _load_pair(args.function)
     mu = _load_measure(args.measure)
-    if mu.root != f.root:
-        raise UsageError("function and measure use different bases")
-    if mu.depth > f.depth:
-        raise UsageError("measure reaches deeper than the function tree")
-    _require_balanced(mu, args.tolerance)
+    _require_compatible(f, mu, args.tolerance)
 
     violations = []
     packing = float(mu.packing_intensity())
     slack = carleson.embedding_slack(f, mu)
-    if slack < -args.tolerance:
+    if not slack >= -args.tolerance:
         violations.append(f"embedding bound violated by {-slack!r}")
     weighted = carleson.weighted_embedding_slack(f, mu)
-    if weighted < -args.tolerance:
+    if not weighted >= -args.tolerance:
         violations.append(f"weighted bound violated by {-weighted!r}")
 
     summary = {
@@ -250,16 +246,16 @@ def _cmd_uchiyama_check(args) -> dict:
         match = abs(deco.total() - deco.slack)
         summary["telescoped_match"] = match
         summary["telescoped_min_term"] = deco.min_term()
-        if match > 1e-10:
+        if not match <= 1e-10:
             violations.append(f"telescoping drifted from the slack by {match!r}")
-        if deco.min_term() < -args.tolerance:
+        if not deco.min_term() >= -args.tolerance:
             violations.append(f"a telescoping term dipped to {deco.min_term()!r}")
 
     gaps = carleson.bellman_chain_slacks(f, mu)
     if gaps:
         worst = min(gaps.values())
         summary["chain_min_gap"] = worst
-        if worst < -args.tolerance:
+        if not worst >= -args.tolerance:
             violations.append(f"a chain step dipped to {worst!r}")
 
     return _report("uchiyama-check", args, summary, violations)
@@ -362,11 +358,7 @@ def _cmd_check_3e(args) -> dict:
     }
     if args.function:
         f = _load_pair(args.function)
-        if mu.root != f.root:
-            raise UsageError("function and measure use different bases")
-        if mu.depth > f.depth:
-            raise UsageError("measure reaches deeper than the function tree")
-        _require_balanced(mu, args.tolerance)
+        _require_compatible(f, mu, args.tolerance)
         # testing_embedding_slack's bound, from the constant already scanned
         slack = summary["bound_constant"] * float(f.norm2()) - float(
             carleson.embedding_sum(f, mu)
@@ -509,6 +501,9 @@ def main(argv=None) -> int:
             _write_text(args.out, _dump(report))
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError as exc:
+        print(f"error: input values overflow a float: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     for key in sorted(report["summary"]):

@@ -296,7 +296,8 @@ class PiecewiseConstant:
     """Function constant on the 2**depth leaf cells below a 4-adic root interval.
 
     Leaves are stored left to right.  Integer and Fraction leaves put the
-    function in exact mode; any float leaf switches the whole tree to doubles.
+    function in exact mode; any float leaf switches the whole tree to doubles,
+    and every double must be finite.
     """
 
     __slots__ = ("leaves", "depth", "root", "exact", "_pyramid")
@@ -317,6 +318,9 @@ class PiecewiseConstant:
             exact = True
         else:
             vals = [float(v) for v in vals]
+            if not all(map(math.isfinite, vals)):
+                bad = next(t for t, v in enumerate(vals) if not math.isfinite(v))
+                raise ValueError(f"leaf {bad} is {vals[bad]!r}; leaves must be finite")
             exact = False
         self.leaves = tuple(vals)
         self.depth = depth

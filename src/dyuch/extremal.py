@@ -11,9 +11,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .dyadic import DyadicInterval, unit_root
-from .martingale import DyadicAnalytic, PiecewiseConstant, SlicedMartingale, s0
-from .carleson import DiscreteMeasure, embedding_slack, embedding_sum
+from .dyadic import unit_root
+from .martingale import DyadicAnalytic, _sliced_from_increments, s0
+from .carleson import DiscreteMeasure, _split_measure, embedding_slack, embedding_sum
 
 E = math.e
 
@@ -74,29 +74,30 @@ def competitor(F: float, r: float, i: float, M: float) -> Configuration:
     return Configuration.build(f, mu)
 
 
-def _node_range(depth):
-    for r in range(0, depth - 1, 2):
-        for j in range(1 << r):
-            yield r, j
+# A search state holds the root values u0, v0 and one row per 4-adic level
+# r = 0, 2, ..., depth - 2: "incs" rows of (dx, dy) increments for the pair
+# and "meas" rows of (own, ax, ay) splits for the measure, nodes left to right.
 
 
 def _flat_state(depth: int) -> dict:
     # the hand-built pattern certifying ratio one at every depth
-    incs = {}
-    meas = {}
-    for r, j in _node_range(depth):
-        incs[(r, j)] = (1.0, 1.0) if r == 0 else (0.0, 0.0)
-        meas[(r, j)] = (0.0, 0.5, 0.5) if r == 0 else (1.0, 0.5, 0.5)
-    return {"u0": 1.0, "v0": 0.0, "incs": incs, "meas": meas}
+    state = {"u0": 1.0, "v0": 0.0, "incs": [[(1.0, 1.0)]], "meas": [[(0.0, 0.5, 0.5)]]}
+    for _ in range(2, depth - 1, 2):
+        state = _embed_state(state)
+    return state
 
 
 def _random_state(rng: random.Random, depth: int) -> dict:
-    incs = {}
-    meas = {}
-    for r, j in _node_range(depth):
+    incs = []
+    meas = []
+    for r in range(0, depth - 1, 2):
         amp = 2.0 / (1.0 + r)
-        incs[(r, j)] = (rng.uniform(-amp, amp), rng.uniform(-amp, amp))
-        meas[(r, j)] = (rng.random(), rng.random(), rng.random())
+        inc_row, meas_row = [], []
+        for _ in range(1 << r):
+            inc_row.append((rng.uniform(-amp, amp), rng.uniform(-amp, amp)))
+            meas_row.append((rng.random(), rng.random(), rng.random()))
+        incs.append(inc_row)
+        meas.append(meas_row)
     return {
         "u0": rng.uniform(-2.0, 2.0),
         "v0": rng.uniform(-2.0, 2.0),
@@ -109,14 +110,14 @@ def _jitter_state(rng: random.Random, state: dict, step: float) -> dict:
     def clamp(x):
         return min(1.0, max(0.0, x))
 
-    incs = {
-        key: (dx + rng.gauss(0.0, step), dy + rng.gauss(0.0, step))
-        for key, (dx, dy) in state["incs"].items()
-    }
-    meas = {
-        key: tuple(clamp(p + rng.gauss(0.0, step)) for p in params)
-        for key, params in state["meas"].items()
-    }
+    incs = [
+        [(dx + rng.gauss(0.0, step), dy + rng.gauss(0.0, step)) for dx, dy in row]
+        for row in state["incs"]
+    ]
+    meas = [
+        [tuple(clamp(p + rng.gauss(0.0, step)) for p in params) for params in row]
+        for row in state["meas"]
+    ]
     return {
         "u0": state["u0"] + rng.gauss(0.0, step),
         "v0": state["v0"] + rng.gauss(0.0, step),
@@ -125,70 +126,69 @@ def _jitter_state(rng: random.Random, state: dict, step: float) -> dict:
     }
 
 
-def _embed_state(state: dict, old_depth: int, new_depth: int) -> dict:
+def _embed_state(state: dict) -> dict:
     """Refine a state two levels down without changing what it evaluates to.
 
     New pair increments are zero (leaves repeat) and old bottom nodes keep
     all their mass, so the ratio carries over exactly.
     """
-    incs = dict(state["incs"])
-    meas = dict(state["meas"])
-    for r, j in _node_range(new_depth):
-        if (r, j) not in incs:
-            incs[(r, j)] = (0.0, 0.0)
-            meas[(r, j)] = (1.0, 0.5, 0.5) if r == old_depth else (0.0, 0.5, 0.5)
-    return {"u0": state["u0"], "v0": state["v0"], "incs": incs, "meas": meas}
+    n = 4 * len(state["incs"][-1])
+    return {
+        "u0": state["u0"],
+        "v0": state["v0"],
+        "incs": state["incs"] + [[(0.0, 0.0)] * n],
+        "meas": state["meas"] + [[(1.0, 0.5, 0.5)] * n],
+    }
 
 
-def _pair_from_state(state: dict, depth: int) -> DyadicAnalytic:
-    cur = [state["u0"]]
-    for r in range(0, depth - 1, 2):
-        nxt = []
-        for j, w in enumerate(cur):
-            dx, dy = state["incs"][(r, j)]
-            nxt.extend((w - dy, w + dy, w - dx, w + dx))
-        cur = nxt
-    u = SlicedMartingale(PiecewiseConstant(cur), validate=False)
-    v = s0(u).shifted(state["v0"])
-    return DyadicAnalytic(u, v, validate=False)
+def _pair_from_state(state: dict) -> DyadicAnalytic:
+    u = _sliced_from_increments(state["u0"], state["incs"], unit_root())
+    return DyadicAnalytic(u, s0(u).shifted(state["v0"]), validate=False)
 
 
-def _measure_from_state(state: dict, depth: int) -> DiscreteMeasure:
-    root = unit_root()
-    masses = {}
-
-    def spread(r, j, I, mass):
-        if mass <= 0.0:
-            return
-        if r == depth:
-            masses[I] = masses.get(I, 0.0) + mass
-            return
-        own, ax, ay = state["meas"][(r, j)]
-        take = own * mass
-        if take > 0.0:
-            masses[I] = masses.get(I, 0.0) + take
-        half = (mass - take) / 2.0
-        ym, yp, xm, xp = I.grandchildren()
-        spread(r + 2, 4 * j + 2, xm, ax * half)
-        spread(r + 2, 4 * j + 3, xp, (1.0 - ax) * half)
-        spread(r + 2, 4 * j, ym, ay * half)
-        spread(r + 2, 4 * j + 1, yp, (1.0 - ay) * half)
-
-    spread(0, 0, root, 1.0)
-    mu = DiscreteMeasure(masses, root, depth)
+def _measure_from_state(state: dict) -> DiscreteMeasure:
+    meas = state["meas"]
+    mu = _split_measure(unit_root(), 2 * len(meas), 1.0, lambda r, j: meas[r // 2][j])
     packing = mu.packing_intensity()
     if packing > 0.0:
         mu = mu.scale(1.0 / packing)
     return mu
 
 
-def _evaluate_state(state: dict, depth: int) -> float:
-    f = _pair_from_state(state, depth)
+def _evaluate_state(state: dict) -> float:
+    f = _pair_from_state(state)
     norm2 = float(f.norm2())
     if norm2 < 1e-15:
         return -math.inf
-    mu = _measure_from_state(state, depth)
+    mu = _measure_from_state(state)
     return float(embedding_sum(f, mu)) / norm2
+
+
+def _search_state(depth: int, budget: int, seed: int, restarts: int) -> dict:
+    """Best state found at the given depth, warm started two levels up."""
+    rng = random.Random(seed)
+    seeds = [_flat_state(depth)]
+    if depth > 2:
+        seeds.append(_embed_state(_search_state(depth - 2, budget // 2, seed + 1, restarts)))
+
+    best_state, best_ratio = None, -math.inf
+    for state in seeds:
+        ratio = _evaluate_state(state)
+        if ratio > best_ratio:
+            best_state, best_ratio = state, ratio
+
+    per_phase = max(1, budget // max(1, restarts))
+    for _ in range(restarts):
+        phase_state = _random_state(rng, depth)
+        phase_ratio = _evaluate_state(phase_state)
+        for _ in range(per_phase - 1):
+            cand = _jitter_state(rng, phase_state, 0.15)
+            ratio = _evaluate_state(cand)
+            if ratio > phase_ratio:
+                phase_state, phase_ratio = cand, ratio
+        if phase_ratio > best_ratio:
+            best_state, best_ratio = phase_state, phase_ratio
+    return best_state
 
 
 def search(depth: int, budget: int = 2000, seed: int = 0, restarts: int = 6):
@@ -201,35 +201,8 @@ def search(depth: int, budget: int = 2000, seed: int = 0, restarts: int = 6):
     """
     if depth < 2 or depth % 2:
         raise ValueError("depth must be an even number at least 2")
-    rng = random.Random(seed)
-    seeds = [_flat_state(depth)]
-    if depth > 2:
-        shallow = search(depth - 2, budget // 2, seed + 1, restarts)
-        seeds.append(_embed_state(shallow._state, depth - 2, depth))
-
-    best_state, best_ratio = None, -math.inf
-    for state in seeds:
-        ratio = _evaluate_state(state, depth)
-        if ratio > best_ratio:
-            best_state, best_ratio = state, ratio
-
-    per_phase = max(1, budget // max(1, restarts))
-    for _ in range(restarts):
-        phase_state = _random_state(rng, depth)
-        phase_ratio = _evaluate_state(phase_state, depth)
-        for _ in range(per_phase - 1):
-            cand = _jitter_state(rng, phase_state, 0.15)
-            ratio = _evaluate_state(cand, depth)
-            if ratio > phase_ratio:
-                phase_state, phase_ratio = cand, ratio
-        if phase_ratio > best_ratio:
-            best_state, best_ratio = phase_state, phase_ratio
-
-    config = Configuration.build(
-        _pair_from_state(best_state, depth), _measure_from_state(best_state, depth)
-    )
-    config._state = best_state
-    return config
+    state = _search_state(depth, budget, seed, restarts)
+    return Configuration.build(_pair_from_state(state), _measure_from_state(state))
 
 
 @dataclass

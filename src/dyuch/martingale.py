@@ -35,29 +35,28 @@ class SlicingViolation(ValueError):
         )
 
 
-def _first_violation(pc: PiecewiseConstant, tol):
+def _half_gaps(pc: PiecewiseConstant):
+    """(k, j, |difference of the half averages|) at every 4-adic node, top down."""
     pyr = pc.pyramid()
     for k in range(0, pc.depth, 2):
         row = pyr[k + 1]
         for j in range(1 << k):
-            diff = row[2 * j + 1] - row[2 * j]
-            if diff < 0:
-                diff = -diff
-            if diff > tol:
-                return pc.root.descendant(k, j), diff
+            yield k, j, abs(row[2 * j + 1] - row[2 * j])
+
+
+def _first_violation(pc: PiecewiseConstant, tol):
+    for k, j, diff in _half_gaps(pc):
+        if diff > tol:
+            return pc.root.descendant(k, j), diff
     return None
 
 
 def slicing_residual(pc: PiecewiseConstant):
     """Largest disagreement between half averages over all 4-adic nodes."""
-    pyr = pc.pyramid()
     worst = Fraction(0) if pc.exact else 0.0
-    for k in range(0, pc.depth, 2):
-        row = pyr[k + 1]
-        for j in range(1 << k):
-            diff = abs(row[2 * j + 1] - row[2 * j])
-            if diff > worst:
-                worst = diff
+    for _, _, diff in _half_gaps(pc):
+        if diff > worst:
+            worst = diff
     return worst
 
 
@@ -115,10 +114,7 @@ class SlicedMartingale:
         r, j = self.pc.rel_position(I)
         if r % 2 or r + 2 > self.depth:
             raise ValueError(f"{I.id} has no grandchildren inside this tree")
-        row = self.pc.pyramid()[r + 2]
-        dx = (row[4 * j + 3] - row[4 * j + 2]) / 2
-        dy = (row[4 * j + 1] - row[4 * j]) / 2
-        return dx, dy
+        return _half_jumps(self.pc.pyramid()[r + 2], j)
 
     def shifted(self, c) -> "SlicedMartingale":
         return SlicedMartingale(self.pc.shift(c), validate=False)
@@ -139,25 +135,33 @@ def _as_pc(u) -> PiecewiseConstant:
     return u.pc if isinstance(u, SlicedMartingale) else u
 
 
-def _s0_leaves(pc: PiecewiseConstant):
-    """Leaf recursion for the quarter-turn rotation.
+def _half_jumps(row, j):
+    """(dx, dy) below node j of a 4-adic level, read from the grandchild row."""
+    return (row[4 * j + 3] - row[4 * j + 2]) / 2, (row[4 * j + 1] - row[4 * j]) / 2
 
-    Descending one 4-adic generation from a node carrying rotated value w,
-    the left grandchildren pick up -+ the right-pair jump of the input and
-    the right grandchildren +- the left-pair jump.
-    """
+
+def _increment_rows(pc: PiecewiseConstant):
+    """One list of half jumps (dx, dy) per 4-adic level, nodes left to right."""
     pyr = pc.pyramid()
-    zero = Fraction(0) if pc.exact else 0.0
-    cur = [zero]
-    for k in range(0, pc.depth, 2):
-        row = pyr[k + 2]
+    return [
+        [_half_jumps(pyr[k + 2], j) for j in range(1 << k)]
+        for k in range(0, pc.depth, 2)
+    ]
+
+
+def _sliced_from_increments(w0, rows, root: DyadicInterval) -> "SlicedMartingale":
+    """Sliced martingale with root value w0 and the given (dx, dy) rows.
+
+    Each 4-adic generation sends a node value w to its grandchildren
+    (w - dy, w + dy, w - dx, w + dx), left to right.
+    """
+    cur = [w0]
+    for row in rows:
         nxt = []
-        for j, w in enumerate(cur):
-            dx = (row[4 * j + 3] - row[4 * j + 2]) / 2
-            dy = (row[4 * j + 1] - row[4 * j]) / 2
-            nxt.extend((w - dx, w + dx, w + dy, w - dy))
+        for w, (dx, dy) in zip(cur, row):
+            nxt.extend((w - dy, w + dy, w - dx, w + dx))
         cur = nxt
-    return cur
+    return SlicedMartingale(PiecewiseConstant(cur, root), validate=False)
 
 
 def s0(u) -> SlicedMartingale:
@@ -165,12 +169,14 @@ def s0(u) -> SlicedMartingale:
 
     Acts on jumps by sending the step across a right half to the equal step
     across the matching left half and negating the reverse direction; kills
-    the mean.  Applying it twice negates a mean-zero input.
+    the mean.  Applying it twice negates a mean-zero input.  In jump terms
+    (dx, dy) becomes (-dy, dx).
     """
     pc = _as_pc(u)
     if not isinstance(u, SlicedMartingale):
         SlicedMartingale(pc)  # rejects non-sliced input
-    return SlicedMartingale(PiecewiseConstant(_s0_leaves(pc), pc.root), validate=False)
+    rotated = [[(-dy, dx) for dx, dy in row] for row in _increment_rows(pc)]
+    return _sliced_from_increments(Fraction(0) if pc.exact else 0.0, rotated, pc.root)
 
 
 def cr_residual(u, v):
@@ -182,16 +188,8 @@ def cr_residual(u, v):
     up, vp = _as_pc(u), _as_pc(v)
     up._require_same_grid(vp)
     worst = Fraction(0) if (up.exact and vp.exact) else 0.0
-    if up.depth < 2:
-        return worst
-    upyr, vpyr = up.pyramid(), vp.pyramid()
-    for k in range(0, up.depth - 1, 2):
-        urow, vrow = upyr[k + 2], vpyr[k + 2]
-        for j in range(1 << k):
-            dxu = (urow[4 * j + 3] - urow[4 * j + 2]) / 2
-            dyu = (urow[4 * j + 1] - urow[4 * j]) / 2
-            dxv = (vrow[4 * j + 3] - vrow[4 * j + 2]) / 2
-            dyv = (vrow[4 * j + 1] - vrow[4 * j]) / 2
+    for urow, vrow in zip(_increment_rows(up), _increment_rows(vp)):
+        for (dxu, dyu), (dxv, dyv) in zip(urow, vrow):
             bad = max(abs(dxu - dyv), abs(dyu + dxv))
             if bad > worst:
                 worst = bad
@@ -277,10 +275,6 @@ def conjugate(u) -> DyadicAnalytic:
     return DyadicAnalytic(um, s0(um), validate=False)
 
 
-def h2_norm2(f: DyadicAnalytic):
-    return f.norm2()
-
-
 def _odd_generation_part(pc: PiecewiseConstant) -> PiecewiseConstant:
     """Mean-zero sliced component: keep only jumps entering even generations.
 
@@ -355,14 +349,9 @@ def random_sliced(
     def draw():
         return (rng.getrandbits(denom_bits + 1) - (1 << denom_bits)) * scale
 
-    cur = [draw()]
-    for _ in range(0, depth, 2):
-        nxt = []
-        for w in cur:
-            dx, dy = draw(), draw()
-            nxt.extend((w - dy, w + dy, w - dx, w + dx))
-        cur = nxt
-    return SlicedMartingale(PiecewiseConstant(cur, root), validate=False)
+    w0 = draw()
+    rows = [[(draw(), draw()) for _ in range(1 << k)] for k in range(0, depth, 2)]
+    return _sliced_from_increments(w0, rows, root)
 
 
 def random_analytic(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -93,6 +94,17 @@ class TestDiscreteMeasure:
                 for j in range(1 << r):
                     I = unit_root().descendant(r, j)
                     assert mu.subtree_mass(I) == brute_subtree_mass(mu, I)
+
+    def test_subtree_mass_above_the_root(self):
+        mu = DiscreteMeasure({DyadicInterval(4, 5): 1}, DyadicInterval(2, 1))
+        assert mu.subtree_mass(DyadicInterval(0, 0)) == mu.total_mass() == 1
+        assert mu.subtree_mass(DyadicInterval(2, 1)) == 1
+        assert mu.subtree_mass(DyadicInterval(4, 5)) == 1
+        # a node above the root level that does not contain the root
+        deep = DiscreteMeasure({DyadicInterval(6, 21): 2}, DyadicInterval(4, 5))
+        assert deep.subtree_mass(DyadicInterval(2, 0)) == 0
+        assert deep.subtree_mass(DyadicInterval(2, 1)) == 2
+        assert deep.subtree_mass(DyadicInterval(4, 4)) == 0
 
     def test_half_masses_brute_force(self):
         rng = random.Random(31)
@@ -403,3 +415,27 @@ class TestRandomBalanced:
         mu = random_balanced_measure(random.Random(48), 2, window_root(1))
         assert mu.root == window_root(1)
         assert mu.is_balanced()
+
+    # sha256 prefixes of repr([(I.id, m) for I, m in mu.masses.items()]) for
+    # random_balanced_measure(Random(500 + depth), depth, root); the masses
+    # dict order is pinned too, since closure sums add in that order.
+    PINNED = {
+        (2, "unit"): "e7fdf51c6ba65ea4",
+        (2, "window"): "122ec9c9ac2a3deb",
+        (4, "unit"): "3d9356aacbeced4a",
+        (4, "window"): "65521213069ad90f",
+        (6, "unit"): "c4e28967f95e09cb",
+        (6, "window"): "bf8cca944c060dd9",
+        (8, "unit"): "0ad3207aa8ae942f",
+        (8, "window"): "d655211f8f371632",
+    }
+
+    @pytest.mark.parametrize("name", ["unit", "window"])
+    @pytest.mark.parametrize("depth", [2, 4, 6, 8])
+    def test_seeded_output_pinned(self, depth, name):
+        root = unit_root() if name == "unit" else window_root(1)
+        mu = random_balanced_measure(random.Random(500 + depth), depth, root)
+        assert mu.root == root and mu.depth == depth
+        items = [(I.id, m) for I, m in mu.masses.items()]
+        digest = hashlib.sha256(repr(items).encode()).hexdigest()
+        assert digest[:16] == self.PINNED[(depth, name)]

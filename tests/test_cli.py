@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -336,6 +337,63 @@ class TestCheck3e:
         )
         assert code != 0
         assert "result: PASS" not in out
+
+
+class TestNonFiniteAndOverflow:
+    """Pair inputs that must never give a PASS, for every command reading one."""
+
+    COMMANDS = ["embed", "uchiyama-check", "check-3e"]
+
+    @staticmethod
+    def pair_file(tmp_path, fixtures, edit):
+        obj = json.loads(open(fixtures["pair"]).read())
+        edit(obj)
+        path = tmp_path / "pair_edit.json"
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    def check(self, capsys, fixtures, command, path):
+        return run(capsys, command, "--measure", fixtures["mu"], "--function", path)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_nan_leaf_is_input_error(self, capsys, fixtures, tmp_path, command):
+        def edit(obj):
+            obj["u"]["leaves"][3] = math.nan
+
+        path = self.pair_file(tmp_path, fixtures, edit)
+        code, out, err = self.check(capsys, fixtures, command, path)
+        assert code == 2
+        assert "result: PASS" not in out
+        assert "finite" in err
+
+    @pytest.mark.parametrize("command", ["embed", "uchiyama-check"])
+    def test_overflowing_float_pair_fails(self, capsys, fixtures, tmp_path, command):
+        # finite leaves whose squares overflow: every slack is inf - inf = nan
+        def edit(obj):
+            for part, value in (("u", 1e200), ("v", 0.0)):
+                obj[part]["leaves"] = [value] * len(obj[part]["leaves"])
+
+        path = self.pair_file(tmp_path, fixtures, edit)
+        code, out, _ = self.check(capsys, fixtures, command, path)
+        assert code == 1
+        assert "result: FAIL" in out
+        assert "nan" in out
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_exact_overflow_is_input_error(self, capsys, fixtures, tmp_path, command):
+        # the pair's leaves are k / 64, so these are exact integers near 1e160
+        def edit(obj):
+            pair = analytic_from_json(obj)
+            for part in ("u", "v"):
+                leaves = getattr(pair, part).leaves
+                obj[part]["leaves"] = [int(Fraction(x) * 10**160) for x in leaves]
+            assert analytic_from_json(obj).exact
+
+        path = self.pair_file(tmp_path, fixtures, edit)
+        code, out, err = self.check(capsys, fixtures, command, path)
+        assert code == 2
+        assert "result:" not in out
+        assert err.startswith("error: input values overflow a float")
 
 
 class TestSearchExtremal:

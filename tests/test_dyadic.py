@@ -188,6 +188,13 @@ class TestPiecewiseConstant:
         mixed = PiecewiseConstant([1, 0.5, 0, 3])
         assert not mixed.exact and all(isinstance(v, float) for v in mixed.leaves)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_leaves_rejected(self, bad):
+        with pytest.raises(ValueError, match="leaf 2 is .*finite"):
+            PiecewiseConstant([1, 0.5, bad, 3])
+        with pytest.raises(ValueError):
+            PiecewiseConstant([1.0, 2.0, 3.0, 4.0]).shift(bad)
+
     def test_averages_brute_force(self):
         rng = random.Random(1)
         leaves = [Fraction(rng.randrange(-20, 20), 8) for _ in range(16)]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -107,6 +108,22 @@ class TestSearch:
         for bad in (0, 1, 3):
             with pytest.raises(ValueError):
                 search(bad, budget=1)
+
+    @pytest.mark.parametrize(
+        "args, ratio, support, pinned",
+        [
+            ((4, 200, 3), 1.1153104308029502, 19, "af43ac8ff156a3a4"),
+            ((6, 300, 0), 1.1095968198201451, 5, "4524e498cb8413bf"),
+        ],
+    )
+    def test_seeded_output_pinned(self, args, ratio, support, pinned):
+        # pinned digest: sha256 of repr((ratio, u leaves, v leaves, masses in order))
+        cfg = search(*args)
+        assert cfg.ratio == ratio
+        assert len(cfg.mu) == support
+        items = [(I.id, m) for I, m in cfg.mu.masses.items()]
+        state = (cfg.ratio, cfg.f.u.leaves, cfg.f.v.leaves, items)
+        assert hashlib.sha256(repr(state).encode()).hexdigest()[:16] == pinned
 
 
 class TestProfiles:
