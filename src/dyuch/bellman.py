@@ -380,13 +380,21 @@ def scan_unsliced(
     Walks the window d, d1, d2 >= 0 with d + d1 and d + d2 at most max_sum,
     or a supplied list of triples.  region "d-zero" pins the tilt to zero
     (no witnesses exist there), "d1-zero" pins the first spread (the known
-    witnesses live there), "sweep" varies all three.  Returns the witness
-    list sorted by minor value, most negative first, and a summary table.
+    witnesses live there), "sweep" varies all three.  The grid needs a finite
+    step > 0 and a finite max_sum >= 0, and threshold must be finite, so a
+    scan never passes without checking.  Returns the witness list sorted by
+    minor value, most negative first, and a summary table.
     """
     explicit = triples is not None
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold!r}")
     if not explicit:
         if region not in ("sweep", "d-zero", "d1-zero"):
             raise ValueError(f"unknown region {region!r}")
+        if not 0 < step < math.inf:
+            raise ValueError(f"step must be finite and > 0, got {step!r}")
+        if not 0 <= max_sum < math.inf:
+            raise ValueError(f"max_sum must be finite and >= 0, got {max_sum!r}")
         steps = int(round(max_sum / step))
         triples = []
         for a in range(steps + 1):

@@ -15,11 +15,14 @@ from fractions import Fraction
 from .dyadic import (
     DEFAULT_TOL,
     DyadicInterval,
+    as_numbers,
     dyadic_length,
     interval_from_id,
-    is_exact,
+    json_number,
+    root_from_json,
+    root_to_json,
     unit_root,
-    window_root,
+    zero,
 )
 from .martingale import DyadicAnalytic
 from . import bellman
@@ -38,26 +41,25 @@ class DiscreteMeasure:
     measure to doubles.  Zero masses are dropped on construction.
     """
 
-    __slots__ = ("masses", "root", "depth", "exact", "_sums")
+    __slots__ = ("masses", "root", "depth", "exact", "zero", "_sums")
 
     def __init__(self, masses, root: DyadicInterval | None = None, depth: int | None = None):
         root = root if root is not None else unit_root()
         if not root.is_four_adic:
             raise ValueError("measure root must be 4-adic")
         vals = dict(masses)
-        exact = all(is_exact(m) for m in vals.values())
+        numbers, exact = as_numbers(vals.values(), "mass")
         clean = {}
         max_rel = 0
-        for I, m in vals.items():
+        for I, m in zip(vals, numbers):
             if not isinstance(I, DyadicInterval):
                 raise ValueError(f"measure keys must be intervals, got {I!r}")
             if not I.is_four_adic:
                 raise ValueError(f"{I.id} is not 4-adic")
             if not root.contains(I):
                 raise ValueError(f"{I.id} lies outside the measure root {root.id}")
-            m = (m if isinstance(m, Fraction) else Fraction(m)) if exact else float(m)
-            if not 0 <= m < math.inf:
-                raise ValueError(f"mass {float(m):.6g} at {I.id} is not finite and nonnegative")
+            if m < 0:
+                raise ValueError(f"mass {float(m):.6g} at {I.id} is negative")
             if m == 0:
                 continue
             clean[I] = m
@@ -71,11 +73,8 @@ class DiscreteMeasure:
         self.root = root
         self.depth = depth
         self.exact = exact
+        self.zero = zero(exact)
         self._sums = None
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.exact else 0.0
 
     def items(self):
         """Support nodes with masses, sorted by (level, index)."""
@@ -160,40 +159,29 @@ class DiscreteMeasure:
 
 
 def measure_to_json(mu: DiscreteMeasure) -> dict:
-    if not mu.root.is_root:
-        raise ValueError("only measures rooted at the base root are serialized")
-    out = {"base": mu.root.base, "depth": mu.depth, "masses": {}}
-    if mu.root.base != "unit":
-        out["ancestor_levels"] = mu.root.ancestor_levels
-    for I, m in mu.items():
-        if mu.exact and m.denominator == 1:
-            out["masses"][I.id] = int(m)
-        else:
-            out["masses"][I.id] = float(m)
-    return out
+    masses = {I.id: json_number(m) for I, m in mu.items()}
+    return root_to_json(mu.root, depth=mu.depth, masses=masses)
 
 
 def measure_from_json(obj: dict) -> DiscreteMeasure:
     if not isinstance(obj, dict) or "masses" not in obj:
         raise ValueError("measure object must carry a masses table")
-    base = obj.get("base", "unit")
-    anc = int(obj.get("ancestor_levels", 0))
-    if base == "unit":
-        root = unit_root()
-    else:
-        root = window_root(anc)
+    root, depth = root_from_json(obj)
+    if not isinstance(obj["masses"], dict):
+        raise ValueError("masses must be an object of node ids")
     masses = {
-        interval_from_id(key, base, anc if base != "unit" else 0): m
+        interval_from_id(key, root.base, root.ancestor_levels): m
         for key, m in obj["masses"].items()
     }
-    return DiscreteMeasure(masses, root, obj.get("depth"))
+    return DiscreteMeasure(masses, root, depth)
 
 
 class SlicedSuperMartingale:
     """Normalized subtree masses of a balanced measure, run as a process.
 
     Carries one value per 4-adic node down to the stated depth, with
-    implicit zero values below.  Validation enforces the sign convention,
+    implicit zero values below; as_numbers sets the mode and rejects NaN,
+    infinite and non-numeric values.  Validation enforces the sign convention,
     the equal-pair-sum property inherited from balance, and the one-sided
     drift (nonincreasing means for the nonnegative branch, nondecreasing
     for the nonpositive one).
@@ -207,7 +195,8 @@ class SlicedSuperMartingale:
         if depth % 2:
             raise ValueError("depth must be even")
         vals = dict(values)
-        exact = all(is_exact(v) for v in vals.values())
+        numbers, exact = as_numbers(vals.values(), "value")
+        vals = dict(zip(vals, numbers))
         for r in range(0, depth + 1, 2):
             for j in range(1 << r):
                 node = root.descendant(r, j)
@@ -242,7 +231,7 @@ class SlicedSuperMartingale:
             raise ValueError(f"{I.id} is not 4-adic")
         r = I.level - self.root.level
         if r > self.depth:
-            return Fraction(0) if self.exact else 0.0
+            return zero(self.exact)
         try:
             return self.values[I]
         except KeyError:
@@ -310,7 +299,7 @@ def _require_compatible(f: DyadicAnalytic, mu: DiscreteMeasure):
 def embedding_sum(f: DyadicAnalytic, mu: DiscreteMeasure):
     """Sum of mu_I times the squared modulus of the averaged pair at I."""
     _require_compatible(f, mu)
-    total = mu.zero if (f.exact and mu.exact) else 0.0
+    total = zero(f.exact and mu.exact)
     for I, m in mu.masses.items():
         a, b = f.u.average(I), f.v.average(I)
         total += m * (a * a + b * b)

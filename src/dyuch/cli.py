@@ -127,9 +127,9 @@ def _cmd_verify_bellman(args) -> dict:
         tolerance=args.tolerance,
         boundary=not args.no_boundary,
     )
-    if psd.min_minor < -args.tolerance:
+    if not psd.min_minor >= -args.tolerance:
         violations.append(f"principal minor dipped to {psd.min_minor!r}")
-    if psd.min_eigenvalue < -args.tolerance:
+    if not psd.min_eigenvalue >= -args.tolerance:
         violations.append(f"eigenvalue dipped to {psd.min_eigenvalue!r}")
     if psd.closed_form_failures:
         violations.append(
@@ -137,7 +137,7 @@ def _cmd_verify_bellman(args) -> dict:
         )
 
     res = extremal.profile_residuals(extremal.exponential_profile())
-    if res.max_residual() > args.tolerance:
+    if not res.max_residual() <= args.tolerance:
         violations.append(f"profile residual {res.max_residual()!r}")
 
     min_range = math.inf
@@ -149,9 +149,9 @@ def _cmd_verify_bellman(args) -> dict:
         for b in range(21):
             mu = (b / 20.0) * m  # children mean M - mu must stay nonnegative
             min_deriv = min(min_deriv, bellman.derivative_gap(point, mu))
-    if min_range < -args.tolerance:
+    if not min_range >= -args.tolerance:
         violations.append(f"value left its pinned range by {min_range!r}")
-    if min_deriv < -args.tolerance:
+    if not min_deriv >= -args.tolerance:
         violations.append(f"harvest surplus dipped to {min_deriv!r}")
 
     summary = {
@@ -177,7 +177,8 @@ def _cmd_scan_unsliced(args) -> dict:
         max_sum=args.max_sum,
         threshold=args.threshold,
     )
-    bellman.write_witness_csv(args.csv, witnesses)
+    if args.csv:
+        bellman.write_witness_csv(args.csv, witnesses)
     violations = []
     if args.region == "d-zero":
         if witnesses:
@@ -419,6 +420,16 @@ def _cmd_certify_lower_bound(args) -> dict:
     return _report("certify-lower-bound", args, summary, violations)
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dyuch",
@@ -431,7 +442,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", help="write the JSON report to this file")
         p.add_argument(
-            "--tolerance", type=float, default=1e-9, help="slack tolerance"
+            "--tolerance",
+            type=_tolerance,
+            default=1e-9,
+            help="slack tolerance, a finite number >= 0",
         )
         p.set_defaults(func=func)
         return p
@@ -446,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=0.05)
     p.add_argument("--max-sum", type=float, default=0.5)
     p.add_argument("--threshold", type=float, default=0.0)
-    p.add_argument("--csv", default="witnesses.csv")
+    p.add_argument("--csv", help="write the witnesses as a d,d1,d2,G table")
 
     p = add("embed", _cmd_embed, "embedding sum, bound, and slacks for a pair")
     p.add_argument("--function", required=True)

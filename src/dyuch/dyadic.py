@@ -6,6 +6,11 @@ splits the grid into even (4-adic) and odd generations; every structural
 quantity (averages, pair means, Haar data of dyadic-rational inputs) is
 computed in exact rational arithmetic, with doubles only where square roots
 or exponentials force them.
+
+The number policy lives here for every module: as_numbers decides a tree's
+or measure's mode (all int/Fraction data is exact, anything else is finite
+floats), zero gives each mode's zero, and json_number, root_to_json and
+root_from_json are the one JSON codec for trees and measures.
 """
 from __future__ import annotations
 
@@ -24,94 +29,49 @@ def is_exact(value) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
+def _number_fault(value):
+    if isinstance(value, (str, bool)):
+        return "not a number"
+    try:
+        return None if math.isfinite(float(value)) else "not finite"
+    except (TypeError, ValueError):
+        return "not a number"
+
+
+def as_numbers(values, what: str):
+    """The number policy: (values, exact) for one tree's or measure's data.
+
+    All int and Fraction input becomes Fractions (exact mode); any other
+    input makes every value a finite float.  Strings, bools, other
+    non-numbers and non-finite values raise ValueError naming the first
+    offending index; a value too large for a float raises OverflowError.
+    """
+    vals = list(values)
+    if all(map(is_exact, vals)):
+        return [v if isinstance(v, Fraction) else Fraction(v) for v in vals], True
+    if not any(issubclass(k, (str, bool)) for k in set(map(type, vals))):
+        try:
+            out = [float(v) for v in vals]
+        except (TypeError, ValueError):
+            out = None
+        if out is not None and all(map(math.isfinite, out)):
+            return out, False
+    for t, v in enumerate(vals):
+        fault = _number_fault(v)
+        if fault:
+            raise ValueError(f"{what} {t} is {v!r}, which is {fault}")
+
+
+def zero(exact: bool):
+    """The zero of a numeric mode: Fraction(0) when exact, else 0.0."""
+    return Fraction(0) if exact else 0.0
+
+
 def dyadic_length(level: int) -> Fraction:
     """Exact length 2**-level of an interval at the given level."""
     if level >= 0:
         return Fraction(1, 1 << level)
     return Fraction(1 << (-level))
-
-
-class Root2:
-    """Exact element a + b*sqrt(2) of the quadratic field Q[sqrt(2)].
-
-    Haar leaf values are +-2**(level/2); carrying the sqrt(2) part separately
-    keeps orthonormality, Plancherel, and coefficient checks exact whenever
-    the input data is dyadic rational.
-    """
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a=0, b=0):
-        self.a = a if isinstance(a, Fraction) else Fraction(a)
-        self.b = b if isinstance(b, Fraction) else Fraction(b)
-
-    @classmethod
-    def half_power(cls, k: int) -> "Root2":
-        """2**(k/2) as an exact value, for any integer k."""
-        if k % 2 == 0:
-            return cls(Fraction(2) ** (k // 2), 0)
-        return cls(0, Fraction(2) ** ((k - 1) // 2))
-
-    def _coerce(self, other):
-        if isinstance(other, Root2):
-            return other
-        if is_exact(other):
-            return Root2(other, 0)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Root2(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Root2(self.a - other.a, self.b - other.b)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __neg__(self):
-        return Root2(-self.a, -self.b)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Root2(
-            self.a * other.a + 2 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(2.0)
-
-    def __repr__(self):
-        return f"Root2({self.a!s}, {self.b!s})"
 
 
 @dataclass(frozen=True)
@@ -295,9 +255,9 @@ def haar_sign_on(I: DyadicInterval, J: DyadicInterval) -> int:
 class PiecewiseConstant:
     """Function constant on the 2**depth leaf cells below a 4-adic root interval.
 
-    Leaves are stored left to right.  Integer and Fraction leaves put the
-    function in exact mode; any float leaf switches the whole tree to doubles,
-    and every double must be finite.
+    Leaves are stored left to right and coerced by as_numbers: integer and
+    Fraction leaves put the function in exact mode, any other leaf switches
+    the whole tree to finite doubles.
     """
 
     __slots__ = ("leaves", "depth", "root", "exact", "_pyramid")
@@ -306,22 +266,13 @@ class PiecewiseConstant:
         root = root if root is not None else unit_root()
         if not root.is_four_adic:
             raise ValueError("tree root must be 4-adic")
-        vals = list(leaves)
+        vals, exact = as_numbers(leaves, "leaf")
         n = len(vals)
         depth = n.bit_length() - 1
         if n == 0 or (1 << depth) != n:
             raise ValueError(f"leaf count {n} is not a power of two")
         if depth % 2:
             raise ValueError(f"depth {depth} is odd; trees must have even depth")
-        if all(is_exact(v) for v in vals):
-            vals = [v if isinstance(v, Fraction) else Fraction(v) for v in vals]
-            exact = True
-        else:
-            vals = [float(v) for v in vals]
-            if not all(map(math.isfinite, vals)):
-                bad = next(t for t, v in enumerate(vals) if not math.isfinite(v))
-                raise ValueError(f"leaf {bad} is {vals[bad]!r}; leaves must be finite")
-            exact = False
         self.leaves = tuple(vals)
         self.depth = depth
         self.root = root
@@ -407,17 +358,22 @@ class PiecewiseConstant:
 @dataclass
 class HaarCoefficients:
     """Haar transform of a piecewise constant tree: root average plus one
-    coefficient per interval strictly above the leaf level.
+    half-difference per interval strictly above the leaf level.
 
-    Exact-mode coefficients are Root2 values (each is rational times a half
-    power of two); float mode stores doubles.
+    half_diffs[J] is half the right-half average minus the left-half average
+    of J, in the tree's own mode (Fraction or float); the coefficient
+    <f, h_J> is that times |J|**(1/2), so exact data stays rational.
     """
 
     root: DyadicInterval
     depth: int
     root_average: object
-    coeffs: dict
+    half_diffs: dict
     exact: bool
+
+    def coefficient(self, J: DyadicInterval) -> float:
+        """The Haar coefficient <f, h_J> as a double."""
+        return float(self.half_diffs[J]) * math.sqrt(2.0 ** (-J.level))
 
 
 def haar_coefficient(pc: PiecewiseConstant, J: DyadicInterval) -> float:
@@ -428,90 +384,91 @@ def haar_coefficient(pc: PiecewiseConstant, J: DyadicInterval) -> float:
 
 
 def haar_coefficients(pc: PiecewiseConstant) -> HaarCoefficients:
-    """Full Haar transform; exact over Q[sqrt(2)] for rational leaves."""
+    """Full Haar transform; exact for rational leaves."""
     pyr = pc.pyramid()
-    coeffs = {}
+    half_diffs = {}
     for m in range(pc.depth):
-        abs_level = pc.root.level + m
-        if pc.exact:
-            size = Root2.half_power(-abs_level)
-        else:
-            size = math.sqrt(2.0 ** (-abs_level))
         row = pyr[m + 1]
         for j in range(1 << m):
-            half_diff = (row[2 * j + 1] - row[2 * j]) / 2
-            coeffs[pc.root.descendant(m, j)] = size * half_diff
-    return HaarCoefficients(pc.root, pc.depth, pyr[0][0], coeffs, pc.exact)
+            half_diffs[pc.root.descendant(m, j)] = (row[2 * j + 1] - row[2 * j]) / 2
+    return HaarCoefficients(pc.root, pc.depth, pyr[0][0], half_diffs, pc.exact)
 
 
 def reconstruct_from_haar(hc: HaarCoefficients) -> PiecewiseConstant:
     """Invert haar_coefficients exactly."""
     cur = [hc.root_average]
     for m in range(hc.depth):
-        abs_level = hc.root.level + m
         nxt = []
         for j, v in enumerate(cur):
-            c = hc.coeffs[hc.root.descendant(m, j)]
-            if hc.exact:
-                half_diff = (Root2.half_power(abs_level) * c)
-                if not half_diff.is_rational:
-                    raise ValueError("coefficient is not rational times |J|**-1/2")
-                half_diff = half_diff.a
-            else:
-                half_diff = c * math.sqrt(2.0 ** abs_level)
-            nxt.append(v - half_diff)
-            nxt.append(v + half_diff)
+            d = hc.half_diffs[hc.root.descendant(m, j)]
+            nxt.extend((v - d, v + d))
         cur = nxt
     return PiecewiseConstant(cur, hc.root)
 
 
 def plancherel_norm2(hc: HaarCoefficients):
     """Squared L2 norm from the transform: root term plus coefficient squares."""
-    root_meas = dyadic_length(hc.root.level)
-    total = hc.root_average * hc.root_average * root_meas
-    for c in hc.coeffs.values():
-        if isinstance(c, Root2):
-            sq = c * c
-            if not sq.is_rational:
-                raise ValueError("coefficient square left the rationals")
-            total += sq.a
-        else:
-            total += c * c
+    total = hc.root_average * hc.root_average * hc.root.length
+    for J, d in hc.half_diffs.items():
+        total += d * d * J.length
     return total
+
+
+def json_number(value):
+    """A value as written to JSON: integral Fractions as ints, all else as floats."""
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    return float(value)
+
+
+def root_to_json(root: DyadicInterval, **fields) -> dict:
+    """JSON object for data on a base root: base, the fields, then a window's
+    ancestor_levels, in that key order."""
+    if not root.is_root:
+        raise ValueError("only data rooted at the base root is serialized")
+    out = {"base": root.base, **fields}
+    if root.base == REAL_LINE:
+        out["ancestor_levels"] = root.ancestor_levels
+    return out
+
+
+def _json_int(obj: dict, key: str, default):
+    value = obj.get(key, default)
+    if value is not default and type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def root_from_json(obj: dict):
+    """(root, declared depth or None) from a tree or measure object.
+
+    base defaults to unit; a real_line window reads an integer
+    ancestor_levels (default 0), and a declared depth must be an integer.
+    """
+    base = obj.get("base", UNIT)
+    if base == UNIT:
+        root = unit_root()
+    elif base == REAL_LINE:
+        root = window_root(_json_int(obj, "ancestor_levels", 0))
+    else:
+        raise ValueError(f"unknown base {base!r}")
+    return root, _json_int(obj, "depth", None)
 
 
 def tree_to_json(pc: PiecewiseConstant) -> dict:
     """Canonical JSON form of a tree rooted at the base root."""
-    if not pc.root.is_root:
-        raise ValueError("only trees rooted at the base root are serialized")
-    leaves = []
-    for v in pc.leaves:
-        if pc.exact and v.denominator == 1:
-            leaves.append(int(v))
-        else:
-            leaves.append(float(v))
-    out = {"base": pc.root.base, "depth": pc.depth, "leaves": leaves}
-    if pc.root.base == REAL_LINE:
-        out["ancestor_levels"] = pc.root.ancestor_levels
-    return out
+    return root_to_json(pc.root, depth=pc.depth, leaves=[json_number(v) for v in pc.leaves])
 
 
 def tree_from_json(obj: dict) -> PiecewiseConstant:
     """Parse the canonical tree form, validating shape and parity."""
     if not isinstance(obj, dict) or "leaves" not in obj:
         raise ValueError("tree object must carry a leaves array")
-    base = obj.get("base", UNIT)
-    if base == REAL_LINE:
-        root = window_root(int(obj.get("ancestor_levels", 0)))
-    elif base == UNIT:
-        root = unit_root()
-    else:
-        raise ValueError(f"unknown base {base!r}")
+    root, declared = root_from_json(obj)
     leaves = obj["leaves"]
     if not isinstance(leaves, list) or not leaves:
         raise ValueError("leaves must be a nonempty array")
     pc = PiecewiseConstant(leaves, root)
-    declared = obj.get("depth")
     if declared is not None and declared != pc.depth:
         raise ValueError(f"declared depth {declared} does not match {pc.depth} leaves")
     return pc

@@ -17,10 +17,10 @@ from .dyadic import (
     DEFAULT_TOL,
     DyadicInterval,
     PiecewiseConstant,
-    is_exact,
     tree_from_json,
     tree_to_json,
     unit_root,
+    zero,
 )
 
 
@@ -53,7 +53,7 @@ def _first_violation(pc: PiecewiseConstant, tol):
 
 def slicing_residual(pc: PiecewiseConstant):
     """Largest disagreement between half averages over all 4-adic nodes."""
-    worst = Fraction(0) if pc.exact else 0.0
+    worst = zero(pc.exact)
     for _, _, diff in _half_gaps(pc):
         if diff > worst:
             worst = diff
@@ -176,7 +176,7 @@ def s0(u) -> SlicedMartingale:
     if not isinstance(u, SlicedMartingale):
         SlicedMartingale(pc)  # rejects non-sliced input
     rotated = [[(-dy, dx) for dx, dy in row] for row in _increment_rows(pc)]
-    return _sliced_from_increments(Fraction(0) if pc.exact else 0.0, rotated, pc.root)
+    return _sliced_from_increments(zero(pc.exact), rotated, pc.root)
 
 
 def cr_residual(u, v):
@@ -187,7 +187,7 @@ def cr_residual(u, v):
     """
     up, vp = _as_pc(u), _as_pc(v)
     up._require_same_grid(vp)
-    worst = Fraction(0) if (up.exact and vp.exact) else 0.0
+    worst = zero(up.exact and vp.exact)
     for urow, vrow in zip(_increment_rows(up), _increment_rows(vp)):
         for (dxu, dyu), (dxv, dyv) in zip(urow, vrow):
             bad = max(abs(dxu - dyv), abs(dyu + dxv))
@@ -256,7 +256,7 @@ class DyadicAnalytic:
         lo, hi = j << span, (j + 1) << span
         ul, vl = self.u.leaves, self.v.leaves
         total = sum(ul[t] * ul[t] + vl[t] * vl[t] for t in range(lo, hi))
-        return Fraction(total, 1 << span) if self.exact else total / (1 << span)
+        return total / (1 << span)
 
     def rotated(self, theta: float) -> "DyadicAnalytic":
         """Multiply u + iv by exp(i * theta)."""
@@ -282,8 +282,7 @@ def _odd_generation_part(pc: PiecewiseConstant) -> PiecewiseConstant:
     keeping the jumps whose parent sits at odd relative level 1, 3, ...
     """
     pyr = pc.pyramid()
-    zero = Fraction(0) if pc.exact else 0.0
-    cur = [zero]
+    cur = [zero(pc.exact)]
     for m in range(pc.depth):
         row = pyr[m + 1]
         keep = m % 2 == 1
@@ -308,7 +307,7 @@ def analytic_projection(re, im=None) -> DyadicAnalytic:
     """
     a = _as_pc(re)
     if im is None:
-        b = PiecewiseConstant.constant(Fraction(0) if a.exact else 0.0, a.depth, a.root)
+        b = PiecewiseConstant.constant(zero(a.exact), a.depth, a.root)
     else:
         b = _as_pc(im)
         a._require_same_grid(b)
@@ -317,15 +316,8 @@ def analytic_projection(re, im=None) -> DyadicAnalytic:
     b_odd = SlicedMartingale(_odd_generation_part(b), validate=False)
     rot_a = s0(a_odd)
     rot_b = s0(b_odd)
-    half = Fraction(1, 2) if (a.exact and b.exact) else 0.5
-    u_leaves = [
-        a0 + half * (ao - rb)
-        for ao, rb in zip(a_odd.leaves, rot_b.leaves)
-    ]
-    v_leaves = [
-        b0 + half * (bo + ra)
-        for bo, ra in zip(b_odd.leaves, rot_a.leaves)
-    ]
+    u_leaves = [a0 + (ao - rb) / 2 for ao, rb in zip(a_odd.leaves, rot_b.leaves)]
+    v_leaves = [b0 + (bo + ra) / 2 for bo, ra in zip(b_odd.leaves, rot_a.leaves)]
     return DyadicAnalytic.from_leaves(u_leaves, v_leaves, a.root, validate=False)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -266,6 +267,27 @@ class TestSupermartingalePairing:
         with pytest.raises(ValueError):
             SlicedSuperMartingale(drifting, root, 2, SUPERMARTINGALE_NONNEG)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "1", True])
+    def test_non_numbers_rejected(self, bad):
+        # a NaN value used to validate, and measure_from_supermartingale
+        # then dropped its node's mass (nan > 0 is false)
+        root = unit_root()
+        vals = {root: 1.0, **{DyadicInterval(2, j): 0.25 for j in range(4)}}
+        vals[DyadicInterval(2, 1)] = bad
+        for validate in (True, False):
+            with pytest.raises(ValueError, match="value 2 is"):
+                SlicedSuperMartingale(vals, root, 2, SUPERMARTINGALE_NONNEG, validate)
+
+    def test_values_follow_the_number_policy(self):
+        root = unit_root()
+        vals = {root: 1, **{DyadicInterval(2, j): Fraction(1, 4) for j in range(4)}}
+        M = SlicedSuperMartingale(vals, root, 2, SUPERMARTINGALE_NONNEG)
+        assert M.exact and all(type(v) is Fraction for v in M.values.values())
+        vals[root] = 1.0
+        M = SlicedSuperMartingale(vals, root, 2, SUPERMARTINGALE_NONNEG)
+        assert not M.exact and all(type(v) is float for v in M.values.values())
+        assert M.value(DyadicInterval(4, 0)) == 0.0 and not M.exact
+
     def test_negative_implied_mass(self):
         root = unit_root()
         drifting = {root: Fraction(0)}
@@ -430,6 +452,31 @@ class TestRandomBalanced:
         (8, "window"): "d655211f8f371632",
     }
 
+    # sha256 prefixes of the exact and float-mode outputs on the same
+    # measures: both paired processes and the writer output, as
+    # pinned_float_outputs builds them.
+    PINNED_FLOAT = {
+        (2, "unit"): "3d7b08d084a15baa",
+        (2, "window"): "a87d0586fcf4febc",
+        (4, "unit"): "743faa3170a4bd97",
+        (4, "window"): "96d1ddff1b8a7dbd",
+        (6, "unit"): "1e250c15d007869e",
+        (6, "window"): "0d0e8194b0387e35",
+        (8, "unit"): "e7c0894ac6a53b3a",
+        (8, "window"): "73fef740b15119f0",
+    }
+
+    @staticmethod
+    def pinned_float_outputs(mu):
+        muf = DiscreteMeasure({I: float(m) for I, m in mu.masses.items()}, mu.root, mu.depth)
+        state = []
+        for m in (mu, muf):
+            for sign in (SUPERMARTINGALE_NONNEG, SUBMARTINGALE_NONPOS):
+                M = pair_supermartingale(m, sign)
+                state.append([(I.id, v) for I, v in M.values.items()])
+            state.append(json.dumps(measure_to_json(m)))
+        return state
+
     @pytest.mark.parametrize("name", ["unit", "window"])
     @pytest.mark.parametrize("depth", [2, 4, 6, 8])
     def test_seeded_output_pinned(self, depth, name):
@@ -439,3 +486,6 @@ class TestRandomBalanced:
         items = [(I.id, m) for I, m in mu.masses.items()]
         digest = hashlib.sha256(repr(items).encode()).hexdigest()
         assert digest[:16] == self.PINNED[(depth, name)]
+        state = self.pinned_float_outputs(mu)
+        digest = hashlib.sha256(repr(state).encode()).hexdigest()
+        assert digest[:16] == self.PINNED_FLOAT[(depth, name)]

@@ -455,3 +455,156 @@ class TestCertifyLowerBound:
 
     def test_domain_error(self, capsys):
         assert run(capsys, "certify-lower-bound", "--eps", "0.3")[0] == 2
+
+
+class TestMalformedInput:
+    """Headers and values the JSON readers reject with exit 2, never a guess."""
+
+    MEASURES = {
+        "unknown_base": {"base": "bogus", "masses": {}},
+        "fractional_ancestors": {
+            "base": "real_line", "ancestor_levels": 1.7, "masses": {"L-2N0": 1}
+        },
+        "string_ancestors": {
+            "base": "real_line", "ancestor_levels": "1", "masses": {"L-2N0": 1}
+        },
+        "string_depth": {"depth": "2", "masses": {"L0N0": 1}},
+        "float_depth": {"depth": 2.0, "masses": {"L0N0": 1}},
+        "bool_depth": {"depth": True, "masses": {"L0N0": 1}},
+        "string_mass": {"depth": 2, "masses": {"L0N0": "1"}},
+        "bool_mass": {"depth": 2, "masses": {"L0N0": True}},
+        "masses_not_an_object": {"depth": 2, "masses": [1]},
+    }
+    TREES = {
+        "unknown_base": {"base": "bogus", "leaves": [0, 0, 0, 0]},
+        "fractional_ancestors": {
+            "base": "real_line", "ancestor_levels": 1.7, "leaves": [0, 0, 0, 0]
+        },
+        "string_depth": {"depth": "2", "leaves": [0, 0, 0, 0]},
+        "float_depth": {"depth": 2.0, "leaves": [0, 0, 0, 0]},
+        "string_leaf": {"depth": 2, "leaves": ["1", 1, 1, 1]},
+        "bool_leaf": {"depth": 2, "leaves": [True, 1, 1, 1]},
+        "null_leaf": {"depth": 2, "leaves": [None, 1, 1, 1]},
+        "string_and_bool_leaves": {"depth": 2, "leaves": ["1", True, 1.0, 1.0]},
+    }
+
+    @staticmethod
+    def write(tmp_path, obj):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    @pytest.mark.parametrize("case", sorted(MEASURES))
+    def test_measure_rejected(self, capsys, tmp_path, case):
+        path = self.write(tmp_path, self.MEASURES[case])
+        code, out, err = run(capsys, "check-3e", "--measure", path)
+        assert code == 2
+        assert "result:" not in out
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(TREES))
+    def test_tree_rejected(self, capsys, tmp_path, case):
+        path = self.write(tmp_path, self.TREES[case])
+        code, out, err = run(capsys, "conjugate", "--function", path)
+        assert code == 2
+        assert "result:" not in out
+        assert err.startswith("error:")
+
+    def test_pair_leaf_rejected(self, capsys, fixtures, tmp_path):
+        obj = json.loads(open(fixtures["pair"]).read())
+        obj["v"]["leaves"][0] = str(obj["v"]["leaves"][0])
+        path = self.write(tmp_path, obj)
+        code, out, err = run(capsys, "embed", "--function", path, "--measure", fixtures["mu"])
+        assert code == 2
+        assert "leaf 0" in err
+
+    def test_unit_base_ignores_ancestor_levels(self, capsys, tmp_path):
+        path = self.write(tmp_path, {"ancestor_levels": 3, "depth": 0, "masses": {"L0N0": 1}})
+        assert run(capsys, "check-3e", "--measure", path)[0] == 0
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-1e-9", "tight"])
+    def test_rejected_by_the_parser(self, capsys, bad):
+        code, out, err = run(capsys, "verify-bellman", "--samples", "50", f"--tolerance={bad}")
+        assert code == 2
+        assert "result:" not in out
+        assert "--tolerance" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan-unsliced", "--step", "0.25"],
+            ["certify-lower-bound"],
+            ["search-extremal", "--depth", "2", "--budget", "1", "--restarts", "0"],
+            ["kernel", "--interval", "L2N1", "--height", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_command_rejects_infinity(self, capsys, argv):
+        assert run(capsys, *argv, "--tolerance", "inf")[0] == 2
+
+    def test_zero_is_allowed(self, capsys):
+        code, out, _ = run(capsys, "verify-bellman", "--samples", "50", "--tolerance", "0")
+        assert code in (0, 1)
+        assert "result:" in out
+
+    @pytest.mark.parametrize("field", ["min_minor", "min_eigenvalue"])
+    def test_nan_psd_gate_fails(self, capsys, monkeypatch, field):
+        import dataclasses
+
+        from dyuch import cli
+
+        real = cli.bellman.verify_sliced_psd
+
+        def poisoned(**kw):
+            return dataclasses.replace(real(**kw), **{field: math.nan})
+
+        monkeypatch.setattr(cli.bellman, "verify_sliced_psd", poisoned)
+        code, out, _ = run(capsys, "verify-bellman", "--samples", "50")
+        assert code == 1
+        assert "result: FAIL" in out
+
+    def test_nan_profile_residual_fails(self, capsys, monkeypatch):
+        from dyuch import cli
+
+        monkeypatch.setattr(
+            cli.extremal,
+            "profile_residuals",
+            lambda profile: cli.extremal.ProfileResiduals(math.nan, 0.0, 0.0),
+        )
+        code, out, _ = run(capsys, "verify-bellman", "--samples", "50")
+        assert code == 1
+        assert "profile residual nan" in out
+
+
+class TestScanUnslicedChecksSomething:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--step", "0"],
+            ["--step", "nan"],
+            ["--step", "inf"],
+            ["--region", "d-zero", "--step", "-0.05"],
+            ["--max-sum", "-1"],
+            ["--max-sum", "inf"],
+            ["--threshold", "nan"],
+        ],
+        ids=["step-0", "step-nan", "step-inf", "negative-step", "negative-max-sum",
+             "infinite-max-sum", "nan-threshold"],
+    )
+    def test_bad_grid_is_usage_error(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, "scan-unsliced", *argv, "--csv", str(tmp_path / "w.csv"))
+        assert code == 2
+        assert "result:" not in out
+        assert err.startswith("error:")
+        assert not (tmp_path / "w.csv").exists()
+
+    def test_no_csv_unless_asked(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out_path = tmp_path / "scan.json"
+        code, out, _ = run(capsys, "scan-unsliced", "--out", str(out_path))
+        assert code == 0
+        assert "result: PASS" in out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.json"]
+        assert json.loads(out_path.read_text())["summary"]["csv"] is None

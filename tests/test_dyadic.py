@@ -8,7 +8,6 @@ from dyuch.dyadic import (
     REAL_LINE,
     DyadicInterval,
     PiecewiseConstant,
-    Root2,
     dyadic_length,
     four_adic_nodes,
     haar_coefficient,
@@ -142,35 +141,6 @@ class TestInterval:
         assert dyadic_length(-2) == 4
 
 
-class TestRoot2:
-    def test_half_powers(self):
-        assert Root2.half_power(0) == 1
-        assert Root2.half_power(2) == 2
-        assert Root2.half_power(-2) == Fraction(1, 2)
-        assert Root2.half_power(1) == Root2(0, 1)
-        assert Root2.half_power(-1) == Root2(0, Fraction(1, 2))
-        assert float(Root2.half_power(3)) == pytest.approx(2 * math.sqrt(2))
-
-    def test_field_arithmetic(self):
-        x = Root2(1, 2)
-        y = Root2(Fraction(1, 3), -1)
-        assert (x + y) - y == x
-        assert x * y == y * x
-        # (1 + 2 sqrt2)(1/3 - sqrt2) = 1/3 - sqrt2 + (2/3) sqrt2 - 4
-        assert x * y == Root2(Fraction(1, 3) - 4, Fraction(2, 3) - 1)
-        assert -x + x == Root2()
-        assert (x * 0).is_zero
-        assert Root2(5, 0).is_rational
-        sq = Root2.half_power(1) * Root2.half_power(1)
-        assert sq == 2
-
-    def test_float_and_scalars(self):
-        assert float(Root2(1, 1)) == pytest.approx(1 + math.sqrt(2))
-        assert 2 + Root2(1, 0) == Root2(3, 0)
-        assert 2 * Root2(0, 1) == Root2(0, 2)
-        assert 1 - Root2(0, 1) == Root2(1, -1)
-
-
 class TestPiecewiseConstant:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -194,6 +164,12 @@ class TestPiecewiseConstant:
             PiecewiseConstant([1, 0.5, bad, 3])
         with pytest.raises(ValueError):
             PiecewiseConstant([1.0, 2.0, 3.0, 4.0]).shift(bad)
+
+    @pytest.mark.parametrize("bad", ["1", "nan", True, None, [1]])
+    def test_non_number_leaves_rejected(self, bad):
+        for rest in ([1, 0.5, 3], [1, 2, 3]):
+            with pytest.raises(ValueError, match="leaf 2 is .*not a number"):
+                PiecewiseConstant(rest[:2] + [bad] + rest[2:])
 
     def test_averages_brute_force(self):
         rng = random.Random(1)
@@ -300,14 +276,29 @@ class TestHaar:
     def test_exact_matches_float(self):
         pc = PiecewiseConstant([Fraction(3, 2), 1, 0, -2])
         hc = haar_coefficients(pc)
-        for J, c in hc.coeffs.items():
-            assert float(c) == pytest.approx(haar_coefficient(pc, J), abs=1e-14)
+        assert all(isinstance(d, Fraction) for d in hc.half_diffs.values())
+        for J in hc.half_diffs:
+            assert hc.coefficient(J) == pytest.approx(haar_coefficient(pc, J), abs=1e-14)
+
+    def test_exact_haar_step(self):
+        # |J|**(1/2) h_J is +-1 on the halves of J: one half-difference of 1,
+        # so the coefficient is |J|**(1/2) and Plancherel gives |J| exactly
+        root = unit_root()
+        for lev, idx in ((0, 0), (1, 1), (2, 2), (3, 5)):
+            J = DyadicInterval(lev, idx)
+            pc = PiecewiseConstant([round(v * math.sqrt(float(J.length))) for v in
+                                    haar_leaves(J, 4, root)])
+            hc = haar_coefficients(pc)
+            assert hc.half_diffs == {K: int(K == J) for K in hc.half_diffs}
+            assert hc.coefficient(J) == pytest.approx(math.sqrt(float(J.length)), rel=1e-15)
+            assert plancherel_norm2(hc) == J.length == pc.l2_norm2()
+            assert reconstruct_from_haar(hc) == pc
 
     def test_window_coefficients(self):
         root = window_root(1)
         pc = PiecewiseConstant([2, 0, 1, 1], root)
         hc = haar_coefficients(pc)
-        assert set(hc.coeffs) == {root, DyadicInterval(-1, 0, REAL_LINE, 1),
+        assert set(hc.half_diffs) == {root, DyadicInterval(-1, 0, REAL_LINE, 1),
                                   DyadicInterval(-1, 1, REAL_LINE, 1)}
         assert reconstruct_from_haar(hc).leaves == pc.leaves
         assert plancherel_norm2(hc) == pc.l2_norm2()
@@ -327,6 +318,33 @@ class TestTreeJson:
         obj = tree_to_json(pc)
         assert obj["ancestor_levels"] == 1
         assert tree_from_json(obj).root == window_root(1)
+
+    def test_writer_key_order(self):
+        # readers of dyuch files may not sort keys, so the order is pinned
+        unit = tree_to_json(PiecewiseConstant([1, 2.5, 0, 3]))
+        assert list(unit) == ["base", "depth", "leaves"]
+        assert unit["leaves"] == [1.0, 2.5, 0.0, 3.0]
+        window = tree_to_json(PiecewiseConstant([1, 2, 3, 4], window_root(2)))
+        assert list(window) == ["base", "depth", "leaves", "ancestor_levels"]
+        assert window["ancestor_levels"] == 2
+        assert all(type(v) is int for v in window["leaves"])
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            {"base": "bogus"},
+            {"base": "real_line", "ancestor_levels": 1.7},
+            {"base": "real_line", "ancestor_levels": "1"},
+            {"base": "real_line", "ancestor_levels": True},
+            {"base": "real_line", "ancestor_levels": -1},
+            {"depth": "2"},
+            {"depth": 2.0},
+            {"depth": False},
+        ],
+    )
+    def test_rejects_malformed_headers(self, header):
+        with pytest.raises(ValueError):
+            tree_from_json({"leaves": [0, 0, 0, 0], **header})
 
     def test_rejects(self):
         with pytest.raises(ValueError):

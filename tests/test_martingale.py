@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -314,6 +315,32 @@ class TestRandomGenerators:
         8: "2d6723f49775df34",
     }
 
+    # sha256 prefixes of the float-mode outputs on the same pairs: the
+    # projection of (u, reversed v), every node's second moment, and the
+    # exact and float writer output, as pinned_float_outputs builds them.
+    PINNED_FLOAT = {
+        (2, "unit"): "5b354109d208aaab",
+        (2, "window"): "6147d148652c9b67",
+        (4, "unit"): "683559194dc113f5",
+        (4, "window"): "46a657a64185ccc4",
+        (6, "unit"): "f9fce2a6a6bdf419",
+        (6, "window"): "1f71a92ce3aff444",
+        (8, "unit"): "88deeb88cad47aa4",
+        (8, "window"): "e4e5f1750571d038",
+    }
+
+    @staticmethod
+    def pinned_float_outputs(f):
+        root = f.root
+        u = PiecewiseConstant([float(x) for x in f.u.leaves], root)
+        v = PiecewiseConstant([float(x) for x in f.v.leaves], root)
+        g = DyadicAnalytic(u, v, validate=False)
+        p = analytic_projection(u, PiecewiseConstant(v.leaves[::-1], root))
+        nodes = [root.descendant(r, j) for r in range(f.depth + 1) for j in range(1 << r)]
+        moments = [g.second_moment(I) for I in nodes]
+        writers = json.dumps(analytic_to_json(f)) + json.dumps(analytic_to_json(g))
+        return (p.u.leaves, p.v.leaves, moments, writers)
+
     @pytest.mark.parametrize("root", [unit_root(), window_root(1)], ids=["unit", "window"])
     @pytest.mark.parametrize("depth", [2, 4, 6, 8])
     def test_seeded_output_pinned(self, depth, root):
@@ -321,6 +348,10 @@ class TestRandomGenerators:
         assert f.root == root
         digest = hashlib.sha256(repr((f.u.leaves, f.v.leaves)).encode()).hexdigest()
         assert digest[:16] == self.PINNED[depth]
+        name = "unit" if root == unit_root() else "window"
+        state = self.pinned_float_outputs(f)
+        digest = hashlib.sha256(repr(state).encode()).hexdigest()
+        assert digest[:16] == self.PINNED_FLOAT[(depth, name)]
 
 
 class TestAnalyticJson:
