@@ -15,10 +15,12 @@ from fractions import Fraction
 from .dyadic import (
     DEFAULT_TOL,
     DyadicInterval,
-    as_numbers,
-    dyadic_length,
+    as_numerators,
+    four_adic_nodes,
     interval_from_id,
     json_number,
+    nan_min,
+    ratio,
     root_from_json,
     root_to_json,
     unit_root,
@@ -33,129 +35,172 @@ SUPERMARTINGALE_NONNEG = "supermartingale_nonneg"
 SUBMARTINGALE_NONPOS = "submartingale_nonpos"
 
 
+def _scaled(num, den, level):
+    """(numerator, denominator) of num / den divided by the length 2**-level."""
+    return (num * (1 << level), den) if level >= 0 else (num, den << -level)
+
+
 class DiscreteMeasure:
     """Sparse nonnegative masses on the 4-adic nodes below a 4-adic root.
 
-    Integer and Fraction masses keep every derived quantity (subtree sums,
-    balance residual, packing intensity) exact; a float mass switches the
-    measure to doubles.  Zero masses are dropped on construction.
+    Kept by (relative level, index): own[(r, j)] is the mass of node (r, j),
+    in support (insertion) order, and sums[k][j] the subtree mass of node
+    (2k, j), added up in support order; both are numerators over one
+    denominator den (ints when exact, floats over 1; see as_numerators).
+    Packing, balance and float densities are computed once.  Zero masses are
+    dropped on construction; masses whose total overflows a float are
+    rejected, so every sum is finite.
     """
 
-    __slots__ = ("masses", "root", "depth", "exact", "zero", "_sums")
+    __slots__ = ("own", "sums", "den", "root", "depth", "exact", "zero", "_masses", "_cache")
 
     def __init__(self, masses, root: DyadicInterval | None = None, depth: int | None = None):
         root = root if root is not None else unit_root()
         if not root.is_four_adic:
             raise ValueError("measure root must be 4-adic")
         vals = dict(masses)
-        numbers, exact = as_numbers(vals.values(), "mass")
-        clean = {}
-        max_rel = 0
-        for I, m in zip(vals, numbers):
+        nodes = []
+        for I in vals:
             if not isinstance(I, DyadicInterval):
                 raise ValueError(f"measure keys must be intervals, got {I!r}")
             if not I.is_four_adic:
                 raise ValueError(f"{I.id} is not 4-adic")
             if not root.contains(I):
                 raise ValueError(f"{I.id} lies outside the measure root {root.id}")
+            nodes.append(self._node(I, root))
+        self._set(root, depth, nodes, vals.values())
+
+    @classmethod
+    def _from_nodes(cls, root, depth, nodes, values, den=1) -> "DiscreteMeasure":
+        mu = cls.__new__(cls)
+        mu._set(root, depth, nodes, values, den)
+        return mu
+
+    def _set(self, root, depth, nodes, values, den=1):
+        nums, den, exact = as_numerators(values, "mass", den)
+        own = {}
+        for (r, j), m in zip(nodes, nums):
             if m < 0:
-                raise ValueError(f"mass {float(m):.6g} at {I.id} is negative")
-            if m == 0:
-                continue
-            clean[I] = m
-            max_rel = max(max_rel, I.level - root.level)
+                m = float(ratio(m, den, exact))
+                raise ValueError(f"mass {m:.6g} at {root.descendant(r, j).id} is negative")
+            if m:
+                own[r, j] = m
+        max_rel = max((r for r, _ in own), default=0)
         if depth is None:
             depth = max_rel
-        else:
-            if depth % 2 or depth < max_rel:
-                raise ValueError(f"depth {depth} cannot hold support down to {max_rel}")
-        self.masses = clean
-        self.root = root
-        self.depth = depth
-        self.exact = exact
-        self.zero = zero(exact)
-        self._sums = None
+        elif depth % 2 or depth < max_rel:
+            raise ValueError(f"depth {depth} cannot hold support down to {max_rel}")
+        sums = [{} for _ in range(depth // 2 + 1)]
+        for (r, j), m in own.items():
+            for level in reversed(sums[: r // 2 + 1]):
+                level[j] = level.get(j, 0) + m
+                j >>= 2
+        if not sums[0].get(0, 0) < math.inf:
+            raise ValueError("the masses add up past the float range")
+        self.own, self.sums, self.den, self.root, self.depth = own, sums, den, root, depth
+        self.exact, self.zero, self._masses, self._cache = exact, zero(exact), None, {}
+
+    def _value(self, num, level=0):
+        """A numerator as a value, divided by the length 2**-level."""
+        return ratio(*_scaled(num, self.den, level), self.exact)
+
+    def float_density(self, num, level: int) -> float:
+        """A numerator over the length 2**-level, as a correctly rounded float."""
+        num, den = _scaled(num, self.den, level)
+        return num / den
+
+    @property
+    def masses(self):
+        """Support nodes with their masses, in insertion order."""
+        if self._masses is None:
+            own, at = self.own.items(), self.root.descendant
+            self._masses = {at(r, j): self._value(m) for (r, j), m in own}
+        return self._masses
 
     def items(self):
         """Support nodes with masses, sorted by (level, index)."""
-        return sorted(self.masses.items(), key=lambda kv: (kv[0].level, kv[0].index))
+        return [(self.root.descendant(*n), self._value(self.own[n])) for n in sorted(self.own)]
 
     def __len__(self):
-        return len(self.masses)
+        return len(self.own)
+
+    def _node(self, I: DyadicInterval, root=None):
+        # (r, j) of I below the root, or None when I is not at or below it
+        root = root or self.root
+        r = I.level - root.level
+        if r < 0 or (I.base, I.ancestor_levels) != (root.base, root.ancestor_levels):
+            return None
+        j = I.index - (root.index << r)
+        return (r, j) if 0 <= j < (1 << r) else None
 
     def mass(self, I: DyadicInterval):
-        return self.masses.get(I, self.zero)
+        return self._value(self.own.get(self._node(I), 0))
 
     def total_mass(self):
-        return sum(self.masses.values(), self.zero)
-
-    def _closure_sums(self):
-        # subtree mass at every 4-adic ancestor of the support
-        if self._sums is None:
-            sums = {}
-            for I, m in self.masses.items():
-                J = I
-                while True:
-                    sums[J] = sums.get(J, self.zero) + m
-                    if J == self.root:
-                        break
-                    J = J.parent().parent()
-            self._sums = sums
-        return self._sums
+        return self._value(self.sums[0].get(0, 0))
 
     def subtree_mass(self, I: DyadicInterval):
         """Total mass on 4-adic nodes inside I (I itself included)."""
         if not I.is_four_adic:
             raise ValueError(f"{I.id} is not 4-adic")
-        s = self._closure_sums().get(I)
-        if s is not None:
-            return s
-        if I.level < self.root.level and I.contains(self.root):
-            return self.total_mass()
-        return self.zero
+        node = self._node(I)
+        if node is None:
+            above = I.level < self.root.level and I.contains(self.root)
+            return self.total_mass() if above else self.zero
+        r, j = node
+        return self._value(self.sums[r // 2].get(j, 0) if r <= self.depth else 0)
+
+    def _halves(self, k, j):
+        # subtree masses strictly inside the left and right halves of node (2k, j)
+        below = self.sums[k + 1] if k + 1 < len(self.sums) else {}
+        left = below.get(4 * j, 0) + below.get(4 * j + 1, 0)
+        return left, below.get(4 * j + 2, 0) + below.get(4 * j + 3, 0)
 
     def half_subtree_masses(self, I: DyadicInterval):
         """Masses strictly inside the left and right halves of a 4-adic I."""
-        sums = self._closure_sums()
-        ym, yp, xm, xp = I.grandchildren()
-        z = self.zero
-        return (
-            sums.get(ym, z) + sums.get(yp, z),
-            sums.get(xm, z) + sums.get(xp, z),
-        )
+        I.grandchildren()  # rejects an odd I
+        r, j = self._node(I) or (self.depth + 2, 0)
+        return tuple(map(self._value, self._halves(r // 2, j)))
+
+    def _worst(self, key, level_max, shift):
+        # largest level_max(k) / (2**shift |I|) over the levels k, cached
+        if key not in self._cache:
+            vals = [self._value(level_max(k), self.root.level + 2 * k + shift)
+                    for k in range(len(self.sums))]
+            self._cache[key] = max(vals, default=self.zero)
+        return self._cache[key]
 
     def balance_residual(self):
         """Worst half-mass mismatch |S(right) - S(left)| / (2|I|) over all nodes."""
-        worst = self.zero
-        for I in self._closure_sums():
-            left, right = self.half_subtree_masses(I)
-            res = abs(right - left) / (2 * I.length)
-            if res > worst:
-                worst = res
-        return worst
+        def level_max(k):
+            halves = (self._halves(k, j) for j in self.sums[k])
+            return max((abs(right - left) for left, right in halves), default=0)
+        return self._worst("balance", level_max, -1)
 
     def is_balanced(self, tol=DEFAULT_TOL) -> bool:
         return self.balance_residual() <= tol
 
     def packing_intensity(self):
         """Largest normalized subtree mass S(I)/|I| over the support closure."""
-        worst = self.zero
-        for I, s in self._closure_sums().items():
-            val = s / I.length
-            if val > worst:
-                worst = val
-        return worst
+        return self._worst("packing", lambda k: max(self.sums[k].values(), default=0), 0)
+
+    def float_densities(self):
+        """Dense rows, one per 4-adic level k, of S(I)/|I| for the nodes (2k, j)."""
+        if "densities" not in self._cache:
+            rows = self._cache["densities"] = []
+            for k, sums in enumerate(self.sums):
+                rows.append([0.0] * (1 << 2 * k))
+                for j, s in sums.items():
+                    rows[k][j] = self.float_density(s, self.root.level + 2 * k)
+        return self._cache["densities"]
 
     def scale(self, c) -> "DiscreteMeasure":
-        return DiscreteMeasure(
-            {I: c * m for I, m in self.masses.items()}, self.root, self.depth
-        )
+        (a,), b, _ = as_numerators([c], "scale factor")
+        nums = [a * m for m in self.own.values()]
+        return self._from_nodes(self.root, self.depth, self.own, nums, self.den * b)
 
     def __repr__(self):
-        return (
-            f"DiscreteMeasure(support={len(self.masses)}, depth={self.depth},"
-            f" root={self.root.id})"
-        )
+        return f"DiscreteMeasure(support={len(self)}, depth={self.depth}, root={self.root.id})"
 
 
 def measure_to_json(mu: DiscreteMeasure) -> dict:
@@ -169,10 +214,8 @@ def measure_from_json(obj: dict) -> DiscreteMeasure:
     root, depth = root_from_json(obj)
     if not isinstance(obj["masses"], dict):
         raise ValueError("masses must be an object of node ids")
-    masses = {
-        interval_from_id(key, root.base, root.ancestor_levels): m
-        for key, m in obj["masses"].items()
-    }
+    items = obj["masses"].items()
+    masses = {interval_from_id(key, root.base, root.ancestor_levels): m for key, m in items}
     return DiscreteMeasure(masses, root, depth)
 
 
@@ -180,7 +223,7 @@ class SlicedSuperMartingale:
     """Normalized subtree masses of a balanced measure, run as a process.
 
     Carries one value per 4-adic node down to the stated depth, with
-    implicit zero values below; as_numbers sets the mode and rejects NaN,
+    implicit zero values below; as_numerators sets the mode and rejects NaN,
     infinite and non-numeric values.  Validation enforces the sign convention,
     the equal-pair-sum property inherited from balance, and the one-sided
     drift (nonincreasing means for the nonnegative branch, nondecreasing
@@ -195,17 +238,12 @@ class SlicedSuperMartingale:
         if depth % 2:
             raise ValueError("depth must be even")
         vals = dict(values)
-        numbers, exact = as_numbers(vals.values(), "value")
-        vals = dict(zip(vals, numbers))
-        for r in range(0, depth + 1, 2):
-            for j in range(1 << r):
-                node = root.descendant(r, j)
-                if node not in vals:
-                    raise ValueError(f"missing value at {node.id}")
-        self.values = vals
-        self.root = root
-        self.depth = depth
-        self.sign = sign
+        nums, den, exact = as_numerators(vals.values(), "value")
+        vals = {I: ratio(n, den, exact) for I, n in zip(vals, nums)}
+        for node in four_adic_nodes(root, depth):
+            if node not in vals:
+                raise ValueError(f"missing value at {node.id}")
+        self.values, self.root, self.depth, self.sign = vals, root, depth, sign
         self.exact = exact
         if validate:
             self._check(tol if not exact else 0)
@@ -246,40 +284,29 @@ class SlicedSuperMartingale:
         return max(abs(v) for v in self.values.values())
 
 
-def pair_supermartingale(
-    mu: DiscreteMeasure, sign: str, tol=DEFAULT_TOL
-) -> SlicedSuperMartingale:
+def pair_supermartingale(mu: DiscreteMeasure, sign: str,
+                         tol=DEFAULT_TOL) -> SlicedSuperMartingale:
     """Process paired with a balanced measure: +-S(I)/|I| on every node."""
     if not mu.is_balanced(tol):
-        raise ValueError(
-            f"measure is not balanced (residual {float(mu.balance_residual()):.6g});"
-            " the pairing needs equal half masses"
-        )
+        res = float(mu.balance_residual())
+        raise ValueError(f"measure is not balanced (residual {res:.6g}); the pairing needs"
+                         " equal half masses")
     if sign not in (SUPERMARTINGALE_NONNEG, SUBMARTINGALE_NONPOS):
         raise ValueError(f"unknown sign convention {sign!r}")
     flip = 1 if sign == SUPERMARTINGALE_NONNEG else -1
-    values = {}
-    for r in range(0, mu.depth + 1, 2):
-        for j in range(1 << r):
-            I = mu.root.descendant(r, j)
-            values[I] = flip * mu.subtree_mass(I) / I.length
+    nodes = four_adic_nodes(mu.root, mu.depth)
+    values = {I: flip * mu.subtree_mass(I) / I.length for I in nodes}
     return SlicedSuperMartingale(values, mu.root, mu.depth, sign, validate=False)
 
 
-def measure_from_supermartingale(
-    M: SlicedSuperMartingale, tol=DEFAULT_TOL
-) -> DiscreteMeasure:
+def measure_from_supermartingale(M: SlicedSuperMartingale, tol=DEFAULT_TOL) -> DiscreteMeasure:
     """Invert the pairing: masses are the per-node drift defects times |I|."""
     flip = 1 if M.sign == SUPERMARTINGALE_NONNEG else -1
     masses = {}
     for I, v in M.values.items():
         s_here = flip * v * I.length
-        r = I.level - M.root.level
-        if r + 2 <= M.depth:
-            s_below = sum(flip * M.values[c] * c.length for c in I.grandchildren())
-        else:
-            s_below = 0
-        m = s_here - s_below
+        below = I.grandchildren() if I.level - M.root.level + 2 <= M.depth else ()
+        m = s_here - sum(flip * M.values[c] * c.length for c in below)
         if m < (-tol if not M.exact else 0):
             raise ValueError(f"negative implied mass at {I.id}")
         if m > 0:
@@ -291,27 +318,45 @@ def _require_compatible(f: DyadicAnalytic, mu: DiscreteMeasure):
     if f.root != mu.root:
         raise ValueError("function and measure live on different roots")
     if mu.depth > f.depth:
-        raise ValueError(
-            f"measure depth {mu.depth} exceeds function depth {f.depth}"
-        )
+        raise ValueError(f"measure depth {mu.depth} exceeds function depth {f.depth}")
+
+
+def _steps(f: DyadicAnalytic, mu: DiscreteMeasure):
+    """Per internal 4-adic node (r, j) of f, top down, as floats: (r, j,
+    S/|I|, own mass/|I|, the quarters' S/|I| in (x-, x+, y-, y+) order, the
+    averages of u and v, and the half jumps dx, dy of u)."""
+    dens = mu.float_densities()
+    dens = dens + [[0.0] * (1 << 2 * k) for k in range(len(dens), f.depth // 2 + 1)]
+    upyr, uf, vf = f.u.pc.pyramid(), f.u.pc.float_pyramid(), f.v.pc.float_pyramid()
+    for r in range(0, f.depth - 1, 2):
+        here, below, grand = dens[r // 2], dens[r // 2 + 1], upyr[r + 2]
+        half = 2 * f.u.pc.den_at(r + 2)
+        for j in range(1 << r):
+            own = mu.float_density(mu.own.get((r, j), 0), f.root.level + r)
+            kids = tuple(below[4 * j + q] for q in (2, 3, 0, 1))
+            dx = (grand[4 * j + 3] - grand[4 * j + 2]) / half
+            dy = (grand[4 * j + 1] - grand[4 * j]) / half
+            yield r, j, here[j], own, kids, uf[r][j], vf[r][j], dx, dy
 
 
 def embedding_sum(f: DyadicAnalytic, mu: DiscreteMeasure):
     """Sum of mu_I times the squared modulus of the averaged pair at I."""
     _require_compatible(f, mu)
-    total = zero(f.exact and mu.exact)
-    for I, m in mu.masses.items():
-        a, b = f.u.average(I), f.v.average(I)
-        total += m * (a * a + b * b)
-    return total
+    upyr, vpyr = f.u.pc.pyramid(), f.v.pc.pyramid()
+    dus, dvs = ([pc.den_at(r) for r in range(f.depth + 1)] for pc in (f.u.pc, f.v.pc))
+    total = 0
+    for (r, j), m in mu.own.items():
+        a, b, du, dv = upyr[r][j], vpyr[r][j], dus[r], dvs[r]
+        # a**2 / du**2 + b**2 / dv**2 over the root rows' denominator (du0 dv0)**2
+        lift = (dus[0] // du * (dvs[0] // dv)) ** 2
+        total += m * (a * a * (dv * dv) + b * b * (du * du)) * lift
+    return ratio(total, mu.den * (dus[0] * dvs[0]) ** 2, f.exact and mu.exact)
 
 
 def embedding_slack(f: DyadicAnalytic, mu: DiscreteMeasure, constant: float = E):
     """Certified bound minus the embedding sum; nonnegative when the bound holds."""
-    return (
-        constant * float(mu.packing_intensity()) * float(f.norm2())
-        - float(embedding_sum(f, mu))
-    )
+    bound = constant * float(mu.packing_intensity()) * float(f.norm2())
+    return bound - float(embedding_sum(f, mu))
 
 
 def weighted_embedding_slack(f: DyadicAnalytic, mu: DiscreteMeasure) -> float:
@@ -321,11 +366,13 @@ def weighted_embedding_slack(f: DyadicAnalytic, mu: DiscreteMeasure) -> float:
     squared norm of the pair, however large the measure is.
     """
     _require_compatible(f, mu)
+    dens = mu.float_densities()
+    uf, vf = f.u.pc.float_pyramid(), f.v.pc.float_pyramid()
     total = 0.0
-    for I, m in mu.masses.items():
-        w = math.exp(-float(mu.subtree_mass(I) / I.length))
-        a, b = float(f.u.average(I)), float(f.v.average(I))
-        total += float(m) * w * (a * a + b * b)
+    for (r, j), m in mu.own.items():
+        w = math.exp(-dens[r // 2][j])
+        a, b = uf[r][j], vf[r][j]
+        total += m / mu.den * w * (a * a + b * b)
     return float(f.norm2()) - total
 
 
@@ -339,20 +386,16 @@ class WeightedSlackDecomposition:
     leaf_terms: dict
 
     def total(self) -> float:
-        return self.root_term + sum(self.node_terms.values()) + sum(
-            self.leaf_terms.values()
-        )
+        return self.root_term + sum(self.node_terms.values()) + sum(self.leaf_terms.values())
 
     def min_term(self) -> float:
-        terms = [self.root_term]
-        terms.extend(self.node_terms.values())
-        terms.extend(self.leaf_terms.values())
-        return min(terms)
+        """Smallest term; a NaN term wins and sticks."""
+        terms = [self.root_term, *self.node_terms.values(), *self.leaf_terms.values()]
+        return nan_min(terms)
 
 
-def telescoped_weighted_slack(
-    f: DyadicAnalytic, mu: DiscreteMeasure
-) -> WeightedSlackDecomposition:
+def telescoped_weighted_slack(f: DyadicAnalytic,
+                              mu: DiscreteMeasure) -> WeightedSlackDecomposition:
     """Telescoping certificate for the weighted bound.
 
     Splits norm2(f) minus the weighted sum into one drift-and-convexity gap
@@ -362,52 +405,28 @@ def telescoped_weighted_slack(
     """
     _require_compatible(f, mu)
     if mu.depth != f.depth:
-        raise ValueError(
-            f"telescoping needs matching depths, got measure {mu.depth}"
-            f" and function {f.depth}"
-        )
+        raise ValueError(f"telescoping needs matching depths, got measure {mu.depth}"
+                         f" and function {f.depth}")
     if not mu.is_balanced():
         raise ValueError("telescoping needs a balanced measure")
 
-    def m_at(I):
-        return -float(mu.subtree_mass(I) / I.length)
-
     node_terms = {}
-    for r in range(0, f.depth - 1, 2):
-        for j in range(1 << r):
-            I = f.root.descendant(r, j)
-            dx, dy = f.u.increments(I)
-            ym, yp, xm, xp = I.grandchildren()
-            gap = bellman.laplacian_step_gap(
-                m_at(I),
-                float(mu.mass(I) / I.length),
-                (m_at(xm), m_at(xp), m_at(ym), m_at(yp)),
-                float(f.u.average(I)),
-                float(f.v.average(I)),
-                float(dx),
-                float(dy),
-            )
-            node_terms[I] = float(I.length) * gap
+    for r, j, m, own, kids, u, v, dx, dy in _steps(f, mu):
+        gap = bellman.laplacian_step_gap(-m, own, tuple(-k for k in kids), u, v, dx, dy)
+        node_terms[f.root.descendant(r, j)] = 2.0 ** -(f.root.level + r) * gap
 
-    r0 = float(f.u.root_average)
-    i0 = float(f.v.root_average)
-    root_term = float(f.root.length) * math.exp(m_at(f.root)) * (r0 * r0 + i0 * i0)
+    dens, uf, vf = mu.float_densities(), f.u.pc.float_pyramid(), f.v.pc.float_pyramid()
+    r0, i0 = uf[0][0], vf[0][0]
+    root_term = float(f.root.length) * math.exp(-dens[0][0]) * (r0 * r0 + i0 * i0)
 
     leaf_terms = {}
-    leaf_len = dyadic_length(f.root.level + f.depth)
-    for j in range(1 << f.depth):
-        J = f.root.descendant(f.depth, j)
-        a, b = float(f.u.leaves[j]), float(f.v.leaves[j])
-        w = math.exp(m_at(J))
-        leaf_terms[J] = (a * a + b * b) * (
-            float(leaf_len) * (1.0 - w) - float(mu.mass(J)) * w
-        )
-
+    leaf_len = 2.0 ** -(f.root.level + f.depth)
+    for j, (a, b, s) in enumerate(zip(uf[-1], vf[-1], dens[-1])):
+        w, own = math.exp(-s), mu.own.get((f.depth, j), 0) / mu.den
+        term = (a * a + b * b) * (leaf_len * (1.0 - w) - own * w)
+        leaf_terms[f.root.descendant(f.depth, j)] = term
     return WeightedSlackDecomposition(
-        slack=weighted_embedding_slack(f, mu),
-        node_terms=node_terms,
-        root_term=root_term,
-        leaf_terms=leaf_terms,
+        weighted_embedding_slack(f, mu), node_terms, root_term, leaf_terms
     )
 
 
@@ -424,41 +443,13 @@ def bellman_chain_slacks(f: DyadicAnalytic, mu: DiscreteMeasure) -> dict:
         raise ValueError("the chain needs a balanced measure")
     packing = mu.packing_intensity()
     scaled = mu.scale(1 / packing) if packing > 1 else mu
-
-    def m_at(I):
-        return float(scaled.subtree_mass(I) / I.length)
-
+    sums, den = f.moment_sums()
     gaps = {}
-    for r in range(0, f.depth - 1, 2):
-        for j in range(1 << r):
-            I = f.root.descendant(r, j)
-            ym, yp, xm, xp = I.grandchildren()
-            m_i = m_at(I)
-            dens = float(scaled.mass(I) / I.length)
-            mean = m_i - dens
-            d1 = (m_at(xp) - m_at(xm)) / 2
-            d2 = (m_at(yp) - m_at(ym)) / 2
-            dx, dy = f.u.increments(I)
-            point = bellman.BellmanPoint(
-                F=float(f.second_moment(I)),
-                r=float(f.u.average(I)),
-                i=float(f.v.average(I)),
-                M=m_i,
-            )
-            split = bellman.SplitSpec(
-                dxr=float(dx),
-                dyr=float(dy),
-                d1=d1,
-                d2=d2,
-                mu=dens,
-                F_parts=(
-                    float(f.second_moment(xm)),
-                    float(f.second_moment(xp)),
-                    float(f.second_moment(ym)),
-                    float(f.second_moment(yp)),
-                ),
-            )
-            gaps[I] = bellman.dynamics_gap(point, split)
+    for r, j, m, own, (xm, xp, ym, yp), u, v, dx, dy in _steps(f, scaled):
+        point = bellman.BellmanPoint(F=sums[r][j] / (den << f.depth - r), r=u, i=v, M=m)
+        quarters = (sums[r + 2][4 * j + q] / (den << f.depth - r - 2) for q in (2, 3, 0, 1))
+        split = bellman.SplitSpec(dx, dy, (xp - xm) / 2, (yp - ym) / 2, own, tuple(quarters))
+        gaps[f.root.descendant(r, j)] = bellman.dynamics_gap(point, split)
     return gaps
 
 
@@ -470,20 +461,22 @@ def _split_measure(root: DyadicInterval, depth: int, total, split) -> DiscreteMe
     the rest, split ax : 1 - ax between x- and x+ and ay : 1 - ay between
     y- and y+.  Bottom nodes keep all they get.  split is called only for
     nodes with positive mass, depth first in x-, x+, y-, y+ order, which is
-    also the insertion order of the masses.
+    also the support order of the masses.
     """
-    masses = {}
+    nodes, masses = [], []
 
     def spread(r, j, mass):
         if mass <= 0:
             return
         if r == depth:
-            masses[root.descendant(r, j)] = mass
+            nodes.append((r, j))
+            masses.append(mass)
             return
         own, ax, ay = split(r, j)
         take = own * mass
         if take > 0:
-            masses[root.descendant(r, j)] = take
+            nodes.append((r, j))
+            masses.append(take)
         half = (mass - take) / 2
         spread(r + 2, 4 * j + 2, ax * half)
         spread(r + 2, 4 * j + 3, (1 - ax) * half)
@@ -491,16 +484,11 @@ def _split_measure(root: DyadicInterval, depth: int, total, split) -> DiscreteMe
         spread(r + 2, 4 * j + 1, (1 - ay) * half)
 
     spread(0, 0, total)
-    return DiscreteMeasure(masses, root, depth)
+    return DiscreteMeasure._from_nodes(root, depth, nodes, masses)
 
 
-def random_balanced_measure(
-    rng,
-    depth: int,
-    root: DyadicInterval | None = None,
-    max_intensity=1,
-    denom_bits: int = 8,
-) -> DiscreteMeasure:
+def random_balanced_measure(rng, depth: int, root: DyadicInterval | None = None,
+                            max_intensity=1, denom_bits: int = 8) -> DiscreteMeasure:
     """Random balanced measure with exact rational masses.
 
     Splits mass top down, always giving the two halves of a node equal

@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import bellman, carleson, extremal, kernel as kernel_mod, martingale
-from .dyadic import interval_from_id, tree_from_json
+from .dyadic import interval_from_id, nan_min, tree_from_json
 from .martingale import analytic_from_json, analytic_to_json
 
 EXIT_OK = 0
@@ -43,8 +43,7 @@ def _check_depth(depth: int) -> None:
     cap = _max_depth()
     if depth > cap:
         raise UsageError(
-            f"depth {depth} exceeds the cap {cap}; raise DYUCH_MAX_DEPTH to allow it"
-        )
+            f"depth {depth} exceeds the cap {cap}; raise DYUCH_MAX_DEPTH to allow it")
 
 
 def _load_json(path: str):
@@ -57,22 +56,22 @@ def _load_json(path: str):
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_pair(path: str) -> martingale.DyadicAnalytic:
+def _load(path: str, parse, check_depth=True):
     try:
-        f = analytic_from_json(_load_json(path))
+        obj = parse(_load_json(path))
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from exc
-    _check_depth(f.depth)
-    return f
+    if check_depth:
+        _check_depth(obj.depth)
+    return obj
+
+
+def _load_pair(path: str) -> martingale.DyadicAnalytic:
+    return _load(path, analytic_from_json)
 
 
 def _load_measure(path: str) -> carleson.DiscreteMeasure:
-    try:
-        mu = carleson.measure_from_json(_load_json(path))
-    except ValueError as exc:
-        raise UsageError(f"{path}: {exc}") from exc
-    _check_depth(mu.depth)
-    return mu
+    return _load(path, carleson.measure_from_json)
 
 
 def _require_compatible(f, mu, tol):
@@ -82,10 +81,8 @@ def _require_compatible(f, mu, tol):
         raise UsageError("measure reaches deeper than the function tree")
     res = float(mu.balance_residual())
     if not res <= tol:
-        raise UsageError(
-            f"measure is not balanced (residual {res:.6g}); this check needs"
-            " equal half masses"
-        )
+        raise UsageError(f"measure is not balanced (residual {res:.6g}); this check needs"
+                         " equal half masses")
 
 
 def _dump(obj) -> str:
@@ -121,34 +118,27 @@ def _report(command: str, args, summary: dict, violations: list) -> dict:
 
 def _cmd_verify_bellman(args) -> dict:
     violations = []
-    psd = bellman.verify_sliced_psd(
-        samples=args.samples,
-        seed=args.seed,
-        tolerance=args.tolerance,
-        boundary=not args.no_boundary,
-    )
+    psd = bellman.verify_sliced_psd(samples=args.samples, seed=args.seed,
+                                    tolerance=args.tolerance, boundary=not args.no_boundary)
     if not psd.min_minor >= -args.tolerance:
         violations.append(f"principal minor dipped to {psd.min_minor!r}")
     if not psd.min_eigenvalue >= -args.tolerance:
         violations.append(f"eigenvalue dipped to {psd.min_eigenvalue!r}")
     if psd.closed_form_failures:
-        violations.append(
-            f"{psd.closed_form_failures} closed-form comparisons out of gate"
-        )
+        violations.append(f"{psd.closed_form_failures} closed-form comparisons out of gate")
 
     res = extremal.profile_residuals(extremal.exponential_profile())
     if not res.max_residual() <= args.tolerance:
         violations.append(f"profile residual {res.max_residual()!r}")
 
-    min_range = math.inf
-    min_deriv = math.inf
+    ranges, derivs = [], []
     for a in range(21):
         m = a / 20.0
         point = bellman.BellmanPoint(F=2.0, r=1.0, i=0.5, M=m)
-        min_range = min(min_range, *bellman.range_gaps(point))
-        for b in range(21):
-            mu = (b / 20.0) * m  # children mean M - mu must stay nonnegative
-            min_deriv = min(min_deriv, bellman.derivative_gap(point, mu))
+        ranges.extend(bellman.range_gaps(point))
+        # children mean M - mu must stay nonnegative
+        derivs.extend(bellman.derivative_gap(point, (b / 20.0) * m) for b in range(21))
+    min_range, min_deriv = nan_min(ranges), nan_min(derivs)
     if not min_range >= -args.tolerance:
         violations.append(f"value left its pinned range by {min_range!r}")
     if not min_deriv >= -args.tolerance:
@@ -171,12 +161,8 @@ def _cmd_verify_bellman(args) -> dict:
 
 
 def _cmd_scan_unsliced(args) -> dict:
-    witnesses, scan = bellman.scan_unsliced(
-        region=args.region,
-        step=args.step,
-        max_sum=args.max_sum,
-        threshold=args.threshold,
-    )
+    witnesses, scan = bellman.scan_unsliced(region=args.region, step=args.step,
+                                            max_sum=args.max_sum, threshold=args.threshold)
     if args.csv:
         bellman.write_witness_csv(args.csv, witnesses)
     violations = []
@@ -254,7 +240,7 @@ def _cmd_uchiyama_check(args) -> dict:
 
     gaps = carleson.bellman_chain_slacks(f, mu)
     if gaps:
-        worst = min(gaps.values())
+        worst = nan_min(gaps.values())
         summary["chain_min_gap"] = worst
         if not worst >= -args.tolerance:
             violations.append(f"a chain step dipped to {worst!r}")
@@ -263,26 +249,15 @@ def _cmd_uchiyama_check(args) -> dict:
 
 
 def _cmd_conjugate(args) -> dict:
-    obj = _load_json(args.function)
-    try:
-        u_tree = tree_from_json(obj)
-    except ValueError as exc:
-        raise UsageError(f"{args.function}: {exc}") from exc
-    _check_depth(u_tree.depth)
-    imag = None
-    if args.imag is not None:
-        try:
-            imag = tree_from_json(_load_json(args.imag))
-        except ValueError as exc:
-            raise UsageError(f"{args.imag}: {exc}") from exc
+    u_tree = _load(args.function, tree_from_json)
+    imag = None if args.imag is None else _load(args.imag, tree_from_json, check_depth=False)
     try:
         if args.project:
             pair = martingale.analytic_projection(u_tree, imag)
+        elif imag is not None:
+            pair = martingale.DyadicAnalytic(u_tree, imag)
         else:
-            if imag is not None:
-                pair = martingale.DyadicAnalytic(u_tree, imag)
-            else:
-                pair = martingale.conjugate(u_tree)
+            pair = martingale.conjugate(u_tree)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if args.emit:
@@ -322,8 +297,7 @@ def _cmd_kernel(args) -> dict:
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         z = k.evaluate(K)
-        summary["value_re"] = z.real
-        summary["value_im"] = z.imag
+        summary["value_re"], summary["value_im"] = z.real, z.imag
     if args.emit:
         payload = {
             "base": base,
@@ -345,9 +319,8 @@ def _cmd_check_3e(args) -> dict:
     scan = kernel_mod.testing_scan(mu)
     violations = []
     if not scan.min_packing_slack >= -args.tolerance:
-        violations.append(
-            f"packing exceeded three kernel tests by {-scan.min_packing_slack!r}"
-        )
+        worst = -scan.min_packing_slack
+        violations.append(f"packing exceeded three kernel tests by {worst!r}")
     summary = {
         "testing_constant": scan.testing_constant,
         "worst_testing_node": scan.worst_testing_node.id,
@@ -361,9 +334,8 @@ def _cmd_check_3e(args) -> dict:
         f = _load_pair(args.function)
         _require_compatible(f, mu, args.tolerance)
         # testing_embedding_slack's bound, from the constant already scanned
-        slack = summary["bound_constant"] * float(f.norm2()) - float(
-            carleson.embedding_sum(f, mu)
-        )
+        bound = summary["bound_constant"] * float(f.norm2())
+        slack = bound - float(carleson.embedding_sum(f, mu))
         summary["embedding_slack"] = slack
         if not slack >= -args.tolerance:
             violations.append(f"tested embedding bound violated by {-slack!r}")
@@ -373,9 +345,8 @@ def _cmd_check_3e(args) -> dict:
 def _cmd_search_extremal(args) -> dict:
     _check_depth(args.depth)
     try:
-        config = extremal.search(
-            args.depth, budget=args.budget, seed=args.seed, restarts=args.restarts
-        )
+        config = extremal.search(args.depth, budget=args.budget, seed=args.seed,
+                                 restarts=args.restarts)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if args.emit:
@@ -441,12 +412,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", help="write the JSON report to this file")
-        p.add_argument(
-            "--tolerance",
-            type=_tolerance,
-            default=1e-9,
-            help="slack tolerance, a finite number >= 0",
-        )
+        p.add_argument("--tolerance", type=_tolerance, default=1e-9,
+                       help="slack tolerance, a finite number >= 0")
         p.set_defaults(func=func)
         return p
 

@@ -7,10 +7,12 @@ quantity (averages, pair means, Haar data of dyadic-rational inputs) is
 computed in exact rational arithmetic, with doubles only where square roots
 or exponentials force them.
 
-The number policy lives here for every module: as_numbers decides a tree's
-or measure's mode (all int/Fraction data is exact, anything else is finite
-floats), zero gives each mode's zero, and json_number, root_to_json and
-root_from_json are the one JSON codec for trees and measures.
+The number policy lives here for every module: as_numerators decides a
+tree's or measure's mode (all int/Fraction data is exact and kept as int
+numerators over one denominator, anything else is finite floats), ratio
+turns a numerator back into a value, zero and level_step give each mode's
+zero and pyramid step, and json_number, root_to_json and root_from_json are
+the one JSON codec for trees and measures.
 """
 from __future__ import annotations
 
@@ -38,33 +40,57 @@ def _number_fault(value):
         return "not a number"
 
 
-def as_numbers(values, what: str):
-    """The number policy: (values, exact) for one tree's or measure's data.
+def as_numerators(values, what: str, den=1):
+    """The number policy: (numerators, den, exact) for the data values[t] / den.
 
-    All int and Fraction input becomes Fractions (exact mode); any other
-    input makes every value a finite float.  Strings, bools, other
-    non-numbers and non-finite values raise ValueError naming the first
-    offending index; a value too large for a float raises OverflowError.
+    All int and Fraction input is exact: int numerators over one denominator,
+    den times the lcm of the values' own.  Any other input makes every value
+    a finite float over 1.  Strings, bools, other non-numbers and non-finite
+    values raise ValueError naming the first offending index; a value too
+    large for a float raises OverflowError.
     """
     vals = list(values)
-    if all(map(is_exact, vals)):
-        return [v if isinstance(v, Fraction) else Fraction(v) for v in vals], True
+    if set(map(type, vals)) <= {int, Fraction} or all(map(is_exact, vals)):
+        lcm = math.lcm(*[v.denominator for v in vals])
+        return [v.numerator * (lcm // v.denominator) for v in vals], den * lcm, True
     if not any(issubclass(k, (str, bool)) for k in set(map(type, vals))):
         try:
-            out = [float(v) for v in vals]
+            out = [float(v) / den for v in vals]
         except (TypeError, ValueError):
             out = None
         if out is not None and all(map(math.isfinite, out)):
-            return out, False
+            return out, 1, False
     for t, v in enumerate(vals):
         fault = _number_fault(v)
         if fault:
             raise ValueError(f"{what} {t} is {v!r}, which is {fault}")
 
 
+def ratio(num, den, exact: bool):
+    """The value num / den of a mode: a Fraction when exact, else a float."""
+    return Fraction(num, den) if exact else num / den
+
+
 def zero(exact: bool):
     """The zero of a numeric mode: Fraction(0) when exact, else 0.0."""
     return Fraction(0) if exact else 0.0
+
+
+def level_step(exact: bool):
+    """(half, grow): how a sum pyramid moves up one tree level.  Exact sums stay
+    integers (half 1) over a denominator that doubles (grow 2); float sums are
+    halved and stay averages over 1, so they overflow only where averages do."""
+    return (1, 2) if exact else (0.5, 1)
+
+
+def nan_min(values):
+    """Smallest value (inf for none); a NaN wins and sticks, where the
+    builtin min drops a NaN that is not first."""
+    least = math.inf
+    for v in values:
+        if least == least and not v >= least:
+            least = v
+    return least
 
 
 def dyadic_length(level: int) -> Fraction:
@@ -99,16 +125,12 @@ class DyadicInterval:
             if self.ancestor_levels < 0:
                 raise ValueError("ancestor_levels must be nonnegative")
             if self.level < self.root_level:
-                raise ValueError(
-                    f"level {self.level} above the window root {self.root_level}"
-                )
+                raise ValueError(f"level {self.level} above the window root {self.root_level}")
         else:
             raise ValueError(f"unknown base {self.base!r}")
         span = self.level - self.root_level
         if not 0 <= self.index < (1 << span):
-            raise ValueError(
-                f"index {self.index} outside the window at level {self.level}"
-            )
+            raise ValueError(f"index {self.index} outside the window at level {self.level}")
 
     @property
     def root_level(self) -> int:
@@ -156,9 +178,7 @@ class DyadicInterval:
         """The four 4-adic grandchildren (y-, y+, x-, x+), left to right."""
         if not self.is_four_adic:
             raise ValueError(f"{self.id} has odd parity; grandchildren need a 4-adic node")
-        base4 = 4 * self.index
-        lev = self.level + 2
-        return tuple(self._make(lev, base4 + j) for j in range(4))
+        return tuple(self._make(self.level + 2, 4 * self.index + j) for j in range(4))
 
     def parent(self) -> "DyadicInterval":
         if self.is_root:
@@ -220,9 +240,12 @@ def interval_from_id(text: str, base: str = UNIT, ancestor_levels: int = 0) -> D
         raise ValueError(f"malformed interval id {text!r}")
     lev, _, idx = text[1:].partition("N")
     try:
-        return DyadicInterval(int(lev), int(idx), base, ancestor_levels)
+        I = DyadicInterval(int(lev), int(idx), base, ancestor_levels)
     except ValueError as exc:
         raise ValueError(f"malformed interval id {text!r}: {exc}") from exc
+    if I.id != text:
+        raise ValueError(f"interval id {text!r} is not canonical (write {I.id})")
+    return I
 
 
 def four_adic_nodes(root: DyadicInterval, max_rel_level: int):
@@ -255,49 +278,77 @@ def haar_sign_on(I: DyadicInterval, J: DyadicInterval) -> int:
 class PiecewiseConstant:
     """Function constant on the 2**depth leaf cells below a 4-adic root interval.
 
-    Leaves are stored left to right and coerced by as_numbers: integer and
-    Fraction leaves put the function in exact mode, any other leaf switches
-    the whole tree to finite doubles.
+    Leaves are stored left to right as numerators nums over one denominator
+    den, as as_numerators reads them: integer and Fraction leaves put the
+    function in exact mode (int numerators), any other leaf switches the
+    whole tree to finite doubles over 1.  Values leave as Fractions or floats.
     """
 
-    __slots__ = ("leaves", "depth", "root", "exact", "_pyramid")
+    __slots__ = ("nums", "den", "depth", "root", "exact", "_leaves", "_pyramid", "_floats")
 
     def __init__(self, leaves, root: DyadicInterval | None = None):
+        self._set(leaves, 1, root)
+
+    @classmethod
+    def from_numerators(cls, nums, den, root: DyadicInterval | None = None):
+        """The tree with leaves nums[t] / den, read by as_numerators."""
+        pc = cls.__new__(cls)
+        pc._set(nums, den, root)
+        return pc
+
+    def _set(self, values, den, root):
         root = root if root is not None else unit_root()
         if not root.is_four_adic:
             raise ValueError("tree root must be 4-adic")
-        vals, exact = as_numbers(leaves, "leaf")
-        n = len(vals)
+        nums, den, exact = as_numerators(values, "leaf", den)
+        n = len(nums)
         depth = n.bit_length() - 1
         if n == 0 or (1 << depth) != n:
             raise ValueError(f"leaf count {n} is not a power of two")
         if depth % 2:
             raise ValueError(f"depth {depth} is odd; trees must have even depth")
-        self.leaves = tuple(vals)
-        self.depth = depth
-        self.root = root
-        self.exact = exact
-        self._pyramid = None
+        self.nums, self.den, self.depth = tuple(nums), den, depth
+        self.root, self.exact = root, exact
+        self._leaves = self._pyramid = self._floats = None
 
     @classmethod
     def constant(cls, value, depth: int, root: DyadicInterval | None = None):
         return cls([value] * (1 << depth), root)
 
     @property
+    def leaves(self):
+        """Leaf values left to right: Fractions when exact, else floats."""
+        if self._leaves is None:
+            self._leaves = tuple(ratio(n, self.den, self.exact) for n in self.nums)
+        return self._leaves
+
+    @property
     def leaf_level(self) -> int:
         return self.root.level + self.depth
 
     def pyramid(self):
-        """Averages at every relative level 0..depth, finest last."""
+        """Sums at every relative level 0..depth, finest last: the average over
+        node (r, j) is pyramid()[r][j] / den_at(r).  Exact trees keep integer
+        subtree sums, float trees the averages themselves (see level_step)."""
         if self._pyramid is None:
-            levels = [self.leaves]
-            cur = self.leaves
-            while len(cur) > 1:
-                cur = tuple((cur[2 * j] + cur[2 * j + 1]) / 2 for j in range(len(cur) // 2))
-                levels.append(cur)
-            levels.reverse()
-            self._pyramid = levels
+            half = level_step(self.exact)[0]
+            levels = [self.nums]
+            while len(levels[-1]) > 1:
+                pairs = iter(levels[-1])
+                levels.append(tuple([(a + b) * half for a, b in zip(pairs, pairs)]))
+            self._pyramid = levels[::-1]
         return self._pyramid
+
+    def den_at(self, r: int):
+        """Denominator of the pyramid row at relative level r."""
+        return self.den * level_step(self.exact)[1] ** (self.depth - r)
+
+    def float_pyramid(self):
+        """The averages of pyramid() as correctly rounded floats."""
+        if self._floats is None:
+            dens = map(self.den_at, range(self.depth + 1))
+            self._floats = [[p / d for p in row] for row, d in zip(self.pyramid(), dens)]
+        return self._floats
 
     def rel_position(self, I: DyadicInterval):
         self.root._same_tree(I)
@@ -312,39 +363,49 @@ class PiecewiseConstant:
     def average(self, I: DyadicInterval):
         """Mean of the function over a tree interval, exact for rational data."""
         r, j = self.rel_position(I)
-        return self.pyramid()[r][j]
+        return ratio(self.pyramid()[r][j], self.den_at(r), self.exact)
 
     @property
     def root_average(self):
-        return self.pyramid()[0][0]
+        return ratio(self.pyramid()[0][0], self.den_at(0), self.exact)
 
     def l2_norm2(self):
         """Integral of the square over the tree root."""
-        meas = dyadic_length(self.leaf_level)
-        return sum(v * v for v in self.leaves) * meas
+        return self.inner(self)
 
     def inner(self, other: "PiecewiseConstant"):
         self._require_same_grid(other)
-        meas = dyadic_length(self.leaf_level)
-        return sum(a * b for a, b in zip(self.leaves, other.leaves)) * meas
+        total = sum(a * b for a, b in zip(self.nums, other.nums))
+        exact = self.exact and other.exact
+        return ratio(total, self.den * other.den, exact) * dyadic_length(self.leaf_level)
 
     def _require_same_grid(self, other):
         if self.root != other.root or self.depth != other.depth:
             raise ValueError("functions live on different grids")
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        # self + sign * other, on one denominator
         self._require_same_grid(other)
-        return PiecewiseConstant([a + b for a, b in zip(self.leaves, other.leaves)], self.root)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        nums = [x * a + y * b for x, y in zip(self.nums, other.nums)]
+        return self.from_numerators(nums, den, self.root)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        self._require_same_grid(other)
-        return PiecewiseConstant([a - b for a, b in zip(self.leaves, other.leaves)], self.root)
+        return self._combine(other, -1)
 
     def scale(self, c):
-        return PiecewiseConstant([c * v for v in self.leaves], self.root)
+        (a,), b, _ = as_numerators([c], "scale factor")
+        return self.from_numerators([a * n for n in self.nums], self.den * b, self.root)
 
     def shift(self, c):
-        return PiecewiseConstant([v + c for v in self.leaves], self.root)
+        (a,), b, _ = as_numerators([c], "shift")
+        den = math.lcm(self.den, b)
+        s, add = den // self.den, a * (den // b)
+        return self.from_numerators([n * s + add for n in self.nums], den, self.root)
 
     def __eq__(self, other):
         if not isinstance(other, PiecewiseConstant):
@@ -388,10 +449,11 @@ def haar_coefficients(pc: PiecewiseConstant) -> HaarCoefficients:
     pyr = pc.pyramid()
     half_diffs = {}
     for m in range(pc.depth):
-        row = pyr[m + 1]
+        row, den = pyr[m + 1], 2 * pc.den_at(m + 1)
         for j in range(1 << m):
-            half_diffs[pc.root.descendant(m, j)] = (row[2 * j + 1] - row[2 * j]) / 2
-    return HaarCoefficients(pc.root, pc.depth, pyr[0][0], half_diffs, pc.exact)
+            diff = row[2 * j + 1] - row[2 * j]
+            half_diffs[pc.root.descendant(m, j)] = ratio(diff, den, pc.exact)
+    return HaarCoefficients(pc.root, pc.depth, pc.root_average, half_diffs, pc.exact)
 
 
 def reconstruct_from_haar(hc: HaarCoefficients) -> PiecewiseConstant:

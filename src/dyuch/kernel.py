@@ -87,10 +87,8 @@ def reproducing_kernel(I: DyadicInterval, height: int) -> KernelRep:
     if height < 0:
         raise ValueError("height must be nonnegative")
     if height > avail:
-        raise ValueError(
-            f"kernel height {height} needs more odd ancestors than the"
-            f" {avail} available above {I.id}"
-        )
+        raise ValueError(f"kernel height {height} needs more odd ancestors than the"
+                         f" {avail} available above {I.id}")
     real, imag = {}, {}
     for k in range(height):
         J = I.ancestor_at(I.level - 1 - 2 * k)
@@ -122,10 +120,7 @@ def truncation_tail_bound(I: DyadicInterval, height: int) -> Fraction:
 def kernel_to_analytic(k: KernelRep) -> DyadicAnalytic:
     """Realize a kernel as the conjugate pair it is."""
     I = k.interval
-    if I.base == UNIT:
-        root = DyadicInterval(0, 0)
-    else:
-        root = window_root(I.ancestor_levels)
+    root = DyadicInterval(0, 0) if I.base == UNIT else window_root(I.ancestor_levels)
     depth = I.level - root.level
     u_leaves, v_leaves = [], []
     for j in range(1 << depth):
@@ -184,30 +179,33 @@ def normalized_testing_value(I: DyadicInterval, K: DyadicInterval) -> float:
     return (re * re + im * im) / float(limit)
 
 
-def _quarter_paths(mu: DiscreteMeasure, A: DyadicInterval, path: float):
-    """(quarter, subtree mass, path term) for each of the four quarters of A.
+def _quarter_paths(mu: DiscreteMeasure, node):
+    """The (interval, k, index, subtree mass, path term) entries of the four
+    quarters of node = (A, k, j, mass, path), A being node (2k, j); masses
+    are numerators over mu.den.
 
     A node's path term is lim times the part of its testing sum that comes
     from masses outside it.  A quarter's term is A's own plus the masses of
     A itself, of the far half of A and of the quarter's sibling, each times
     its closed-form weight at A's level a (acc(a) = (2**a - 2**r) / 3).
     """
-    sums, z = mu._closure_sums(), mu.zero
+    A, k, j, _, path = node
+    below = mu.sums[k + 1] if k + 1 < len(mu.sums) else {}
     step = 2.0 ** A.level
     acc = (step - 2.0 ** A.root_level) / 3
-    quarters = A.grandchildren()
-    s = [sums.get(Q, z) for Q in quarters]
-    path += float(mu.masses.get(A, z)) * acc * acc
+    s = [below.get(4 * j + q, 0) for q in range(4)]
+    path += mu.own.get((2 * k, j), 0) / mu.den * acc * acc
     far, near = acc * acc + step * step, (acc - step) ** 2
     return [
-        (Q, s[q], path + float(s[q ^ 2] + s[q ^ 3]) * far + float(s[q ^ 1]) * near)
-        for q, Q in enumerate(quarters)
+        (Q, k + 1, 4 * j + q, s[q],
+         path + (s[q ^ 2] + s[q ^ 3]) / mu.den * far + s[q ^ 1] / mu.den * near)
+        for q, Q in enumerate(A.grandchildren())
     ]
 
 
-def _testing_value(I: DyadicInterval, mass, path: float) -> float:
+def _testing_value(I: DyadicInterval, mass: float, path: float) -> float:
     lim = 2.0 ** I.level / 3
-    return lim * float(mass) + path / lim
+    return lim * mass + path / lim
 
 
 def testing_sum(mu: DiscreteMeasure, I: DyadicInterval) -> float:
@@ -222,10 +220,10 @@ def testing_sum(mu: DiscreteMeasure, I: DyadicInterval) -> float:
     root = mu.root
     if not I.is_four_adic or not root.contains(I):
         raise ValueError(f"{I.id} is not a 4-adic node below the measure root {root.id}")
-    node = (root, mu.subtree_mass(root), 0.0)
+    node = (root, 0, 0, mu.sums[0].get(0, 0), 0.0)
     for a in range(root.level, I.level, 2):
-        node = _quarter_paths(mu, node[0], node[2])[(I.index >> (I.level - a - 2)) & 3]
-    return _testing_value(*node)
+        node = _quarter_paths(mu, node)[(I.index >> (I.level - a - 2)) & 3]
+    return _testing_value(I, node[3] / mu.den, node[4])
 
 
 class TestingReport(NamedTuple):
@@ -235,8 +233,7 @@ class TestingReport(NamedTuple):
     slack: float
 
 
-def _packing_report(I: DyadicInterval, mass, t: float) -> TestingReport:
-    packing = float(mass / I.length)
+def _packing_report(I: DyadicInterval, packing: float, t: float) -> TestingReport:
     return TestingReport(t, packing, 3.0 * t, 3.0 * t - packing)
 
 
@@ -246,7 +243,7 @@ def testing_to_packing(mu: DiscreteMeasure, I: DyadicInterval) -> TestingReport:
     The kernel of I is flat at height 1/(3|I|) on its own subtree, so the
     subtree mass alone already contributes a third of the packing ratio.
     """
-    return _packing_report(I, mu.subtree_mass(I), testing_sum(mu, I))
+    return _packing_report(I, float(mu.subtree_mass(I) / I.length), testing_sum(mu, I))
 
 
 class TestingScan(NamedTuple):
@@ -270,12 +267,13 @@ def testing_scan(mu: DiscreteMeasure) -> TestingScan:
     worst_t, worst_s = -math.inf, math.inf
     node_t = node_s = None
     n = 0
-    level = [(mu.root, mu.subtree_mass(mu.root), 0.0)]
+    level = [(mu.root, 0, 0, mu.sums[0].get(0, 0), 0.0)]
     for k in range(0, mu.depth + 1, 2):
         if k:
-            level = [q for A, _, path in level for q in _quarter_paths(mu, A, path)]
-        for I, mass, path in level:
-            rep = _packing_report(I, mass, _testing_value(I, mass, path))
+            level = [q for node in level for q in _quarter_paths(mu, node)]
+        for I, _, _, mass, path in level:
+            t = _testing_value(I, mass / mu.den, path)
+            rep = _packing_report(I, mu.float_density(mass, I.level), t)
             if worst_t == worst_t and not rep.testing_sum <= worst_t:
                 worst_t, node_t = rep.testing_sum, I
             if worst_s == worst_s and not rep.slack >= worst_s:

@@ -10,6 +10,7 @@ that precise.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,6 +18,8 @@ from .dyadic import (
     DEFAULT_TOL,
     DyadicInterval,
     PiecewiseConstant,
+    level_step,
+    ratio,
     tree_from_json,
     tree_to_json,
     unit_root,
@@ -28,36 +31,31 @@ class SlicingViolation(ValueError):
     """Raised when a claimed sliced martingale jumps inside an odd generation."""
 
     def __init__(self, interval: DyadicInterval, residual):
-        self.interval = interval
-        self.residual = residual
-        super().__init__(
-            f"half averages differ by {float(residual):.6g} at {interval.id}"
-        )
+        self.interval, self.residual = interval, residual
+        super().__init__(f"half averages differ by {float(residual):.6g} at {interval.id}")
 
 
 def _half_gaps(pc: PiecewiseConstant):
-    """(k, j, |difference of the half averages|) at every 4-adic node, top down."""
+    """(k, j, |difference of the half sums|, den) at every 4-adic node, top
+    down; the gap between the half averages is the difference over den."""
     pyr = pc.pyramid()
     for k in range(0, pc.depth, 2):
-        row = pyr[k + 1]
+        row, den = pyr[k + 1], pc.den_at(k + 1)
         for j in range(1 << k):
-            yield k, j, abs(row[2 * j + 1] - row[2 * j])
+            yield k, j, abs(row[2 * j + 1] - row[2 * j]), den
 
 
 def _first_violation(pc: PiecewiseConstant, tol):
-    for k, j, diff in _half_gaps(pc):
-        if diff > tol:
-            return pc.root.descendant(k, j), diff
+    for k, j, diff, den in _half_gaps(pc):
+        if diff > tol * den:
+            return pc.root.descendant(k, j), ratio(diff, den, pc.exact)
     return None
 
 
 def slicing_residual(pc: PiecewiseConstant):
     """Largest disagreement between half averages over all 4-adic nodes."""
-    worst = zero(pc.exact)
-    for _, _, diff in _half_gaps(pc):
-        if diff > worst:
-            worst = diff
-    return worst
+    gaps = (ratio(diff, den, pc.exact) for _, _, diff, den in _half_gaps(pc))
+    return max(itertools.chain([zero(pc.exact)], gaps))
 
 
 class SlicedMartingale:
@@ -80,25 +78,12 @@ class SlicedMartingale:
     def from_leaves(cls, leaves, root: DyadicInterval | None = None, **kw):
         return cls(PiecewiseConstant(leaves, root), **kw)
 
-    @property
-    def leaves(self):
-        return self.pc.leaves
-
-    @property
-    def depth(self) -> int:
-        return self.pc.depth
-
-    @property
-    def root(self) -> DyadicInterval:
-        return self.pc.root
-
-    @property
-    def exact(self) -> bool:
-        return self.pc.exact
-
-    @property
-    def root_average(self):
-        return self.pc.root_average
+    # read through to the tree
+    leaves = property(lambda self: self.pc.leaves)
+    depth = property(lambda self: self.pc.depth)
+    root = property(lambda self: self.pc.root)
+    exact = property(lambda self: self.pc.exact)
+    root_average = property(lambda self: self.pc.root_average)
 
     def average(self, I: DyadicInterval):
         return self.pc.average(I)
@@ -114,7 +99,8 @@ class SlicedMartingale:
         r, j = self.pc.rel_position(I)
         if r % 2 or r + 2 > self.depth:
             raise ValueError(f"{I.id} has no grandchildren inside this tree")
-        return _half_jumps(self.pc.pyramid()[r + 2], j)
+        jumps, den = _half_jumps(self.pc.pyramid()[r + 2], j, 1), 2 * self.pc.den_at(r + 2)
+        return tuple(ratio(d, den, self.exact) for d in jumps)
 
     def shifted(self, c) -> "SlicedMartingale":
         return SlicedMartingale(self.pc.shift(c), validate=False)
@@ -135,33 +121,35 @@ def _as_pc(u) -> PiecewiseConstant:
     return u.pc if isinstance(u, SlicedMartingale) else u
 
 
-def _half_jumps(row, j):
-    """(dx, dy) below node j of a 4-adic level, read from the grandchild row."""
-    return (row[4 * j + 3] - row[4 * j + 2]) / 2, (row[4 * j + 1] - row[4 * j]) / 2
+def _half_jumps(row, j, c):
+    """(dx, dy) below node j of a 4-adic level, from the grandchild row: c
+    times the differences of the right and of the left sibling pair."""
+    return (row[4 * j + 3] - row[4 * j + 2]) * c, (row[4 * j + 1] - row[4 * j]) * c
 
 
-def _increment_rows(pc: PiecewiseConstant):
-    """One list of half jumps (dx, dy) per 4-adic level, nodes left to right."""
+def _jump_rows(pc: PiecewiseConstant):
+    """(rows, den): the half jumps (dx, dy) of every 4-adic level, nodes left
+    to right, as numerators over one denominator den (pc.den_at(0))."""
     pyr = pc.pyramid()
-    return [
-        [_half_jumps(pyr[k + 2], j) for j in range(1 << k)]
-        for k in range(0, pc.depth, 2)
-    ]
+    half, grow = level_step(pc.exact)
+    rows = []
+    for k in range(0, pc.depth, 2):
+        c = half * grow ** (k + 1)
+        rows.append([_half_jumps(pyr[k + 2], j, c) for j in range(1 << k)])
+    return rows, pc.den_at(0)
 
 
-def _sliced_from_increments(w0, rows, root: DyadicInterval) -> "SlicedMartingale":
-    """Sliced martingale with root value w0 and the given (dx, dy) rows.
+def _sliced_from_increments(w0, rows, root: DyadicInterval, den=1) -> "SlicedMartingale":
+    """Sliced martingale with root value w0 / den and (dx, dy) rows over den.
 
     Each 4-adic generation sends a node value w to its grandchildren
-    (w - dy, w + dy, w - dx, w + dx), left to right.
+    (w - dy, w + dy, w - dx, w + dx), left to right.  Value rows (Fractions
+    or floats) go in over den 1.
     """
     cur = [w0]
     for row in rows:
-        nxt = []
-        for w, (dx, dy) in zip(cur, row):
-            nxt.extend((w - dy, w + dy, w - dx, w + dx))
-        cur = nxt
-    return SlicedMartingale(PiecewiseConstant(cur, root), validate=False)
+        cur = [x for w, (dx, dy) in zip(cur, row) for x in (w - dy, w + dy, w - dx, w + dx)]
+    return SlicedMartingale(PiecewiseConstant.from_numerators(cur, den, root), validate=False)
 
 
 def s0(u) -> SlicedMartingale:
@@ -175,8 +163,10 @@ def s0(u) -> SlicedMartingale:
     pc = _as_pc(u)
     if not isinstance(u, SlicedMartingale):
         SlicedMartingale(pc)  # rejects non-sliced input
-    rotated = [[(-dy, dx) for dx, dy in row] for row in _increment_rows(pc)]
-    return _sliced_from_increments(zero(pc.exact), rotated, pc.root)
+    rows, den = _jump_rows(pc)
+    rotated = [[(-dy, dx) for dx, dy in row] for row in rows]
+    zero_num = 0 * level_step(pc.exact)[0]  # 0, or 0.0 for a float tree
+    return _sliced_from_increments(zero_num, rotated, pc.root, den)
 
 
 def cr_residual(u, v):
@@ -187,13 +177,16 @@ def cr_residual(u, v):
     """
     up, vp = _as_pc(u), _as_pc(v)
     up._require_same_grid(vp)
-    worst = zero(up.exact and vp.exact)
-    for urow, vrow in zip(_increment_rows(up), _increment_rows(vp)):
+    (urows, uden), (vrows, vden) = _jump_rows(up), _jump_rows(vp)
+    den = math.lcm(uden, vden)
+    a, b = den // uden, den // vden
+    worst = 0
+    for urow, vrow in zip(urows, vrows):
         for (dxu, dyu), (dxv, dyv) in zip(urow, vrow):
-            bad = max(abs(dxu - dyv), abs(dyu + dxv))
+            bad = max(abs(dxu * a - dyv * b), abs(dyu * a + dxv * b))
             if bad > worst:
                 worst = bad
-    return worst
+    return ratio(worst, den, up.exact and vp.exact)
 
 
 class DyadicAnalytic:
@@ -204,7 +197,7 @@ class DyadicAnalytic:
     4-adic node.  Read the pair as u + iv.
     """
 
-    __slots__ = ("u", "v")
+    __slots__ = ("u", "v", "_moments")
 
     def __init__(self, u, v, validate: bool = True, tol=DEFAULT_TOL):
         u = u if isinstance(u, SlicedMartingale) else SlicedMartingale(u, validate, tol)
@@ -213,17 +206,13 @@ class DyadicAnalytic:
         if validate:
             bad = cr_residual(u, v)
             if bad > (0 if (u.exact and v.exact) else tol):
-                raise ValueError(
-                    f"pair is not conjugate: Cauchy-Riemann residual {float(bad):.6g}"
-                )
-        self.u = u
-        self.v = v
+                bad = float(bad)
+                raise ValueError(f"pair is not conjugate: Cauchy-Riemann residual {bad:.6g}")
+        self.u, self.v, self._moments = u, v, None
 
     @classmethod
     def from_leaves(cls, u_leaves, v_leaves, root=None, **kw):
-        return cls(
-            PiecewiseConstant(u_leaves, root), PiecewiseConstant(v_leaves, root), **kw
-        )
+        return cls(PiecewiseConstant(u_leaves, root), PiecewiseConstant(v_leaves, root), **kw)
 
     @property
     def depth(self) -> int:
@@ -252,11 +241,22 @@ class DyadicAnalytic:
     def second_moment(self, I: DyadicInterval):
         """Average of u**2 + v**2 over a tree interval."""
         r, j = self.u.pc.rel_position(I)
-        span = self.depth - r
-        lo, hi = j << span, (j + 1) << span
-        ul, vl = self.u.leaves, self.v.leaves
-        total = sum(ul[t] * ul[t] + vl[t] * vl[t] for t in range(lo, hi))
-        return total / (1 << span)
+        sums, den = self.moment_sums()
+        return ratio(sums[r][j], den << (self.depth - r), self.exact)
+
+    def moment_sums(self):
+        """(sums, den): sums[r][j] / den is the sum of u**2 + v**2 over the
+        leaves below node (r, j), each leaf summed once, left to right."""
+        if self._moments is None:
+            up, vp = self.u.pc, self.v.pc
+            den = math.lcm(up.den, vp.den)
+            a, b = den // up.den, den // vp.den
+            sq = [(x * a) * (x * a) + (y * b) * (y * b) for x, y in zip(up.nums, vp.nums)]
+            self._moments = [
+                [sum(sq[j << span:(j + 1) << span]) for j in range(1 << r)]
+                for r, span in zip(range(self.depth + 1), range(self.depth, -1, -1))
+            ], den * den
+        return self._moments
 
     def rotated(self, theta: float) -> "DyadicAnalytic":
         """Multiply u + iv by exp(i * theta)."""
@@ -282,19 +282,16 @@ def _odd_generation_part(pc: PiecewiseConstant) -> PiecewiseConstant:
     keeping the jumps whose parent sits at odd relative level 1, 3, ...
     """
     pyr = pc.pyramid()
-    cur = [zero(pc.exact)]
+    half, grow = level_step(pc.exact)
+    cur = [0 * half]  # 0, or 0.0 for a float tree
     for m in range(pc.depth):
-        row = pyr[m + 1]
-        keep = m % 2 == 1
-        nxt = []
-        for j, w in enumerate(cur):
-            if keep:
-                half = (row[2 * j + 1] - row[2 * j]) / 2
-                nxt.extend((w - half, w + half))
-            else:
-                nxt.extend((w, w))
-        cur = nxt
-    return PiecewiseConstant(cur, pc.root)
+        if m % 2 == 1:
+            row, c = pyr[m + 1], half * grow ** m
+            halves = [(row[2 * j + 1] - row[2 * j]) * c for j in range(len(cur))]
+            cur = [x for w, d in zip(cur, halves) for x in (w - d, w + d)]
+        else:
+            cur = [w for w in cur for _ in range(2)]
+    return PiecewiseConstant.from_numerators(cur, pc.den_at(0), pc.root)
 
 
 def analytic_projection(re, im=None) -> DyadicAnalytic:
@@ -311,23 +308,17 @@ def analytic_projection(re, im=None) -> DyadicAnalytic:
     else:
         b = _as_pc(im)
         a._require_same_grid(b)
-    a0, b0 = a.root_average, b.root_average
-    a_odd = SlicedMartingale(_odd_generation_part(a), validate=False)
-    b_odd = SlicedMartingale(_odd_generation_part(b), validate=False)
-    rot_a = s0(a_odd)
-    rot_b = s0(b_odd)
-    u_leaves = [a0 + (ao - rb) / 2 for ao, rb in zip(a_odd.leaves, rot_b.leaves)]
-    v_leaves = [b0 + (bo + ra) / 2 for bo, ra in zip(b_odd.leaves, rot_a.leaves)]
-    return DyadicAnalytic.from_leaves(u_leaves, v_leaves, a.root, validate=False)
+    a_odd, b_odd = _odd_generation_part(a), _odd_generation_part(b)
+    rot_a = s0(SlicedMartingale(a_odd, validate=False)).pc
+    rot_b = s0(SlicedMartingale(b_odd, validate=False)).pc
+    half = Fraction(1, 2)
+    u = (a_odd - rot_b).scale(half).shift(a.root_average)
+    v = (b_odd + rot_a).scale(half).shift(b.root_average)
+    return DyadicAnalytic(u, v, validate=False)
 
 
-def random_sliced(
-    rng,
-    depth: int,
-    root: DyadicInterval | None = None,
-    denom_bits: int = 6,
-    amplitude: int = 4,
-) -> SlicedMartingale:
+def random_sliced(rng, depth: int, root: DyadicInterval | None = None,
+                  denom_bits: int = 6, amplitude: int = 4) -> SlicedMartingale:
     """Random sliced martingale with exact dyadic rational leaves.
 
     Jumps are drawn only across 4-adic splits, so the slicing constraint
@@ -336,23 +327,17 @@ def random_sliced(
     root = root if root is not None else unit_root()
     if depth % 2:
         raise ValueError("depth must be even")
-    scale = Fraction(amplitude, 1 << denom_bits)
 
-    def draw():
-        return (rng.getrandbits(denom_bits + 1) - (1 << denom_bits)) * scale
+    def draw():  # a numerator over 2**denom_bits
+        return (rng.getrandbits(denom_bits + 1) - (1 << denom_bits)) * amplitude
 
     w0 = draw()
     rows = [[(draw(), draw()) for _ in range(1 << k)] for k in range(0, depth, 2)]
-    return _sliced_from_increments(w0, rows, root)
+    return _sliced_from_increments(w0, rows, root, 1 << denom_bits)
 
 
-def random_analytic(
-    rng,
-    depth: int,
-    root: DyadicInterval | None = None,
-    denom_bits: int = 6,
-    amplitude: int = 4,
-) -> DyadicAnalytic:
+def random_analytic(rng, depth: int, root: DyadicInterval | None = None,
+                    denom_bits: int = 6, amplitude: int = 4) -> DyadicAnalytic:
     """Random conjugate pair; the conjugate part gets an independent mean."""
     u = random_sliced(rng, depth, root, denom_bits, amplitude)
     v0 = Fraction(rng.getrandbits(denom_bits + 1) - (1 << denom_bits), 1 << denom_bits)

@@ -157,11 +157,11 @@ def test_criterion_4_embedding_bound_constant_e():
     for f, mu in _configs():
         total = float(embedding_sum(f, mu))
         norm2 = float(f.norm2())
-        failures += total > E * norm2 * (1.0 + 1e-12)
+        failures += not total <= E * norm2 * (1.0 + 1e-12)
         slack = embedding_slack(f, mu)
         worst = min(worst, slack)
-        failures += slack < -1e-9
-        failures += total / norm2 > E * float(mu.packing_intensity()) + 1e-9
+        failures += not slack >= -1e-9
+        failures += not total / norm2 <= E * float(mu.packing_intensity()) + 1e-9
     elapsed = time.perf_counter() - start
     ok = failures == 0 and elapsed < 30.0
     _verdict(4, "embedding bound with constant e", ok,
@@ -177,12 +177,12 @@ def test_criterion_5_weighted_bound_and_telescoping():
     worst_match = 0.0
     failures = 0
     for f, mu in _configs():
-        failures += weighted_embedding_slack(f, mu) < -1e-12
+        failures += not weighted_embedding_slack(f, mu) >= -1e-12
         deco = telescoped_weighted_slack(f, mu)
         match = abs(deco.total() - deco.slack)
         worst_match = max(worst_match, match)
-        failures += match > 1e-10
-        failures += deco.min_term() < -1e-12
+        failures += not match <= 1e-10
+        failures += not deco.min_term() >= -1e-12
     _verdict(5, "weighted bound telescopes into nonnegative terms",
              failures == 0, f"worst identity mismatch {worst_match:.3e}")
     assert failures == 0

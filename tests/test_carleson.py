@@ -489,3 +489,49 @@ class TestRandomBalanced:
         state = self.pinned_float_outputs(mu)
         digest = hashlib.sha256(repr(state).encode()).hexdigest()
         assert digest[:16] == self.PINNED_FLOAT[(depth, name)]
+
+
+class TestFlatMeasureGuards:
+    def test_overflowing_total_is_rejected(self):
+        # inf - inf at the root used to read as balance 0, so this passed as balanced
+        masses = {DyadicInterval(2, j): 1e308 for j in range(4)}
+        with pytest.raises(ValueError, match="float range"):
+            DiscreteMeasure(masses, depth=2)
+        obj = {"depth": 2, "masses": {f"L2N{j}": 1e308 for j in range(4)}}
+        with pytest.raises(ValueError, match="float range"):
+            measure_from_json(obj)
+
+    def test_large_finite_total_is_kept(self):
+        mu = DiscreteMeasure({DyadicInterval(2, j): 4e307 for j in range(4)}, depth=2)
+        assert mu.total_mass() == 1.6e308
+        assert mu.balance_residual() == 0.0 and mu.is_balanced()
+        assert mu.packing_intensity() == 1.6e308  # 4e307 / (1/4) at each quarter
+
+    def test_scale_into_overflow_is_rejected(self):
+        mu = DiscreteMeasure({DyadicInterval(2, j): 1e300 for j in range(4)}, depth=2)
+        with pytest.raises(ValueError):
+            mu.scale(1e10)
+
+    def test_non_canonical_id_cannot_shadow_a_node(self):
+        obj = {"depth": 2, "masses": {"L2N0": 1, "L02N0": 2, "L2N1": 1}}
+        with pytest.raises(ValueError, match="not canonical"):
+            measure_from_json(obj)
+
+    def test_min_term_keeps_a_late_nan(self):
+        from dyuch.carleson import WeightedSlackDecomposition
+
+        a, b, c = (DyadicInterval(2, j) for j in range(3))
+        deco = WeightedSlackDecomposition(0.0, {a: 1.0, b: math.nan}, 2.0, {c: 0.5})
+        assert math.isnan(deco.min_term())
+        deco = WeightedSlackDecomposition(0.0, {a: 1.0}, 2.0, {c: 0.5, b: math.nan})
+        assert math.isnan(deco.min_term())
+        assert WeightedSlackDecomposition(0.0, {a: 1.0}, 2.0, {c: 0.5}).min_term() == 0.5
+
+    def test_derived_sums_are_cached(self):
+        mu = random_balanced_measure(random.Random(3), 6)
+        assert mu.packing_intensity() is mu.packing_intensity()
+        assert mu.balance_residual() is mu.balance_residual()
+        assert mu.float_densities() is mu.float_densities()
+        f = random_analytic(random.Random(3), 6)
+        assert f.moment_sums() is f.moment_sums()
+        assert f.u.pc.pyramid() is f.u.pc.pyramid()

@@ -608,3 +608,104 @@ class TestScanUnslicedChecksSomething:
         assert "result: PASS" in out
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.json"]
         assert json.loads(out_path.read_text())["summary"]["csv"] is None
+
+
+class TestNanStickyReductions:
+    """A NaN that is not the first value still reaches the gate."""
+
+    @pytest.mark.parametrize("which", ["range_gaps", "derivative_gap"])
+    def test_verify_bellman_nan_gap_fails(self, capsys, monkeypatch, which):
+        from dyuch import cli
+
+        real = getattr(cli.bellman, which)
+        calls = []
+
+        def poisoned(*args):
+            calls.append(args)
+            out = real(*args)
+            if len(calls) != 3:
+                return out
+            return (out[0], math.nan) if which == "range_gaps" else math.nan
+
+        monkeypatch.setattr(cli.bellman, which, poisoned)
+        code, out, _ = run(capsys, "verify-bellman", "--samples", "50")
+        assert code == 1
+        assert "result: FAIL" in out
+        field = "min_range_gap" if which == "range_gaps" else "min_derivative_gap"
+        assert f"{field}: nan" in out
+
+    def test_uchiyama_nan_chain_gap_fails(self, capsys, monkeypatch, fixtures):
+        from dyuch import cli
+
+        real = cli.carleson.bellman_chain_slacks
+
+        def poisoned(f, mu):
+            gaps = real(f, mu)
+            second = list(gaps)[1]
+            gaps[second] = math.nan
+            return gaps
+
+        monkeypatch.setattr(cli.carleson, "bellman_chain_slacks", poisoned)
+        code, out, _ = run(
+            capsys, "uchiyama-check", "--function", fixtures["pair"], "--measure", fixtures["mu"]
+        )
+        assert code == 1
+        assert "chain_min_gap: nan" in out
+        assert "result: FAIL" in out
+
+    def test_uchiyama_nan_telescoping_term_fails(self, capsys, monkeypatch, fixtures):
+        from dyuch import cli
+
+        real = cli.carleson.telescoped_weighted_slack
+
+        def poisoned(f, mu):
+            deco = real(f, mu)
+            deco.leaf_terms[list(deco.leaf_terms)[2]] = math.nan
+            return deco
+
+        monkeypatch.setattr(cli.carleson, "telescoped_weighted_slack", poisoned)
+        code, out, _ = run(
+            capsys, "uchiyama-check", "--function", fixtures["pair"], "--measure", fixtures["mu"]
+        )
+        assert code == 1
+        assert "telescoped_min_term: nan" in out
+
+
+class TestInputsTheCoreRejects:
+    COMMANDS = [
+        ["check-3e"],
+        ["embed", "--function", "PAIR"],
+        ["uchiyama-check", "--function", "PAIR"],
+    ]
+
+    def measure_file(self, tmp_path, masses):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"base": "unit", "depth": 2, "masses": masses}))
+        return str(path)
+
+    def invoke(self, capsys, fixtures, argv, measure):
+        argv = [fixtures["pair"] if a == "PAIR" else a for a in argv]
+        return run(capsys, *argv, "--measure", measure)
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0])
+    def test_overflowing_total_mass(self, capsys, fixtures, tmp_path, argv):
+        # balance used to read inf - inf = nan as 0 and call this balanced
+        masses = {f"L2N{j}": 1e308 for j in range(4)}
+        code, out, err = self.invoke(capsys, fixtures, argv, self.measure_file(tmp_path, masses))
+        assert code == 2
+        assert "result:" not in out
+        assert "float range" in err
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0])
+    @pytest.mark.parametrize("key", ["L02N0", "L+2N0", "L2N00", "L2N0 "])
+    def test_non_canonical_node_id(self, capsys, fixtures, tmp_path, argv, key):
+        masses = {"L2N0": 1, key: 2, "L2N1": 1}
+        code, out, err = self.invoke(capsys, fixtures, argv, self.measure_file(tmp_path, masses))
+        assert code == 2
+        assert "result:" not in out
+        assert "not canonical" in err
+
+    def test_non_canonical_kernel_interval(self, capsys):
+        code, _, err = run(capsys, "kernel", "--interval", "L04N9", "--height", "1")
+        assert code == 2
+        assert "not canonical" in err

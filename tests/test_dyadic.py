@@ -130,6 +130,15 @@ class TestInterval:
             with pytest.raises(ValueError):
                 interval_from_id(bad)
 
+    @pytest.mark.parametrize(
+        "text", ["L02N0", "L+2N0", "L2N00", "L2N+0", "L2N0 ", "L2_0N0", "L-0N0"]
+    )
+    def test_id_parse_rejects_non_canonical(self, text):
+        with pytest.raises(ValueError, match="not canonical"):
+            interval_from_id(text)
+        assert interval_from_id("L0N0") == unit_root()
+        assert interval_from_id("L-1N1", REAL_LINE, 1) == DyadicInterval(-1, 1, REAL_LINE, 1)
+
     def test_four_adic_enumeration(self):
         nodes = list(four_adic_nodes(unit_root(), 4))
         assert len(nodes) == 1 + 4 + 16

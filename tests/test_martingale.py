@@ -293,17 +293,21 @@ class TestRandomGenerators:
     @pytest.mark.parametrize("root", [unit_root(), window_root(1)], ids=["unit", "window"])
     @pytest.mark.parametrize("depth", [0, 2, 4, 6, 8])
     def test_increment_rows_round_trip(self, depth, root):
-        from dyuch.martingale import _increment_rows, _sliced_from_increments
+        from dyuch.martingale import _jump_rows, _sliced_from_increments
 
         u = random_sliced(random.Random(300 + depth), depth, root) if depth else (
             SlicedMartingale.from_leaves([Fraction(3, 4)], root)
         )
-        rows = _increment_rows(u.pc)
+        rows, den = _jump_rows(u.pc)
         assert [len(row) for row in rows] == [1 << k for k in range(0, depth, 2)]
         for k, row in enumerate(rows):
             for j, incs in enumerate(row):
-                assert incs == u.increments(root.descendant(2 * k, j))
-        assert _sliced_from_increments(u.root_average, rows, u.root) == u
+                assert all(type(d) is int for d in incs)
+                got = tuple(Fraction(d, den) for d in incs)
+                assert got == u.increments(root.descendant(2 * k, j))
+        assert _sliced_from_increments(u.root_average * den, rows, u.root, den) == u
+        values = [[tuple(Fraction(d, den) for d in incs) for incs in row] for row in rows]
+        assert _sliced_from_increments(u.root_average, values, u.root) == u
 
     # sha256 prefixes of repr((u.leaves, v.leaves)) for
     # random_analytic(Random(400 + depth), depth, root); the leaves do not
