@@ -104,23 +104,14 @@ def _step_gap(p: BellmanPoint, split: SplitSpec, tol: float) -> float:
     return bellman_value(p) - sum(bellman_value(c) for c in kids) / 4
 
 
-def concavity_gap(
-    p: BellmanPoint,
-    split: SplitSpec,
-    check_children_domain: bool = False,
-    tol: float = 1e-9,
-) -> float:
+def concavity_gap(p: BellmanPoint, split: SplitSpec, tol: float = 1e-9) -> float:
     """Midpoint concavity surplus along a mass-free split; nonnegative always.
 
-    Children may leave the domain without breaking the inequality, so the
-    domain check on them is off by default.
+    Children may leave the domain without breaking the inequality, so they
+    are not checked.
     """
     if split.mu != 0:
         raise ValueError("concavity_gap needs a mass-free split (mu == 0)")
-    if check_children_domain:
-        for c in split.children(p):
-            if not c.in_domain():
-                raise ValueError("a child state left the certificate domain")
     return _step_gap(p, split, tol)
 
 
@@ -134,26 +125,36 @@ def dynamics_gap(p: BellmanPoint, split: SplitSpec, tol: float = 1e-9) -> float:
 
 @dataclass(frozen=True)
 class HessianParams:
-    """Parameters of the quadratic concavity form.
+    """Parameters of the sliced concavity form.
 
-    M is the state mass, d1 and d2 the half spreads of the children masses;
-    d tilts the two pair weights apart and is zero in the balanced sliced
-    setting.
+    M is the state mass, d1 and d2 the half spreads of the children masses:
+    floats for one form, or numpy arrays of one shape for a batch of them.
     """
 
     M: float
     d1: float
     d2: float
-    d: float = 0.0
 
-    def admissible(self) -> bool:
-        """Inside the conservative scan window for the tilted form."""
-        return (
-            self.d >= 0
-            and self.d1 >= 0
-            and self.d2 >= 0
-            and max(self.d + self.d1, self.d + self.d2) <= 0.5
-        )
+
+def unsliced_form_matrix(d, d1, d2) -> np.ndarray:
+    """Concavity form with the pair weights tilted by exp(-+d), in units of
+    exp(-M)/4; the tilt makes the form lose definiteness for some admissible
+    parameters, which is why the balance assumption cannot be dropped.
+
+    The parameters broadcast: arrays of one shape give one array of that
+    shape + (4, 4), filled in place.
+    """
+    a, b = np.exp(-d), np.exp(d)
+    p = a * (np.exp(-d1) - np.exp(d1))
+    q = b * (np.exp(-d2) - np.exp(d2))
+    sig = 2.0 * a * np.cosh(d1) + 2.0 * b * np.cosh(d2)
+    mats = np.zeros(np.shape(sig) + (4, 4))
+    mats[..., 0, 0] = mats[..., 1, 1] = sig - 4.0
+    mats[..., 2, 2] = mats[..., 3, 3] = sig
+    mats[..., 0, 2] = mats[..., 2, 0] = p
+    mats[..., 1, 3] = mats[..., 3, 1] = -p
+    mats[..., 0, 3] = mats[..., 3, 0] = mats[..., 1, 2] = mats[..., 2, 1] = q
+    return mats
 
 
 def concavity_form_matrix(hp: HessianParams) -> np.ndarray:
@@ -161,69 +162,31 @@ def concavity_form_matrix(hp: HessianParams) -> np.ndarray:
 
     For a mass-free split the surplus equals e times w.T A w with
     w = (r, i, dxr, dyr).  The matrix is positive semidefinite for every
-    real (M, d1, d2), which is the heart of the embedding bound.
+    real (M, d1, d2), which is the heart of the embedding bound.  It is the
+    untilted form scaled in place by exp(-M)/4.
     """
-    if hp.d != 0:
-        raise ValueError("the sliced form has no tilt; use unsliced_form_matrix")
-    p1 = math.exp(-hp.d1) - math.exp(hp.d1)
-    p2 = math.exp(-hp.d2) - math.exp(hp.d2)
-    sig = 2.0 * math.cosh(hp.d1) + 2.0 * math.cosh(hp.d2)
-    pref = math.exp(-hp.M) / 4.0
-    return pref * np.array(
-        [
-            [sig - 4.0, 0.0, p1, p2],
-            [0.0, sig - 4.0, p2, -p1],
-            [p1, p2, sig, 0.0],
-            [p2, -p1, 0.0, sig],
-        ]
-    )
+    mats = unsliced_form_matrix(0.0, hp.d1, hp.d2)
+    mats *= np.asarray(np.exp(-hp.M) / 4.0)[..., None, None]
+    return mats
 
 
-def unsliced_form_matrix(d: float, d1: float, d2: float) -> np.ndarray:
-    """Concavity form with the pair weights tilted by exp(-+d), in units of
-    exp(-M)/4; the tilt makes the form lose definiteness for some admissible
-    parameters, which is why the balance assumption cannot be dropped."""
-    p = math.exp(-d) * (math.exp(-d1) - math.exp(d1))
-    q = math.exp(d) * (math.exp(-d2) - math.exp(d2))
-    sig = 2.0 * math.exp(-d) * math.cosh(d1) + 2.0 * math.exp(d) * math.cosh(d2)
-    return np.array(
-        [
-            [sig - 4.0, 0.0, p, q],
-            [0.0, sig - 4.0, q, -p],
-            [p, q, sig, 0.0],
-            [q, -p, 0.0, sig],
-        ]
-    )
+def principal_minors(mat: np.ndarray):
+    """Nested principal minors of a 4x4 form (or a batch), from the upper left."""
+    return [np.linalg.det(mat[..., :k, :k]) for k in range(1, 5)]
 
 
-def principal_minors(mat: np.ndarray, corner: str = "upper_left"):
-    """Nested principal minors of a 4x4 form, growing from the given corner."""
-    if corner == "upper_left":
-        return [float(np.linalg.det(mat[:k, :k])) for k in range(1, 5)]
-    if corner == "lower_right":
-        return [float(np.linalg.det(mat[4 - k :, 4 - k :])) for k in range(1, 5)]
-    raise ValueError(f"unknown corner {corner!r}")
-
-
-def third_minor_closed_form(hp: HessianParams) -> float:
+def third_minor_closed_form(hp: HessianParams):
     """Upper-left 3x3 minor of the sliced form in closed form."""
-    if hp.d != 0:
-        raise ValueError("closed form covers the sliced case only")
-    x1 = 2.0 * math.cosh(hp.d1)
-    x2 = 2.0 * math.cosh(hp.d2)
-    sig = x1 + x2
-    pref = math.exp(-hp.M) / 4.0
-    return pref**3 * (sig - 4.0) * 2.0 * (x1 - 2.0) * (x2 - 2.0)
+    x1 = 2.0 * np.cosh(hp.d1)
+    x2 = 2.0 * np.cosh(hp.d2)
+    return (np.exp(-hp.M) / 4.0) ** 3 * (x1 + x2 - 4.0) * 2.0 * (x1 - 2.0) * (x2 - 2.0)
 
 
-def det_closed_form(hp: HessianParams) -> float:
+def det_closed_form(hp: HessianParams):
     """Determinant of the sliced form in closed form; a fourth power, never negative."""
-    if hp.d != 0:
-        raise ValueError("closed form covers the sliced case only")
-    pref = math.exp(-hp.M) / 4.0
-    s1 = 2.0 * math.sinh(hp.d1 / 2.0)
-    s2 = 2.0 * math.sinh(hp.d2 / 2.0)
-    return 4.0 * pref**4 * s1**4 * s2**4
+    s1 = 2.0 * np.sinh(hp.d1 / 2.0)
+    s2 = 2.0 * np.sinh(hp.d2 / 2.0)
+    return 4.0 * (np.exp(-hp.M) / 4.0) ** 4 * s1**4 * s2**4
 
 
 def unsliced_third_minor(d: float, d1: float, d2: float) -> float:
@@ -249,7 +212,6 @@ def laplacian_step_gap(
     v: float,
     dxu: float,
     dyu: float,
-    check: bool = True,
     tol: float = 1e-9,
 ) -> float:
     """One-step surplus of the exponentially weighted second moment.
@@ -262,10 +224,9 @@ def laplacian_step_gap(
     choice of weights meeting the pair-mean constraint.
     """
     mxm, mxp, mym, myp = child_ms
-    if check:
-        target = m_parent + mu_over_len
-        if abs((mxm + mxp) / 2 - target) > tol or abs((mym + myp) / 2 - target) > tol:
-            raise ValueError("children weight pairs must average to parent + density")
+    target = m_parent + mu_over_len
+    if abs((mxm + mxp) / 2 - target) > tol or abs((mym + myp) / 2 - target) > tol:
+        raise ValueError("children weight pairs must average to parent + density")
     kids = (
         (mxm, u - dxu, v + dyu),
         (mxp, u + dxu, v - dyu),
@@ -276,24 +237,6 @@ def laplacian_step_gap(
     for m_c, a, b in kids:
         acc += math.exp(m_c) * (a * a + b * b)
     return acc / 4.0 - math.exp(m_parent) * (u * u + v * v) * (1.0 + mu_over_len)
-
-
-def _batched_sliced_matrices(m, d1, d2):
-    n = m.shape[0]
-    p1 = np.exp(-d1) - np.exp(d1)
-    p2 = np.exp(-d2) - np.exp(d2)
-    sig = 2.0 * np.cosh(d1) + 2.0 * np.cosh(d2)
-    mats = np.zeros((n, 4, 4))
-    mats[:, 0, 0] = sig - 4.0
-    mats[:, 1, 1] = sig - 4.0
-    mats[:, 2, 2] = sig
-    mats[:, 3, 3] = sig
-    mats[:, 0, 2] = mats[:, 2, 0] = p1
-    mats[:, 0, 3] = mats[:, 3, 0] = p2
-    mats[:, 1, 2] = mats[:, 2, 1] = p2
-    mats[:, 1, 3] = mats[:, 3, 1] = -p1
-    mats *= (np.exp(-m) / 4.0)[:, None, None]
-    return mats
 
 
 @dataclass
@@ -337,19 +280,14 @@ def verify_sliced_psd(
         m = np.concatenate([m, gm, gm])
         d1 = np.concatenate([d1, zero, gt])
         d2 = np.concatenate([d2, gt, zero])
-    mats = _batched_sliced_matrices(m, d1, d2)
-
-    minors = [np.linalg.det(mats[:, :k, :k]) for k in range(1, 5)]
+    hp = HessianParams(m, d1, d2)
+    mats = concavity_form_matrix(hp)
+    minors = principal_minors(mats)
     min_minor = float(min(mn.min() for mn in minors))
     min_eig = float(np.linalg.eigvalsh(mats)[:, 0].min())
 
-    pref = np.exp(-m) / 4.0
-    x1 = 2.0 * np.cosh(d1)
-    x2 = 2.0 * np.cosh(d2)
-    third_closed = pref**3 * (x1 + x2 - 4.0) * 2.0 * (x1 - 2.0) * (x2 - 2.0)
-    det_closed = (
-        4.0 * pref**4 * (2.0 * np.sinh(d1 / 2.0)) ** 4 * (2.0 * np.sinh(d2 / 2.0)) ** 4
-    )
+    third_closed = third_minor_closed_form(hp)
+    det_closed = det_closed_form(hp)
     third_err = np.abs(minors[2] - third_closed)
     det_err = np.abs(minors[3] - det_closed)
     third_gate = np.maximum(1e-9 * np.abs(third_closed), 1e-12)

@@ -156,12 +156,6 @@ class DiscreteMeasure:
         left = below.get(4 * j, 0) + below.get(4 * j + 1, 0)
         return left, below.get(4 * j + 2, 0) + below.get(4 * j + 3, 0)
 
-    def half_subtree_masses(self, I: DyadicInterval):
-        """Masses strictly inside the left and right halves of a 4-adic I."""
-        I.grandchildren()  # rejects an odd I
-        r, j = self._node(I) or (self.depth + 2, 0)
-        return tuple(map(self._value, self._halves(r // 2, j)))
-
     def _worst(self, key, level_max, shift):
         # largest level_max(k) / (2**shift |I|) over the levels k, cached
         if key not in self._cache:
@@ -274,14 +268,6 @@ class SlicedSuperMartingale:
             return self.values[I]
         except KeyError:
             raise ValueError(f"{I.id} lies outside the process tree") from None
-
-    def defect(self, I: DyadicInterval):
-        """Value minus the mean of the four grandchild values."""
-        kids = [self.value(c) for c in I.grandchildren()]
-        return self.value(I) - sum(kids) / 4
-
-    def sup_norm(self):
-        return max(abs(v) for v in self.values.values())
 
 
 def pair_supermartingale(mu: DiscreteMeasure, sign: str,
@@ -488,7 +474,7 @@ def _split_measure(root: DyadicInterval, depth: int, total, split) -> DiscreteMe
 
 
 def random_balanced_measure(rng, depth: int, root: DyadicInterval | None = None,
-                            max_intensity=1, denom_bits: int = 8) -> DiscreteMeasure:
+                            max_intensity=1) -> DiscreteMeasure:
     """Random balanced measure with exact rational masses.
 
     Splits mass top down, always giving the two halves of a node equal
@@ -499,12 +485,13 @@ def random_balanced_measure(rng, depth: int, root: DyadicInterval | None = None,
     root = root if root is not None else unit_root()
     if depth % 2:
         raise ValueError("depth must be even")
-    unit = Fraction(1, 1 << denom_bits)
+    bits = 8  # masses and split shares are multiples of 2**-bits
+    unit = Fraction(1, 1 << bits)
 
     def frac():
-        return rng.getrandbits(denom_bits) * unit
+        return rng.getrandbits(bits) * unit
 
-    total = (rng.getrandbits(denom_bits) + 1) * unit
+    total = (rng.getrandbits(bits) + 1) * unit
     mu = _split_measure(root, depth, total, lambda r, j: (frac(), frac(), frac()))
     packing = mu.packing_intensity()
     cap = max_intensity if isinstance(max_intensity, Fraction) else Fraction(max_intensity)

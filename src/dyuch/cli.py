@@ -269,7 +269,9 @@ def _cmd_conjugate(args) -> dict:
         "real_mean": float(pair.u.root_average),
         "imag_mean": float(pair.v.root_average),
     }
-    return _report("conjugate", args, summary, [])
+    violations = [f"{key} is not finite: {value!r}" for key, value in summary.items()
+                  if not math.isfinite(value)]
+    return _report("conjugate", args, summary, violations)
 
 
 def _cmd_kernel(args) -> dict:
@@ -277,10 +279,10 @@ def _cmd_kernel(args) -> dict:
     anc = args.ancestors if base == "real_line" else 0
     try:
         I = interval_from_id(args.interval, base, anc)
+        _check_depth(I.level - I.root_level)
         k = kernel_mod.reproducing_kernel(I, args.height)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _check_depth(I.level - I.root_level)
     norms = kernel_mod.kernel_norm2(I, args.height)
     summary = {
         "interval": I.id,

@@ -1,11 +1,14 @@
-"""Exact dyadic interval trees, piecewise constant functions, and Haar analysis.
+"""Exact dyadic interval trees, piecewise constant functions, and Haar values.
 
 Intervals are integer (level, index) pairs, never floating endpoints: the
 interval at level l, index n is [n * 2**-l, (n + 1) * 2**-l).  Level parity
 splits the grid into even (4-adic) and odd generations; every structural
-quantity (averages, pair means, Haar data of dyadic-rational inputs) is
-computed in exact rational arithmetic, with doubles only where square roots
-or exponentials force them.
+quantity (averages, pair means) is computed in exact rational arithmetic,
+with doubles only where square roots or exponentials force them.
+
+Haar data is two values, no transform: haar_inner_indicator is the average
+of h_J over an interval, and haar_coefficient one coefficient <f, h_J> of a
+tree, both as doubles.
 
 The number policy lives here for every module: as_numerators decides a
 tree's or measure's mode (all int/Fraction data is exact and kept as int
@@ -145,14 +148,6 @@ class DyadicInterval:
         return dyadic_length(self.level)
 
     @property
-    def left(self) -> Fraction:
-        return self.index * self.length
-
-    @property
-    def right(self) -> Fraction:
-        return (self.index + 1) * self.length
-
-    @property
     def parity(self) -> int:
         return self.level % 2
 
@@ -196,9 +191,6 @@ class DyadicInterval:
             raise ValueError(f"{self.id} is the tree root and has no parent side")
         return 1 if self.index & 1 else -1
 
-    def child(self, side: int) -> "DyadicInterval":
-        return self.halves()[1 if side > 0 else 0]
-
     def descendant(self, rel_level: int, offset: int) -> "DyadicInterval":
         """Descendant rel_level generations down, offset cells from the left edge."""
         return self._make(self.level + rel_level, (self.index << rel_level) + offset)
@@ -217,12 +209,6 @@ class DyadicInterval:
         if other.level < self.level:
             return False
         return (other.index >> (other.level - self.level)) == self.index
-
-    def disjoint(self, other: "DyadicInterval") -> bool:
-        return not self.contains(other) and not other.contains(self)
-
-    def __str__(self):
-        return f"[{self.left}, {self.right})"
 
 
 def unit_root() -> DyadicInterval:
@@ -416,64 +402,11 @@ class PiecewiseConstant:
         return f"PiecewiseConstant(depth={self.depth}, root={self.root.id})"
 
 
-@dataclass
-class HaarCoefficients:
-    """Haar transform of a piecewise constant tree: root average plus one
-    half-difference per interval strictly above the leaf level.
-
-    half_diffs[J] is half the right-half average minus the left-half average
-    of J, in the tree's own mode (Fraction or float); the coefficient
-    <f, h_J> is that times |J|**(1/2), so exact data stays rational.
-    """
-
-    root: DyadicInterval
-    depth: int
-    root_average: object
-    half_diffs: dict
-    exact: bool
-
-    def coefficient(self, J: DyadicInterval) -> float:
-        """The Haar coefficient <f, h_J> as a double."""
-        return float(self.half_diffs[J]) * math.sqrt(2.0 ** (-J.level))
-
-
 def haar_coefficient(pc: PiecewiseConstant, J: DyadicInterval) -> float:
     """Single Haar coefficient <f, h_J> as a double."""
     minus, plus = J.halves()
     half_diff = (float(pc.average(plus)) - float(pc.average(minus))) / 2.0
     return half_diff * math.sqrt(2.0 ** (-J.level))
-
-
-def haar_coefficients(pc: PiecewiseConstant) -> HaarCoefficients:
-    """Full Haar transform; exact for rational leaves."""
-    pyr = pc.pyramid()
-    half_diffs = {}
-    for m in range(pc.depth):
-        row, den = pyr[m + 1], 2 * pc.den_at(m + 1)
-        for j in range(1 << m):
-            diff = row[2 * j + 1] - row[2 * j]
-            half_diffs[pc.root.descendant(m, j)] = ratio(diff, den, pc.exact)
-    return HaarCoefficients(pc.root, pc.depth, pc.root_average, half_diffs, pc.exact)
-
-
-def reconstruct_from_haar(hc: HaarCoefficients) -> PiecewiseConstant:
-    """Invert haar_coefficients exactly."""
-    cur = [hc.root_average]
-    for m in range(hc.depth):
-        nxt = []
-        for j, v in enumerate(cur):
-            d = hc.half_diffs[hc.root.descendant(m, j)]
-            nxt.extend((v - d, v + d))
-        cur = nxt
-    return PiecewiseConstant(cur, hc.root)
-
-
-def plancherel_norm2(hc: HaarCoefficients):
-    """Squared L2 norm from the transform: root term plus coefficient squares."""
-    total = hc.root_average * hc.root_average * hc.root.length
-    for J, d in hc.half_diffs.items():
-        total += d * d * J.length
-    return total
 
 
 def json_number(value):

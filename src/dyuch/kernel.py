@@ -62,7 +62,7 @@ class KernelRep:
     imag_coeffs: dict
     constant: float
 
-    def evaluate(self, K: DyadicInterval, normalized: bool = False) -> complex:
+    def evaluate(self, K: DyadicInterval) -> complex:
         """Averaged kernel value over K, as a complex number."""
         re = self.constant
         im = 0.0
@@ -70,13 +70,7 @@ class KernelRep:
             re += c * haar_inner_indicator(K, J)
         for J, c in self.imag_coeffs.items():
             im += c * haar_inner_indicator(K, J)
-        z = complex(re, im)
-        if normalized:
-            n2 = kernel_norm2(self.interval, self.height).value
-            if n2 == 0:
-                raise ValueError("a height-zero kernel cannot be normalized")
-            z /= math.sqrt(float(n2))
-        return z
+        return complex(re, im)
 
 
 def reproducing_kernel(I: DyadicInterval, height: int) -> KernelRep:

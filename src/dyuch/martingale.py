@@ -226,11 +226,6 @@ class DyadicAnalytic:
     def exact(self) -> bool:
         return self.u.exact and self.v.exact
 
-    @property
-    def is_normalized(self) -> bool:
-        """True when the conjugate part has mean zero."""
-        return self.v.root_average == 0
-
     def average(self, I: DyadicInterval) -> complex:
         return complex(float(self.u.average(I)), float(self.v.average(I)))
 
@@ -257,13 +252,6 @@ class DyadicAnalytic:
                 for r, span in zip(range(self.depth + 1), range(self.depth, -1, -1))
             ], den * den
         return self._moments
-
-    def rotated(self, theta: float) -> "DyadicAnalytic":
-        """Multiply u + iv by exp(i * theta)."""
-        c, s = math.cos(theta), math.sin(theta)
-        ul = [c * float(a) - s * float(b) for a, b in zip(self.u.leaves, self.v.leaves)]
-        vl = [s * float(a) + c * float(b) for a, b in zip(self.u.leaves, self.v.leaves)]
-        return DyadicAnalytic.from_leaves(ul, vl, self.root, validate=False)
 
     def __repr__(self):
         return f"DyadicAnalytic(depth={self.depth}, root={self.root.id})"
@@ -317,8 +305,11 @@ def analytic_projection(re, im=None) -> DyadicAnalytic:
     return DyadicAnalytic(u, v, validate=False)
 
 
-def random_sliced(rng, depth: int, root: DyadicInterval | None = None,
-                  denom_bits: int = 6, amplitude: int = 4) -> SlicedMartingale:
+# random draws: signed numerators over 2**_DENOM_BITS, u's scaled by _AMPLITUDE
+_DENOM_BITS, _AMPLITUDE = 6, 4
+
+
+def random_sliced(rng, depth: int, root: DyadicInterval | None = None) -> SlicedMartingale:
     """Random sliced martingale with exact dyadic rational leaves.
 
     Jumps are drawn only across 4-adic splits, so the slicing constraint
@@ -328,19 +319,18 @@ def random_sliced(rng, depth: int, root: DyadicInterval | None = None,
     if depth % 2:
         raise ValueError("depth must be even")
 
-    def draw():  # a numerator over 2**denom_bits
-        return (rng.getrandbits(denom_bits + 1) - (1 << denom_bits)) * amplitude
+    def draw():  # a numerator over 2**_DENOM_BITS
+        return (rng.getrandbits(_DENOM_BITS + 1) - (1 << _DENOM_BITS)) * _AMPLITUDE
 
     w0 = draw()
     rows = [[(draw(), draw()) for _ in range(1 << k)] for k in range(0, depth, 2)]
-    return _sliced_from_increments(w0, rows, root, 1 << denom_bits)
+    return _sliced_from_increments(w0, rows, root, 1 << _DENOM_BITS)
 
 
-def random_analytic(rng, depth: int, root: DyadicInterval | None = None,
-                    denom_bits: int = 6, amplitude: int = 4) -> DyadicAnalytic:
+def random_analytic(rng, depth: int, root: DyadicInterval | None = None) -> DyadicAnalytic:
     """Random conjugate pair; the conjugate part gets an independent mean."""
-    u = random_sliced(rng, depth, root, denom_bits, amplitude)
-    v0 = Fraction(rng.getrandbits(denom_bits + 1) - (1 << denom_bits), 1 << denom_bits)
+    u = random_sliced(rng, depth, root)
+    v0 = Fraction(rng.getrandbits(_DENOM_BITS + 1) - (1 << _DENOM_BITS), 1 << _DENOM_BITS)
     v = s0(u).shifted(v0)
     return DyadicAnalytic(u, v, validate=False)
 

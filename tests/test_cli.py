@@ -217,6 +217,17 @@ class TestConjugate:
         assert code == 0
         assert "result: PASS" in out
 
+    @pytest.mark.parametrize("leaf, bad", [(1e308, ["norm2", "real_mean"]), (1e200, ["norm2"])],
+                             ids=["average-overflow", "square-overflow"])
+    def test_non_finite_summary_fails(self, capsys, tmp_path, leaf, bad):
+        # finite leaves whose float averages (a + b) * 0.5 or squares overflow
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"base": "unit", "depth": 2, "leaves": [leaf] * 4}))
+        code, out, _ = run(capsys, "conjugate", "--function", str(path))
+        assert code == 1
+        assert [line.split()[1] for line in out.splitlines() if line.startswith("violation:")] == bad
+        assert "result: FAIL" in out
+
 
 class TestKernel:
     def test_emit_frozen_coefficients(self, capsys, tmp_path):
@@ -270,6 +281,19 @@ class TestKernel:
 
     def test_bad_interval_id(self, capsys):
         assert run(capsys, "kernel", "--interval", "nope", "--height", "0")[0] == 2
+
+    def test_depth_cap_checked_before_build(self, capsys, monkeypatch):
+        from dyuch import cli
+
+        def build(*args):
+            raise AssertionError("kernel built before the depth cap was checked")
+
+        monkeypatch.setattr(cli.kernel_mod, "reproducing_kernel", build)
+        code, out, err = run(capsys, "kernel", "--base", "real_line", "--ancestors", "100000",
+                             "--interval", "L0N0", "--height", "100000")
+        assert code == 2
+        assert "result:" not in out
+        assert "exceeds the cap" in err
 
 
 class TestCheck3e:

@@ -11,12 +11,9 @@ from dyuch.dyadic import (
     dyadic_length,
     four_adic_nodes,
     haar_coefficient,
-    haar_coefficients,
     haar_inner_indicator,
     haar_sign_on,
     interval_from_id,
-    plancherel_norm2,
-    reconstruct_from_haar,
     tree_from_json,
     tree_to_json,
     unit_root,
@@ -44,12 +41,9 @@ class TestInterval:
     def test_geometry(self):
         I = DyadicInterval(3, 5)
         assert I.length == Fraction(1, 8)
-        assert I.left == Fraction(5, 8)
-        assert I.right == Fraction(6, 8)
         assert I.parity == 1
         assert not I.is_four_adic
         assert DyadicInterval(2, 1).is_four_adic
-        assert str(I) == "[5/8, 3/4)"
         assert I.id == "L3N5"
 
     def test_unit_validation(self):
@@ -116,8 +110,6 @@ class TestInterval:
         c = DyadicInterval(2, 2)
         assert a.contains(b)
         assert not a.contains(c)
-        assert a.disjoint(c)
-        assert not a.disjoint(b)
         with pytest.raises(ValueError):
             a.contains(DyadicInterval(1, 0, REAL_LINE, 1))
 
@@ -256,61 +248,36 @@ class TestHaar:
             val = haar_inner_indicator(I, J)
             assert val * val == pytest.approx(1.0 / float(J.length), rel=1e-12)
 
-    def test_transform_roundtrip_exact(self):
-        rng = random.Random(3)
-        leaves = [Fraction(rng.randrange(-9, 9), 1 << rng.randrange(0, 4)) for _ in range(16)]
-        pc = PiecewiseConstant(leaves)
-        hc = haar_coefficients(pc)
-        assert reconstruct_from_haar(hc).leaves == pc.leaves
-        assert plancherel_norm2(hc) == pc.l2_norm2()
-
-    def test_transform_float_mode(self):
-        pc = PiecewiseConstant([0.25, -1.5, 2.0, 0.0])
-        hc = haar_coefficients(pc)
-        back = reconstruct_from_haar(hc)
-        for a, b in zip(back.leaves, pc.leaves):
-            assert a == pytest.approx(b, abs=1e-14)
-        assert plancherel_norm2(hc) == pytest.approx(pc.l2_norm2(), abs=1e-14)
-
     def test_single_coefficient_brute_force(self):
         rng = random.Random(4)
         leaves = [rng.uniform(-2, 2) for _ in range(16)]
-        pc = PiecewiseConstant(leaves)
-        for lev, idx in ((0, 0), (1, 1), (2, 3), (3, 6)):
-            J = DyadicInterval(lev, idx)
-            h = haar_leaves(J, 4, unit_root())
-            want = sum(a * b for a, b in zip(leaves, h)) / 16
-            assert haar_coefficient(pc, J) == pytest.approx(want, abs=1e-12)
+        for root in (unit_root(), window_root(1)):
+            pc = PiecewiseConstant(leaves, root)
+            cell = float(dyadic_length(root.level + 4))
+            for lev, idx in ((0, 0), (1, 1), (2, 3), (3, 6)):
+                J = root.descendant(lev, idx)
+                h = haar_leaves(J, 4, root)
+                want = sum(a * b for a, b in zip(leaves, h)) * cell
+                assert haar_coefficient(pc, J) == pytest.approx(want, abs=1e-12)
 
     def test_exact_matches_float(self):
         pc = PiecewiseConstant([Fraction(3, 2), 1, 0, -2])
-        hc = haar_coefficients(pc)
-        assert all(isinstance(d, Fraction) for d in hc.half_diffs.values())
-        for J in hc.half_diffs:
-            assert hc.coefficient(J) == pytest.approx(haar_coefficient(pc, J), abs=1e-14)
+        copy = PiecewiseConstant([1.5, 1.0, 0.0, -2.0])
+        assert pc.exact and not copy.exact
+        for J in (unit_root(), DyadicInterval(1, 0), DyadicInterval(1, 1)):
+            assert haar_coefficient(pc, J) == haar_coefficient(copy, J)
 
     def test_exact_haar_step(self):
-        # |J|**(1/2) h_J is +-1 on the halves of J: one half-difference of 1,
-        # so the coefficient is |J|**(1/2) and Plancherel gives |J| exactly
+        # |J|**(1/2) h_J is +-1 on the halves of J, so its coefficient at J is
+        # |J|**(1/2) and every other coefficient is zero
         root = unit_root()
         for lev, idx in ((0, 0), (1, 1), (2, 2), (3, 5)):
             J = DyadicInterval(lev, idx)
             pc = PiecewiseConstant([round(v * math.sqrt(float(J.length))) for v in
                                     haar_leaves(J, 4, root)])
-            hc = haar_coefficients(pc)
-            assert hc.half_diffs == {K: int(K == J) for K in hc.half_diffs}
-            assert hc.coefficient(J) == pytest.approx(math.sqrt(float(J.length)), rel=1e-15)
-            assert plancherel_norm2(hc) == J.length == pc.l2_norm2()
-            assert reconstruct_from_haar(hc) == pc
-
-    def test_window_coefficients(self):
-        root = window_root(1)
-        pc = PiecewiseConstant([2, 0, 1, 1], root)
-        hc = haar_coefficients(pc)
-        assert set(hc.half_diffs) == {root, DyadicInterval(-1, 0, REAL_LINE, 1),
-                                  DyadicInterval(-1, 1, REAL_LINE, 1)}
-        assert reconstruct_from_haar(hc).leaves == pc.leaves
-        assert plancherel_norm2(hc) == pc.l2_norm2()
+            for K in (root.descendant(m, j) for m in range(4) for j in range(1 << m)):
+                want = math.sqrt(float(J.length)) if K == J else 0.0
+                assert haar_coefficient(pc, K) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 class TestTreeJson:

@@ -121,17 +121,6 @@ class TestKernelNorm:
             mass += sum(c * c for c in k.imag_coeffs.values())
             assert mass == pytest.approx(float(kernel_norm2(I, h).value), abs=1e-12)
 
-    def test_normalized_evaluate(self):
-        I = DyadicInterval(2, 0)
-        k = reproducing_kernel(I, 1)
-        z = k.evaluate(I)
-        n2 = float(kernel_norm2(I, 1).value)
-        assert k.evaluate(I, normalized=True) == pytest.approx(
-            z / math.sqrt(n2), abs=1e-12
-        )
-        with pytest.raises(ValueError, match="height-zero"):
-            reproducing_kernel(I, 0).evaluate(I, normalized=True)
-
 
 class TestKernelAsPair:
     def test_valid_pair_and_norm(self):

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import math
 import random
 from fractions import Fraction
 
@@ -189,7 +188,7 @@ class TestDyadicAnalytic:
         with pytest.raises(ValueError):
             DyadicAnalytic(u, u)  # fails the increment coupling
         f = DyadicAnalytic(u, s0(u))
-        assert f.exact and f.is_normalized
+        assert f.exact and f.v.root_average == 0
 
     def test_norm_and_average(self):
         u = SlicedMartingale.from_leaves([0, 2, 1, 1])
@@ -210,22 +209,6 @@ class TestDyadicAnalytic:
                 want = sum(ul[t] ** 2 + vl[t] ** 2 for t in range(lo, hi))
                 want = Fraction(want, hi - lo)
                 assert f.second_moment(I) == want
-
-    def test_rotation(self):
-        rng = random.Random(13)
-        f = random_analytic(rng, 4)
-        g = f.rotated(math.pi / 2)
-        for a, b in zip(g.u.leaves, f.v.leaves):
-            assert a == pytest.approx(-float(b), abs=1e-12)
-        for a, b in zip(g.v.leaves, f.u.leaves):
-            assert a == pytest.approx(float(b), abs=1e-12)
-        assert g.norm2() == pytest.approx(float(f.norm2()), rel=1e-12)
-
-    def test_rotation_stays_conjugate(self):
-        rng = random.Random(14)
-        f = random_analytic(rng, 4)
-        g = f.rotated(0.73)  # constructor re-validates the coupling
-        assert cr_residual(g.u, g.v) <= 1e-12
 
 
 class TestProjection:

@@ -14,9 +14,7 @@ from dyuch import kernel
 from dyuch.carleson import DiscreteMeasure, embedding_sum, random_balanced_measure
 from dyuch.dyadic import (
     PiecewiseConstant,
-    haar_coefficients,
-    plancherel_norm2,
-    reconstruct_from_haar,
+    haar_coefficient,
     unit_root,
     window_root,
 )
@@ -30,14 +28,8 @@ from dyuch.martingale import (
 
 
 def _haar(f, mu):
-    hc = haar_coefficients(f.u.pc)
-    return [
-        *hc.half_diffs.values(),
-        *(hc.coefficient(J) for J in hc.half_diffs),
-        *reconstruct_from_haar(hc).leaves,
-        plancherel_norm2(hc),
-        f.u.pc.l2_norm2(),
-    ]
+    nodes = _nodes(f.root, f.depth - 1)
+    return [*(haar_coefficient(f.u.pc, J) for J in nodes), f.u.pc.l2_norm2()]
 
 
 def _projection(f, mu):
