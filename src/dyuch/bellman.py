@@ -19,6 +19,7 @@ import numpy as np
 E = math.e
 PSD_TOL = 1e-9
 DOMAIN_TOL = 1e-12
+STEP_TOL = 1e-9  # domain and constraint slack of one step of the dynamics
 
 
 @dataclass(frozen=True)
@@ -95,16 +96,16 @@ class SplitSpec:
         )
 
 
-def _step_gap(p: BellmanPoint, split: SplitSpec, tol: float) -> float:
-    if not p.in_domain(tol if tol > DOMAIN_TOL else DOMAIN_TOL):
+def _step_gap(p: BellmanPoint, split: SplitSpec) -> float:
+    if not p.in_domain(STEP_TOL):
         raise ValueError("state lies outside the certificate domain")
-    if abs(sum(split.F_parts) / 4 - p.F) > max(tol, 1e-9 * abs(p.F)):
+    if abs(sum(split.F_parts) / 4 - p.F) > max(STEP_TOL, 1e-9 * abs(p.F)):
         raise ValueError("children second moments must average to the parent F")
     kids = split.children(p)
     return bellman_value(p) - sum(bellman_value(c) for c in kids) / 4
 
 
-def concavity_gap(p: BellmanPoint, split: SplitSpec, tol: float = 1e-9) -> float:
+def concavity_gap(p: BellmanPoint, split: SplitSpec) -> float:
     """Midpoint concavity surplus along a mass-free split; nonnegative always.
 
     Children may leave the domain without breaking the inequality, so they
@@ -112,15 +113,15 @@ def concavity_gap(p: BellmanPoint, split: SplitSpec, tol: float = 1e-9) -> float
     """
     if split.mu != 0:
         raise ValueError("concavity_gap needs a mass-free split (mu == 0)")
-    return _step_gap(p, split, tol)
+    return _step_gap(p, split)
 
 
-def dynamics_gap(p: BellmanPoint, split: SplitSpec, tol: float = 1e-9) -> float:
+def dynamics_gap(p: BellmanPoint, split: SplitSpec) -> float:
     """Full one-step surplus: value drop minus the harvested mass term."""
     if split.mu < 0:
         raise ValueError("mass density must be nonnegative")
     harvest = split.mu * (p.r * p.r + p.i * p.i)
-    return _step_gap(p, split, tol) - harvest
+    return _step_gap(p, split) - harvest
 
 
 @dataclass(frozen=True)
@@ -212,7 +213,6 @@ def laplacian_step_gap(
     v: float,
     dxu: float,
     dyu: float,
-    tol: float = 1e-9,
 ) -> float:
     """One-step surplus of the exponentially weighted second moment.
 
@@ -225,7 +225,7 @@ def laplacian_step_gap(
     """
     mxm, mxp, mym, myp = child_ms
     target = m_parent + mu_over_len
-    if abs((mxm + mxp) / 2 - target) > tol or abs((mym + myp) / 2 - target) > tol:
+    if abs((mxm + mxp) / 2 - target) > STEP_TOL or abs((mym + myp) / 2 - target) > STEP_TOL:
         raise ValueError("children weight pairs must average to parent + density")
     kids = (
         (mxm, u - dxu, v + dyu),

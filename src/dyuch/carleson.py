@@ -26,7 +26,7 @@ from .dyadic import (
     unit_root,
     zero,
 )
-from .martingale import DyadicAnalytic
+from .martingale import DyadicAnalytic, _jump_rows
 from . import bellman
 
 E = math.e
@@ -171,8 +171,8 @@ class DiscreteMeasure:
             return max((abs(right - left) for left, right in halves), default=0)
         return self._worst("balance", level_max, -1)
 
-    def is_balanced(self, tol=DEFAULT_TOL) -> bool:
-        return self.balance_residual() <= tol
+    def is_balanced(self) -> bool:
+        return self.balance_residual() <= DEFAULT_TOL
 
     def packing_intensity(self):
         """Largest normalized subtree mass S(I)/|I| over the support closure."""
@@ -226,7 +226,7 @@ class SlicedSuperMartingale:
 
     __slots__ = ("values", "root", "depth", "sign", "exact")
 
-    def __init__(self, values, root, depth, sign, validate=True, tol=DEFAULT_TOL):
+    def __init__(self, values, root, depth, sign, validate=True):
         if sign not in (SUPERMARTINGALE_NONNEG, SUBMARTINGALE_NONPOS):
             raise ValueError(f"unknown sign convention {sign!r}")
         if depth % 2:
@@ -240,7 +240,7 @@ class SlicedSuperMartingale:
         self.values, self.root, self.depth, self.sign = vals, root, depth, sign
         self.exact = exact
         if validate:
-            self._check(tol if not exact else 0)
+            self._check(DEFAULT_TOL if not exact else 0)
 
     def _check(self, tol):
         flip = 1 if self.sign == SUPERMARTINGALE_NONNEG else -1
@@ -270,10 +270,9 @@ class SlicedSuperMartingale:
             raise ValueError(f"{I.id} lies outside the process tree") from None
 
 
-def pair_supermartingale(mu: DiscreteMeasure, sign: str,
-                         tol=DEFAULT_TOL) -> SlicedSuperMartingale:
+def pair_supermartingale(mu: DiscreteMeasure, sign: str) -> SlicedSuperMartingale:
     """Process paired with a balanced measure: +-S(I)/|I| on every node."""
-    if not mu.is_balanced(tol):
+    if not mu.is_balanced():
         res = float(mu.balance_residual())
         raise ValueError(f"measure is not balanced (residual {res:.6g}); the pairing needs"
                          " equal half masses")
@@ -285,7 +284,7 @@ def pair_supermartingale(mu: DiscreteMeasure, sign: str,
     return SlicedSuperMartingale(values, mu.root, mu.depth, sign, validate=False)
 
 
-def measure_from_supermartingale(M: SlicedSuperMartingale, tol=DEFAULT_TOL) -> DiscreteMeasure:
+def measure_from_supermartingale(M: SlicedSuperMartingale) -> DiscreteMeasure:
     """Invert the pairing: masses are the per-node drift defects times |I|."""
     flip = 1 if M.sign == SUPERMARTINGALE_NONNEG else -1
     masses = {}
@@ -293,7 +292,7 @@ def measure_from_supermartingale(M: SlicedSuperMartingale, tol=DEFAULT_TOL) -> D
         s_here = flip * v * I.length
         below = I.grandchildren() if I.level - M.root.level + 2 <= M.depth else ()
         m = s_here - sum(flip * M.values[c] * c.length for c in below)
-        if m < (-tol if not M.exact else 0):
+        if m < (-DEFAULT_TOL if not M.exact else 0):
             raise ValueError(f"negative implied mass at {I.id}")
         if m > 0:
             masses[I] = m
@@ -313,23 +312,21 @@ def _steps(f: DyadicAnalytic, mu: DiscreteMeasure):
     averages of u and v, and the half jumps dx, dy of u)."""
     dens = mu.float_densities()
     dens = dens + [[0.0] * (1 << 2 * k) for k in range(len(dens), f.depth // 2 + 1)]
-    upyr, uf, vf = f.u.pc.pyramid(), f.u.pc.float_pyramid(), f.v.pc.float_pyramid()
-    for r in range(0, f.depth - 1, 2):
-        here, below, grand = dens[r // 2], dens[r // 2 + 1], upyr[r + 2]
-        half = 2 * f.u.pc.den_at(r + 2)
-        for j in range(1 << r):
+    uf, vf = f.u.float_pyramid(), f.v.float_pyramid()
+    rows, den = _jump_rows(f.u)
+    for k, row in enumerate(rows):
+        r, here, below = 2 * k, dens[k], dens[k + 1]
+        for j, (dx, dy) in enumerate(row):
             own = mu.float_density(mu.own.get((r, j), 0), f.root.level + r)
             kids = tuple(below[4 * j + q] for q in (2, 3, 0, 1))
-            dx = (grand[4 * j + 3] - grand[4 * j + 2]) / half
-            dy = (grand[4 * j + 1] - grand[4 * j]) / half
-            yield r, j, here[j], own, kids, uf[r][j], vf[r][j], dx, dy
+            yield r, j, here[j], own, kids, uf[r][j], vf[r][j], dx / den, dy / den
 
 
 def embedding_sum(f: DyadicAnalytic, mu: DiscreteMeasure):
     """Sum of mu_I times the squared modulus of the averaged pair at I."""
     _require_compatible(f, mu)
-    upyr, vpyr = f.u.pc.pyramid(), f.v.pc.pyramid()
-    dus, dvs = ([pc.den_at(r) for r in range(f.depth + 1)] for pc in (f.u.pc, f.v.pc))
+    upyr, vpyr = f.u.pyramid(), f.v.pyramid()
+    dus, dvs = ([pc.den_at(r) for r in range(f.depth + 1)] for pc in (f.u, f.v))
     total = 0
     for (r, j), m in mu.own.items():
         a, b, du, dv = upyr[r][j], vpyr[r][j], dus[r], dvs[r]
@@ -339,9 +336,9 @@ def embedding_sum(f: DyadicAnalytic, mu: DiscreteMeasure):
     return ratio(total, mu.den * (dus[0] * dvs[0]) ** 2, f.exact and mu.exact)
 
 
-def embedding_slack(f: DyadicAnalytic, mu: DiscreteMeasure, constant: float = E):
+def embedding_slack(f: DyadicAnalytic, mu: DiscreteMeasure):
     """Certified bound minus the embedding sum; nonnegative when the bound holds."""
-    bound = constant * float(mu.packing_intensity()) * float(f.norm2())
+    bound = E * float(mu.packing_intensity()) * float(f.norm2())
     return bound - float(embedding_sum(f, mu))
 
 
@@ -353,7 +350,7 @@ def weighted_embedding_slack(f: DyadicAnalytic, mu: DiscreteMeasure) -> float:
     """
     _require_compatible(f, mu)
     dens = mu.float_densities()
-    uf, vf = f.u.pc.float_pyramid(), f.v.pc.float_pyramid()
+    uf, vf = f.u.float_pyramid(), f.v.float_pyramid()
     total = 0.0
     for (r, j), m in mu.own.items():
         w = math.exp(-dens[r // 2][j])
@@ -401,7 +398,7 @@ def telescoped_weighted_slack(f: DyadicAnalytic,
         gap = bellman.laplacian_step_gap(-m, own, tuple(-k for k in kids), u, v, dx, dy)
         node_terms[f.root.descendant(r, j)] = 2.0 ** -(f.root.level + r) * gap
 
-    dens, uf, vf = mu.float_densities(), f.u.pc.float_pyramid(), f.v.pc.float_pyramid()
+    dens, uf, vf = mu.float_densities(), f.u.float_pyramid(), f.v.float_pyramid()
     r0, i0 = uf[0][0], vf[0][0]
     root_term = float(f.root.length) * math.exp(-dens[0][0]) * (r0 * r0 + i0 * i0)
 
@@ -473,14 +470,13 @@ def _split_measure(root: DyadicInterval, depth: int, total, split) -> DiscreteMe
     return DiscreteMeasure._from_nodes(root, depth, nodes, masses)
 
 
-def random_balanced_measure(rng, depth: int, root: DyadicInterval | None = None,
-                            max_intensity=1) -> DiscreteMeasure:
+def random_balanced_measure(rng, depth: int, root: DyadicInterval | None = None) -> DiscreteMeasure:
     """Random balanced measure with exact rational masses.
 
     Splits mass top down, always giving the two halves of a node equal
     subtree mass, so the balance residual is exactly zero by construction.
-    The result is rescaled to keep the packing intensity at or below the
-    cap, again exactly.
+    The result is rescaled to keep the packing intensity at or below one,
+    again exactly.
     """
     root = root if root is not None else unit_root()
     if depth % 2:
@@ -494,7 +490,4 @@ def random_balanced_measure(rng, depth: int, root: DyadicInterval | None = None,
     total = (rng.getrandbits(bits) + 1) * unit
     mu = _split_measure(root, depth, total, lambda r, j: (frac(), frac(), frac()))
     packing = mu.packing_intensity()
-    cap = max_intensity if isinstance(max_intensity, Fraction) else Fraction(max_intensity)
-    if packing > cap:
-        mu = mu.scale(cap / packing)
-    return mu
+    return mu.scale(1 / packing) if packing > 1 else mu

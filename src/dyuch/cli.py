@@ -25,10 +25,6 @@ EXIT_USAGE = 2
 DEFAULT_MAX_DEPTH = 8
 
 
-class UsageError(Exception):
-    """Bad invocation or unreadable input; maps to exit code 2."""
-
-
 def _max_depth() -> int:
     raw = os.environ.get("DYUCH_MAX_DEPTH")
     if raw is None:
@@ -36,13 +32,13 @@ def _max_depth() -> int:
     try:
         return int(raw)
     except ValueError as exc:
-        raise UsageError(f"DYUCH_MAX_DEPTH must be an integer, got {raw!r}") from exc
+        raise ValueError(f"DYUCH_MAX_DEPTH must be an integer, got {raw!r}") from exc
 
 
 def _check_depth(depth: int) -> None:
     cap = _max_depth()
     if depth > cap:
-        raise UsageError(
+        raise ValueError(
             f"depth {depth} exceeds the cap {cap}; raise DYUCH_MAX_DEPTH to allow it")
 
 
@@ -51,16 +47,17 @@ def _load_json(path: str):
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _load(path: str, parse, check_depth=True):
+    obj = _load_json(path)
     try:
-        obj = parse(_load_json(path))
+        obj = parse(obj)
     except ValueError as exc:
-        raise UsageError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     if check_depth:
         _check_depth(obj.depth)
     return obj
@@ -76,12 +73,12 @@ def _load_measure(path: str) -> carleson.DiscreteMeasure:
 
 def _require_compatible(f, mu, tol):
     if mu.root != f.root:
-        raise UsageError("function and measure use different bases")
+        raise ValueError("function and measure use different bases")
     if mu.depth > f.depth:
-        raise UsageError("measure reaches deeper than the function tree")
+        raise ValueError("measure reaches deeper than the function tree")
     res = float(mu.balance_residual())
     if not res <= tol:
-        raise UsageError(f"measure is not balanced (residual {res:.6g}); this check needs"
+        raise ValueError(f"measure is not balanced (residual {res:.6g}); this check needs"
                          " equal half masses")
 
 
@@ -94,7 +91,7 @@ def _write_text(path: str, text: str) -> None:
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def _fmt(value) -> str:
@@ -251,24 +248,27 @@ def _cmd_uchiyama_check(args) -> dict:
 def _cmd_conjugate(args) -> dict:
     u_tree = _load(args.function, tree_from_json)
     imag = None if args.imag is None else _load(args.imag, tree_from_json, check_depth=False)
-    try:
+    # the projection keeps both means, so a float mean that overflows leaves no pair
+    means = {key: t.root_average for key, t in (("real_mean", u_tree), ("imag_mean", imag))
+             if args.project and t is not None and not t.exact}
+    if not all(map(math.isfinite, means.values())):
+        summary = {"depth": u_tree.depth, **means}
+    else:
         if args.project:
             pair = martingale.analytic_projection(u_tree, imag)
         elif imag is not None:
             pair = martingale.DyadicAnalytic(u_tree, imag)
         else:
             pair = martingale.conjugate(u_tree)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if args.emit:
-        _write_text(args.emit, _dump(analytic_to_json(pair)))
-    summary = {
-        "depth": pair.depth,
-        "norm2": float(pair.norm2()),
-        "cr_residual": float(martingale.cr_residual(pair.u, pair.v)),
-        "real_mean": float(pair.u.root_average),
-        "imag_mean": float(pair.v.root_average),
-    }
+        if args.emit:
+            _write_text(args.emit, _dump(analytic_to_json(pair)))
+        summary = {
+            "depth": pair.depth,
+            "norm2": float(pair.norm2()),
+            "cr_residual": float(martingale.cr_residual(pair.u, pair.v)),
+            "real_mean": float(pair.u.root_average),
+            "imag_mean": float(pair.v.root_average),
+        }
     violations = [f"{key} is not finite: {value!r}" for key, value in summary.items()
                   if not math.isfinite(value)]
     return _report("conjugate", args, summary, violations)
@@ -277,12 +277,9 @@ def _cmd_conjugate(args) -> dict:
 def _cmd_kernel(args) -> dict:
     base = args.base
     anc = args.ancestors if base == "real_line" else 0
-    try:
-        I = interval_from_id(args.interval, base, anc)
-        _check_depth(I.level - I.root_level)
-        k = kernel_mod.reproducing_kernel(I, args.height)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    I = interval_from_id(args.interval, base, anc)
+    _check_depth(I.level - I.root_level)
+    k = kernel_mod.reproducing_kernel(I, args.height)
     norms = kernel_mod.kernel_norm2(I, args.height)
     summary = {
         "interval": I.id,
@@ -294,11 +291,7 @@ def _cmd_kernel(args) -> dict:
         "truncation_tail": float(kernel_mod.truncation_tail_bound(I, args.height)),
     }
     if args.evaluate:
-        try:
-            K = interval_from_id(args.evaluate, base, anc)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        z = k.evaluate(K)
+        z = k.evaluate(interval_from_id(args.evaluate, base, anc))
         summary["value_re"], summary["value_im"] = z.real, z.imag
     if args.emit:
         payload = {
@@ -346,11 +339,8 @@ def _cmd_check_3e(args) -> dict:
 
 def _cmd_search_extremal(args) -> dict:
     _check_depth(args.depth)
-    try:
-        config = extremal.search(args.depth, budget=args.budget, seed=args.seed,
-                                 restarts=args.restarts)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    config = extremal.search(args.depth, budget=args.budget, seed=args.seed,
+                             restarts=args.restarts)
     if args.emit:
         payload = {
             "ratio": config.ratio,
@@ -373,10 +363,7 @@ def _cmd_certify_lower_bound(args) -> dict:
     bounds = []
     violations = []
     for eps in args.eps:
-        try:
-            bound = extremal.lower_bound_certificate(eps)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        bound = extremal.lower_bound_certificate(eps)
         bounds.append(bound)
         if bound >= extremal.E:
             violations.append(f"certificate {bound!r} at eps {eps!r} overshot e")
@@ -482,7 +469,7 @@ def main(argv=None) -> int:
         report = args.func(args)
         if args.out:
             _write_text(args.out, _dump(report))
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OverflowError as exc:

@@ -399,7 +399,7 @@ class PiecewiseConstant:
         return self.root == other.root and self.leaves == other.leaves
 
     def __repr__(self):
-        return f"PiecewiseConstant(depth={self.depth}, root={self.root.id})"
+        return f"{type(self).__name__}(depth={self.depth}, root={self.root.id})"
 
 
 def haar_coefficient(pc: PiecewiseConstant, J: DyadicInterval) -> float:

@@ -142,8 +142,8 @@ def _embed_state(state: dict) -> dict:
 
 
 def _pair_from_state(state: dict) -> DyadicAnalytic:
-    u = _sliced_from_increments(state["u0"], state["incs"], unit_root())
-    return DyadicAnalytic(u, s0(u).shifted(state["v0"]), validate=False)
+    u = _sliced_from_increments(state["u0"], state["incs"])
+    return DyadicAnalytic(u, s0(u).shift(state["v0"]), validate=False)
 
 
 def _measure_from_state(state: dict) -> DiscreteMeasure:

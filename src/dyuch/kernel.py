@@ -136,11 +136,11 @@ def reproducing_residual(f: DyadicAnalytic, I: DyadicInterval, height: int) -> f
     re = k.constant * float(f.u.root_average)
     im = k.constant * float(f.v.root_average)
     for J, c in k.real_coeffs.items():
-        re += c * haar_coefficient(f.u.pc, J)
-        im += c * haar_coefficient(f.v.pc, J)
+        re += c * haar_coefficient(f.u, J)
+        im += c * haar_coefficient(f.v, J)
     for J, c in k.imag_coeffs.items():
-        re += c * haar_coefficient(f.v.pc, J)
-        im -= c * haar_coefficient(f.u.pc, J)
+        re += c * haar_coefficient(f.v, J)
+        im -= c * haar_coefficient(f.u, J)
     return abs(complex(re, im) - f.average(I))
 
 

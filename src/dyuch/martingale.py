@@ -22,7 +22,6 @@ from .dyadic import (
     ratio,
     tree_from_json,
     tree_to_json,
-    unit_root,
     zero,
 )
 
@@ -58,88 +57,62 @@ def slicing_residual(pc: PiecewiseConstant):
     return max(itertools.chain([zero(pc.exact)], gaps))
 
 
-class SlicedMartingale:
+class SlicedMartingale(PiecewiseConstant):
     """Piecewise constant tree whose jumps avoid the odd generations.
 
     Construction validates top down and reports the shallowest offending
-    node, so error messages point at the coarsest structural break.
+    node, so error messages point at the coarsest structural break.  The
+    checked tree's numerators and cached pyramid are taken over as they are.
     """
 
-    __slots__ = ("pc",)
+    __slots__ = ()
 
     def __init__(self, pc: PiecewiseConstant, validate: bool = True, tol=DEFAULT_TOL):
         if validate:
             hit = _first_violation(pc, tol if not pc.exact else 0)
             if hit is not None:
                 raise SlicingViolation(*hit)
-        self.pc = pc
+        for name in PiecewiseConstant.__slots__:
+            setattr(self, name, getattr(pc, name))
 
     @classmethod
     def from_leaves(cls, leaves, root: DyadicInterval | None = None, **kw):
         return cls(PiecewiseConstant(leaves, root), **kw)
 
-    # read through to the tree
-    leaves = property(lambda self: self.pc.leaves)
-    depth = property(lambda self: self.pc.depth)
-    root = property(lambda self: self.pc.root)
-    exact = property(lambda self: self.pc.exact)
-    root_average = property(lambda self: self.pc.root_average)
-
-    def average(self, I: DyadicInterval):
-        return self.pc.average(I)
-
-    def norm2(self):
-        return self.pc.l2_norm2()
+    # names the benchmark scripts read
+    pc = property(lambda self: self)
+    norm2 = PiecewiseConstant.l2_norm2
+    shifted = PiecewiseConstant.shift
+    scaled = PiecewiseConstant.scale
 
     def increments(self, I: DyadicInterval):
         """Half jumps (dx, dy) of the two sibling pairs below a 4-adic node.
 
         dx is half the step across the right half of I, dy across the left.
         """
-        r, j = self.pc.rel_position(I)
+        r, j = self.rel_position(I)
         if r % 2 or r + 2 > self.depth:
             raise ValueError(f"{I.id} has no grandchildren inside this tree")
-        jumps, den = _half_jumps(self.pc.pyramid()[r + 2], j, 1), 2 * self.pc.den_at(r + 2)
-        return tuple(ratio(d, den, self.exact) for d in jumps)
-
-    def shifted(self, c) -> "SlicedMartingale":
-        return SlicedMartingale(self.pc.shift(c), validate=False)
-
-    def scaled(self, c) -> "SlicedMartingale":
-        return SlicedMartingale(self.pc.scale(c), validate=False)
-
-    def __eq__(self, other):
-        if not isinstance(other, SlicedMartingale):
-            return NotImplemented
-        return self.pc == other.pc
-
-    def __repr__(self):
-        return f"SlicedMartingale(depth={self.depth}, root={self.root.id})"
-
-
-def _as_pc(u) -> PiecewiseConstant:
-    return u.pc if isinstance(u, SlicedMartingale) else u
-
-
-def _half_jumps(row, j, c):
-    """(dx, dy) below node j of a 4-adic level, from the grandchild row: c
-    times the differences of the right and of the left sibling pair."""
-    return (row[4 * j + 3] - row[4 * j + 2]) * c, (row[4 * j + 1] - row[4 * j]) * c
+        rows, den = _jump_rows(self)
+        return tuple(ratio(d, den, self.exact) for d in rows[r // 2][j])
 
 
 def _jump_rows(pc: PiecewiseConstant):
     """(rows, den): the half jumps (dx, dy) of every 4-adic level, nodes left
-    to right, as numerators over one denominator den (pc.den_at(0))."""
+    to right, as numerators over one denominator den (pc.den_at(0)).  Below
+    each node, dx is half the difference of the right sibling pair of
+    grandchildren and dy that of the left pair."""
     pyr = pc.pyramid()
     half, grow = level_step(pc.exact)
     rows = []
     for k in range(0, pc.depth, 2):
-        c = half * grow ** (k + 1)
-        rows.append([_half_jumps(pyr[k + 2], j, c) for j in range(1 << k)])
+        row, c = pyr[k + 2], half * grow ** (k + 1)
+        rows.append([((row[q + 3] - row[q + 2]) * c, (row[q + 1] - row[q]) * c)
+                     for q in range(0, len(row), 4)])
     return rows, pc.den_at(0)
 
 
-def _sliced_from_increments(w0, rows, root: DyadicInterval, den=1) -> "SlicedMartingale":
+def _sliced_from_increments(w0, rows, den=1, root: DyadicInterval | None = None):
     """Sliced martingale with root value w0 / den and (dx, dy) rows over den.
 
     Each 4-adic generation sends a node value w to its grandchildren
@@ -149,7 +122,7 @@ def _sliced_from_increments(w0, rows, root: DyadicInterval, den=1) -> "SlicedMar
     cur = [w0]
     for row in rows:
         cur = [x for w, (dx, dy) in zip(cur, row) for x in (w - dy, w + dy, w - dx, w + dx)]
-    return SlicedMartingale(PiecewiseConstant.from_numerators(cur, den, root), validate=False)
+    return SlicedMartingale.from_numerators(cur, den, root)
 
 
 def s0(u) -> SlicedMartingale:
@@ -160,13 +133,12 @@ def s0(u) -> SlicedMartingale:
     the mean.  Applying it twice negates a mean-zero input.  In jump terms
     (dx, dy) becomes (-dy, dx).
     """
-    pc = _as_pc(u)
     if not isinstance(u, SlicedMartingale):
-        SlicedMartingale(pc)  # rejects non-sliced input
-    rows, den = _jump_rows(pc)
+        u = SlicedMartingale(u)  # rejects non-sliced input
+    rows, den = _jump_rows(u)
     rotated = [[(-dy, dx) for dx, dy in row] for row in rows]
-    zero_num = 0 * level_step(pc.exact)[0]  # 0, or 0.0 for a float tree
-    return _sliced_from_increments(zero_num, rotated, pc.root, den)
+    zero_num = 0 * level_step(u.exact)[0]  # 0, or 0.0 for a float tree
+    return _sliced_from_increments(zero_num, rotated, den, u.root)
 
 
 def cr_residual(u, v):
@@ -175,9 +147,8 @@ def cr_residual(u, v):
     At every 4-adic node the pair must satisfy dx(u) = dy(v) and
     dy(u) = -dx(v); the residual is the worst absolute mismatch.
     """
-    up, vp = _as_pc(u), _as_pc(v)
-    up._require_same_grid(vp)
-    (urows, uden), (vrows, vden) = _jump_rows(up), _jump_rows(vp)
+    u._require_same_grid(v)
+    (urows, uden), (vrows, vden) = _jump_rows(u), _jump_rows(v)
     den = math.lcm(uden, vden)
     a, b = den // uden, den // vden
     worst = 0
@@ -186,7 +157,7 @@ def cr_residual(u, v):
             bad = max(abs(dxu * a - dyv * b), abs(dyu * a + dxv * b))
             if bad > worst:
                 worst = bad
-    return ratio(worst, den, up.exact and vp.exact)
+    return ratio(worst, den, u.exact and v.exact)
 
 
 class DyadicAnalytic:
@@ -199,13 +170,13 @@ class DyadicAnalytic:
 
     __slots__ = ("u", "v", "_moments")
 
-    def __init__(self, u, v, validate: bool = True, tol=DEFAULT_TOL):
-        u = u if isinstance(u, SlicedMartingale) else SlicedMartingale(u, validate, tol)
-        v = v if isinstance(v, SlicedMartingale) else SlicedMartingale(v, validate, tol)
-        u.pc._require_same_grid(v.pc)
+    def __init__(self, u, v, validate: bool = True):
+        u = u if isinstance(u, SlicedMartingale) else SlicedMartingale(u, validate)
+        v = v if isinstance(v, SlicedMartingale) else SlicedMartingale(v, validate)
+        u._require_same_grid(v)
         if validate:
             bad = cr_residual(u, v)
-            if bad > (0 if (u.exact and v.exact) else tol):
+            if bad > (0 if (u.exact and v.exact) else DEFAULT_TOL):
                 bad = float(bad)
                 raise ValueError(f"pair is not conjugate: Cauchy-Riemann residual {bad:.6g}")
         self.u, self.v, self._moments = u, v, None
@@ -231,11 +202,11 @@ class DyadicAnalytic:
 
     def norm2(self):
         """Integral of u**2 + v**2 over the tree root."""
-        return self.u.norm2() + self.v.norm2()
+        return self.u.l2_norm2() + self.v.l2_norm2()
 
     def second_moment(self, I: DyadicInterval):
         """Average of u**2 + v**2 over a tree interval."""
-        r, j = self.u.pc.rel_position(I)
+        r, j = self.u.rel_position(I)
         sums, den = self.moment_sums()
         return ratio(sums[r][j], den << (self.depth - r), self.exact)
 
@@ -243,7 +214,7 @@ class DyadicAnalytic:
         """(sums, den): sums[r][j] / den is the sum of u**2 + v**2 over the
         leaves below node (r, j), each leaf summed once, left to right."""
         if self._moments is None:
-            up, vp = self.u.pc, self.v.pc
+            up, vp = self.u, self.v
             den = math.lcm(up.den, vp.den)
             a, b = den // up.den, den // vp.den
             sq = [(x * a) * (x * a) + (y * b) * (y * b) for x, y in zip(up.nums, vp.nums)]
@@ -259,27 +230,8 @@ class DyadicAnalytic:
 
 def conjugate(u) -> DyadicAnalytic:
     """Canonical conjugate pair (u, s0(u)); the conjugate part has mean zero."""
-    um = u if isinstance(u, SlicedMartingale) else SlicedMartingale(_as_pc(u))
+    um = u if isinstance(u, SlicedMartingale) else SlicedMartingale(u)
     return DyadicAnalytic(um, s0(um), validate=False)
-
-
-def _odd_generation_part(pc: PiecewiseConstant) -> PiecewiseConstant:
-    """Mean-zero sliced component: keep only jumps entering even generations.
-
-    Equivalently drop the root average and every jump across a 4-adic split,
-    keeping the jumps whose parent sits at odd relative level 1, 3, ...
-    """
-    pyr = pc.pyramid()
-    half, grow = level_step(pc.exact)
-    cur = [0 * half]  # 0, or 0.0 for a float tree
-    for m in range(pc.depth):
-        if m % 2 == 1:
-            row, c = pyr[m + 1], half * grow ** m
-            halves = [(row[2 * j + 1] - row[2 * j]) * c for j in range(len(cur))]
-            cur = [x for w, d in zip(cur, halves) for x in (w - d, w + d)]
-        else:
-            cur = [w for w in cur for _ in range(2)]
-    return PiecewiseConstant.from_numerators(cur, pc.den_at(0), pc.root)
 
 
 def analytic_projection(re, im=None) -> DyadicAnalytic:
@@ -290,18 +242,14 @@ def analytic_projection(re, im=None) -> DyadicAnalytic:
     rotation-compatible combination, and discards everything else.  Already
     conjugate pairs are fixed points, and the map is idempotent.
     """
-    a = _as_pc(re)
     if im is None:
-        b = PiecewiseConstant.constant(zero(a.exact), a.depth, a.root)
-    else:
-        b = _as_pc(im)
-        a._require_same_grid(b)
-    a_odd, b_odd = _odd_generation_part(a), _odd_generation_part(b)
-    rot_a = s0(SlicedMartingale(a_odd, validate=False)).pc
-    rot_b = s0(SlicedMartingale(b_odd, validate=False)).pc
+        im = PiecewiseConstant.constant(zero(re.exact), re.depth, re.root)
+    re._require_same_grid(im)
+    # the mean-zero sliced parts keep only the jumps entering even generations
+    a_odd, b_odd = (_sliced_from_increments(0, *_jump_rows(pc), pc.root) for pc in (re, im))
     half = Fraction(1, 2)
-    u = (a_odd - rot_b).scale(half).shift(a.root_average)
-    v = (b_odd + rot_a).scale(half).shift(b.root_average)
+    u = (a_odd - s0(b_odd)).scale(half).shift(re.root_average)
+    v = (b_odd + s0(a_odd)).scale(half).shift(im.root_average)
     return DyadicAnalytic(u, v, validate=False)
 
 
@@ -315,7 +263,6 @@ def random_sliced(rng, depth: int, root: DyadicInterval | None = None) -> Sliced
     Jumps are drawn only across 4-adic splits, so the slicing constraint
     holds by construction and all residual checks downstream are exact.
     """
-    root = root if root is not None else unit_root()
     if depth % 2:
         raise ValueError("depth must be even")
 
@@ -324,22 +271,22 @@ def random_sliced(rng, depth: int, root: DyadicInterval | None = None) -> Sliced
 
     w0 = draw()
     rows = [[(draw(), draw()) for _ in range(1 << k)] for k in range(0, depth, 2)]
-    return _sliced_from_increments(w0, rows, root, 1 << _DENOM_BITS)
+    return _sliced_from_increments(w0, rows, 1 << _DENOM_BITS, root)
 
 
 def random_analytic(rng, depth: int, root: DyadicInterval | None = None) -> DyadicAnalytic:
     """Random conjugate pair; the conjugate part gets an independent mean."""
     u = random_sliced(rng, depth, root)
     v0 = Fraction(rng.getrandbits(_DENOM_BITS + 1) - (1 << _DENOM_BITS), 1 << _DENOM_BITS)
-    v = s0(u).shifted(v0)
+    v = s0(u).shift(v0)
     return DyadicAnalytic(u, v, validate=False)
 
 
 def analytic_to_json(f: DyadicAnalytic) -> dict:
-    return {"u": tree_to_json(f.u.pc), "v": tree_to_json(f.v.pc)}
+    return {"u": tree_to_json(f.u), "v": tree_to_json(f.v)}
 
 
-def analytic_from_json(obj: dict, tol=DEFAULT_TOL) -> DyadicAnalytic:
+def analytic_from_json(obj: dict) -> DyadicAnalytic:
     if not isinstance(obj, dict) or "u" not in obj or "v" not in obj:
         raise ValueError("conjugate pair object must carry u and v trees")
-    return DyadicAnalytic(tree_from_json(obj["u"]), tree_from_json(obj["v"]), tol=tol)
+    return DyadicAnalytic(tree_from_json(obj["u"]), tree_from_json(obj["v"]))

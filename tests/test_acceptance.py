@@ -246,12 +246,12 @@ def test_criterion_7_conjugation_engine_exact():
         depth = (2, 4, 6)[k % 3]
         u = random_sliced(random.Random(1000 + k), depth)
         v = s0(u)
-        centered = u.shifted(-u.root_average)
-        g = analytic_projection(u.pc, v.pc)
+        centered = u.shift(-u.root_average)
+        g = analytic_projection(u, v)
         ok = (
             cr_residual(u, v) == 0
             and v.norm2() == centered.norm2()
-            and s0(v).leaves == centered.scaled(-1).leaves
+            and s0(v).leaves == centered.scale(-1).leaves
             and g.u.leaves == u.leaves
             and g.v.leaves == v.leaves
         )

@@ -26,7 +26,7 @@ def fixtures(tmp_path_factory):
         "pair": dump("pair.json", analytic_to_json(pair)),
         "mu": dump("mu.json", measure_to_json(random_balanced_measure(random.Random(9), 4))),
         "mu2": dump("mu2.json", measure_to_json(random_balanced_measure(random.Random(10), 2))),
-        "u": dump("u.json", tree_to_json(random_sliced(random.Random(11), 4).pc)),
+        "u": dump("u.json", tree_to_json(random_sliced(random.Random(11), 4))),
         "bad_mu": dump("bad_mu.json", {"masses": {"L2N0": 1}}),
     }
     broken = box / "broken.json"
@@ -217,16 +217,21 @@ class TestConjugate:
         assert code == 0
         assert "result: PASS" in out
 
-    @pytest.mark.parametrize("leaf, bad", [(1e308, ["norm2", "real_mean"]), (1e200, ["norm2"])],
+    @pytest.mark.parametrize("leaf, bad, projected",
+                             [(1e308, ["norm2", "real_mean"], ["real_mean"]),
+                              (1e200, ["norm2"], ["norm2"])],
                              ids=["average-overflow", "square-overflow"])
-    def test_non_finite_summary_fails(self, capsys, tmp_path, leaf, bad):
-        # finite leaves whose float averages (a + b) * 0.5 or squares overflow
+    def test_non_finite_summary_fails(self, capsys, tmp_path, leaf, bad, projected):
+        # finite leaves whose float averages (a + b) * 0.5 or squares overflow;
+        # a projection keeps the mean, so an overflowing mean leaves no pair
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"base": "unit", "depth": 2, "leaves": [leaf] * 4}))
-        code, out, _ = run(capsys, "conjugate", "--function", str(path))
-        assert code == 1
-        assert [line.split()[1] for line in out.splitlines() if line.startswith("violation:")] == bad
-        assert "result: FAIL" in out
+        for flags, want in (([], bad), (["--project"], projected)):
+            code, out, _ = run(capsys, "conjugate", "--function", str(path), *flags)
+            assert code == 1
+            assert [line.split()[1] for line in out.splitlines()
+                    if line.startswith("violation:")] == want
+            assert "result: FAIL" in out
 
 
 class TestKernel:

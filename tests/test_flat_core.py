@@ -220,8 +220,9 @@ def configs(depth, root):
     rng = random.Random(700 + depth)
     f = random_analytic(rng, depth, root)
     mu = random_balanced_measure(rng, depth, root)
-    # a cap below the packing rescales by a non-dyadic factor
-    capped = random_balanced_measure(rng, depth, root, max_intensity=Fraction(1, 3**9))
+    # a rescale to packing 3**-9 is by a non-dyadic factor
+    drawn = random_balanced_measure(rng, depth, root)
+    capped = drawn.scale(Fraction(1, 3**9) / drawn.packing_intensity())
     assert capped.packing_intensity() == Fraction(1, 3**9)
     big = mu.scale(3 / mu.packing_intensity())  # packing above 1: the chain rescales
     assert big.packing_intensity() == 3
@@ -290,7 +291,7 @@ def test_measure_arrays_are_numerators_over_one_denominator():
     assert all(type(s) is int for level in mu.sums for s in level.values())
     for (r, j), m in mu.own.items():
         assert Fraction(m, mu.den) == mu.masses[mu.root.descendant(r, j)]
-    assert all(type(n) is int for n in f.u.pc.nums) and isinstance(f.u.pc.den, int)
-    assert all(type(p) is int for row in f.u.pc.pyramid() for p in row)
+    assert all(type(n) is int for n in f.u.nums) and isinstance(f.u.den, int)
+    assert all(type(p) is int for row in f.u.pyramid() for p in row)
     fl = as_float_measure(mu)
     assert fl.den == 1 and all(type(m) is float for m in fl.own.values())

@@ -161,7 +161,7 @@ class TestReproducing:
         rng = random.Random(62)
         root = window_root(1)
         u = random_sliced(rng, 4, root)
-        u = u.shifted(-u.root_average)
+        u = u.shift(-u.root_average)
         f = conjugate(u)
         for I in four_adic_nodes(root, 4):
             h = (I.level - root.level) // 2

@@ -80,6 +80,13 @@ class TestSlicedMartingale:
         assert u.root_average == 2
         assert u.norm2() == Fraction(1 + 9 + 0 + 16, 4)
 
+    def test_takes_over_the_checked_tree(self):
+        pc = PiecewiseConstant([1, 3, 0, 4])
+        u = SlicedMartingale(pc)
+        assert isinstance(u, PiecewiseConstant) and u.pc is u
+        assert u.nums is pc.nums and u.pyramid() is pc.pyramid()
+        assert repr(u) == "SlicedMartingale(depth=2, root=L0N0)"
+
     def test_increments(self):
         u = SlicedMartingale.from_leaves([1, 3, 0, 4])
         dx, dy = u.increments(unit_root())
@@ -120,14 +127,14 @@ class TestConjugation:
         for depth in (2, 4, 6):
             u = random_sliced(rng, depth)
             twice = s0(s0(u))
-            centered = u.shifted(-u.root_average)
-            assert twice.leaves == centered.scaled(-1).leaves
+            centered = u.shift(-u.root_average)
+            assert twice.leaves == centered.scale(-1).leaves
 
     def test_isometry_on_fluctuation(self):
         rng = random.Random(6)
         for depth in (2, 4, 6):
             u = random_sliced(rng, depth)
-            centered = u.shifted(-u.root_average)
+            centered = u.shift(-u.root_average)
             assert s0(u).norm2() == centered.norm2()
 
     def test_kills_mean(self):
@@ -172,7 +179,7 @@ class TestCauchyRiemann:
         v = s0(u)
         t = Fraction(3, 16)
         bump = haar_pattern(DyadicInterval(1, 0), 4, unit_root()).scale(t)
-        v_bad = SlicedMartingale(v.pc + bump)
+        v_bad = SlicedMartingale(v + bump)
         assert cr_residual(u, v_bad) == t
 
     def test_shape_mismatch(self):
@@ -193,7 +200,7 @@ class TestDyadicAnalytic:
     def test_norm_and_average(self):
         u = SlicedMartingale.from_leaves([0, 2, 1, 1])
         f = conjugate(u)
-        assert f.norm2() == u.norm2() + f.v.norm2()
+        assert f.norm2() == u.l2_norm2() + f.v.l2_norm2()
         z = f.average(DyadicInterval(2, 3))
         assert z == complex(1.0, -1.0)
 
@@ -215,7 +222,7 @@ class TestProjection:
     def test_fixed_point_exact(self):
         rng = random.Random(15)
         f = random_analytic(rng, 4)
-        g = analytic_projection(f.u.pc, f.v.pc)
+        g = analytic_projection(f.u, f.v)
         assert g.u.leaves == f.u.leaves
         assert g.v.leaves == f.v.leaves
 
@@ -224,7 +231,7 @@ class TestProjection:
         a = PiecewiseConstant([Fraction(rng.randrange(-30, 30), 8) for _ in range(16)])
         b = PiecewiseConstant([Fraction(rng.randrange(-30, 30), 8) for _ in range(16)])
         f = analytic_projection(a, b)
-        g = analytic_projection(f.u.pc, f.v.pc)
+        g = analytic_projection(f.u, f.v)
         assert g.u.leaves == f.u.leaves and g.v.leaves == f.v.leaves
 
     def test_residual_orthogonal_to_conjugates(self):
@@ -232,10 +239,10 @@ class TestProjection:
         a = PiecewiseConstant([Fraction(rng.randrange(-30, 30), 8) for _ in range(16)])
         b = PiecewiseConstant([Fraction(rng.randrange(-30, 30), 8) for _ in range(16)])
         f = analytic_projection(a, b)
-        ra, rb = a - f.u.pc, b - f.v.pc
+        ra, rb = a - f.u, b - f.v
         for seed in range(4):
             g = random_analytic(random.Random(40 + seed), 4)
-            assert ra.inner(g.u.pc) + rb.inner(g.v.pc) == 0
+            assert ra.inner(g.u) + rb.inner(g.v) == 0
 
     def test_real_part_only(self):
         a = PiecewiseConstant([Fraction(v) for v in (0, 2, 1, 1)])
@@ -267,7 +274,7 @@ class TestRandomGenerators:
         for seed in range(5):
             u = random_sliced(random.Random(seed), 4)
             assert u.exact
-            assert slicing_residual(u.pc) == 0
+            assert slicing_residual(u) == 0
 
     def test_depth_validation(self):
         with pytest.raises(ValueError):
@@ -281,16 +288,16 @@ class TestRandomGenerators:
         u = random_sliced(random.Random(300 + depth), depth, root) if depth else (
             SlicedMartingale.from_leaves([Fraction(3, 4)], root)
         )
-        rows, den = _jump_rows(u.pc)
+        rows, den = _jump_rows(u)
         assert [len(row) for row in rows] == [1 << k for k in range(0, depth, 2)]
         for k, row in enumerate(rows):
             for j, incs in enumerate(row):
                 assert all(type(d) is int for d in incs)
                 got = tuple(Fraction(d, den) for d in incs)
                 assert got == u.increments(root.descendant(2 * k, j))
-        assert _sliced_from_increments(u.root_average * den, rows, u.root, den) == u
+        assert _sliced_from_increments(u.root_average * den, rows, den, u.root) == u
         values = [[tuple(Fraction(d, den) for d in incs) for incs in row] for row in rows]
-        assert _sliced_from_increments(u.root_average, values, u.root) == u
+        assert _sliced_from_increments(u.root_average, values, 1, u.root) == u
 
     # sha256 prefixes of repr((u.leaves, v.leaves)) for
     # random_analytic(Random(400 + depth), depth, root); the leaves do not

@@ -29,13 +29,13 @@ from dyuch.martingale import (
 
 def _haar(f, mu):
     nodes = _nodes(f.root, f.depth - 1)
-    return [*(haar_coefficient(f.u.pc, J) for J in nodes), f.u.pc.l2_norm2()]
+    return [*(haar_coefficient(f.u, J) for J in nodes), f.u.l2_norm2()]
 
 
 def _projection(f, mu):
     flipped = PiecewiseConstant(f.v.leaves[::-1], f.root)
-    p = analytic_projection(f.u.pc, flipped)
-    q = analytic_projection(f.v.pc)
+    p = analytic_projection(f.u, flipped)
+    q = analytic_projection(f.v)
     return [*p.u.leaves, *p.v.leaves, *q.u.leaves, *q.v.leaves]
 
 
