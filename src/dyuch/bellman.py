@@ -20,6 +20,7 @@ E = math.e
 PSD_TOL = 1e-9
 DOMAIN_TOL = 1e-12
 STEP_TOL = 1e-9  # domain and constraint slack of one step of the dynamics
+PSD_SLICE = 1 << 14  # samples checked at a time, so memory stays flat in --samples
 
 
 @dataclass(frozen=True)
@@ -264,8 +265,11 @@ def verify_sliced_psd(
     keeping children masses in range, adds the degenerate edges d1 = 0 and
     d2 = 0, and checks every nested minor, the spectrum, and the two closed
     forms.  Closed forms are compared with a relative gate that falls back
-    to absolute near their zero sets.
+    to absolute near their zero sets.  The draws are checked in slices of
+    PSD_SLICE samples, and a NaN anywhere makes its minimum or maximum NaN.
     """
+    if samples < 0 or not (samples or boundary):
+        raise ValueError(f"--samples must be >= 0 and leave a sample to check, got {samples}")
     rng = np.random.default_rng(seed)
     m = rng.uniform(0.0, 1.0, samples)
     delta = np.minimum(m, 1.0 - m)
@@ -280,27 +284,30 @@ def verify_sliced_psd(
         m = np.concatenate([m, gm, gm])
         d1 = np.concatenate([d1, zero, gt])
         d2 = np.concatenate([d2, gt, zero])
-    hp = HessianParams(m, d1, d2)
-    mats = concavity_form_matrix(hp)
-    minors = principal_minors(mats)
-    min_minor = float(min(mn.min() for mn in minors))
-    min_eig = float(np.linalg.eigvalsh(mats)[:, 0].min())
-
-    third_closed = third_minor_closed_form(hp)
-    det_closed = det_closed_form(hp)
-    third_err = np.abs(minors[2] - third_closed)
-    det_err = np.abs(minors[3] - det_closed)
-    third_gate = np.maximum(1e-9 * np.abs(third_closed), 1e-12)
-    det_gate = np.maximum(1e-9 * np.abs(det_closed), 1e-12)
-    failures = int((third_err > third_gate).sum() + (det_err > det_gate).sum())
+    folds = []  # per slice: 4 minor minima, least eigenvalue, 2 largest errors, failures
+    for lo in range(0, len(m), PSD_SLICE):
+        hp = HessianParams(*(a[lo:lo + PSD_SLICE] for a in (m, d1, d2)))
+        mats = concavity_form_matrix(hp)
+        minors = principal_minors(mats)
+        third_closed, det_closed = third_minor_closed_form(hp), det_closed_form(hp)
+        third_err = np.abs(minors[2] - third_closed)
+        det_err = np.abs(minors[3] - det_closed)
+        third_gate = np.maximum(1e-9 * np.abs(third_closed), 1e-12)
+        det_gate = np.maximum(1e-9 * np.abs(det_closed), 1e-12)
+        failures = (~(third_err <= third_gate)).sum() + (~(det_err <= det_gate)).sum()
+        folds.append([*(mn.min() for mn in minors), np.linalg.eigvalsh(mats)[:, 0].min(),
+                      third_err.max(), det_err.max(), failures])
+    folds = np.array(folds)
+    min_minor, min_eig = float(folds[:, :4].min()), float(folds[:, 4].min())
+    failures = int(folds[:, 7].sum())
 
     ok = min_minor >= -tolerance and min_eig >= -tolerance and failures == 0
     return PsdReport(
-        samples=int(m.shape[0]),
+        samples=len(m),
         min_minor=min_minor,
         min_eigenvalue=min_eig,
-        max_third_minor_error=float(third_err.max()),
-        max_det_error=float(det_err.max()),
+        max_third_minor_error=float(folds[:, 5].max()),
+        max_det_error=float(folds[:, 6].max()),
         closed_form_failures=failures,
         ok=ok,
     )

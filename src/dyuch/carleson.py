@@ -40,6 +40,16 @@ def _scaled(num, den, level):
     return (num * (1 << level), den) if level >= 0 else (num, den << -level)
 
 
+def _subtree_sums(own, depth):
+    """Per level k, {j: subtree mass of node (2k, j)}, summed over own's ((r, j), m) in order."""
+    sums = [{} for _ in range(depth // 2 + 1)]
+    for (r, j), m in own:
+        for level in reversed(sums[: r // 2 + 1]):
+            level[j] = level.get(j, 0) + m
+            j >>= 2
+    return sums
+
+
 class DiscreteMeasure:
     """Sparse nonnegative masses on the 4-adic nodes below a 4-adic root.
 
@@ -90,11 +100,7 @@ class DiscreteMeasure:
             depth = max_rel
         elif depth % 2 or depth < max_rel:
             raise ValueError(f"depth {depth} cannot hold support down to {max_rel}")
-        sums = [{} for _ in range(depth // 2 + 1)]
-        for (r, j), m in own.items():
-            for level in reversed(sums[: r // 2 + 1]):
-                level[j] = level.get(j, 0) + m
-                j >>= 2
+        sums = _subtree_sums(own.items(), depth)
         if not sums[0].get(0, 0) < math.inf:
             raise ValueError("the masses add up past the float range")
         self.own, self.sums, self.den, self.root, self.depth = own, sums, den, root, depth
@@ -436,8 +442,9 @@ def bellman_chain_slacks(f: DyadicAnalytic, mu: DiscreteMeasure) -> dict:
     return gaps
 
 
-def _split_measure(root: DyadicInterval, depth: int, total, split) -> DiscreteMeasure:
-    """Balanced measure spread top down from a total mass at the root.
+def _split_masses(depth: int, total, split):
+    """(nodes, masses) of the balanced measure spread top down from a total
+    mass at the root, for DiscreteMeasure._from_nodes.
 
     split(r, j) gives (own, ax, ay) for the node at relative level r, index
     j: the node keeps own of its mass, and each half gets an equal share of
@@ -467,7 +474,7 @@ def _split_measure(root: DyadicInterval, depth: int, total, split) -> DiscreteMe
         spread(r + 2, 4 * j + 1, (1 - ay) * half)
 
     spread(0, 0, total)
-    return DiscreteMeasure._from_nodes(root, depth, nodes, masses)
+    return nodes, masses
 
 
 def random_balanced_measure(rng, depth: int, root: DyadicInterval | None = None) -> DiscreteMeasure:
@@ -488,6 +495,7 @@ def random_balanced_measure(rng, depth: int, root: DyadicInterval | None = None)
         return rng.getrandbits(bits) * unit
 
     total = (rng.getrandbits(bits) + 1) * unit
-    mu = _split_measure(root, depth, total, lambda r, j: (frac(), frac(), frac()))
+    masses = _split_masses(depth, total, lambda r, j: (frac(), frac(), frac()))
+    mu = DiscreteMeasure._from_nodes(root, depth, *masses)
     packing = mu.packing_intensity()
     return mu.scale(1 / packing) if packing > 1 else mu

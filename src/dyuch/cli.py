@@ -23,6 +23,7 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 DEFAULT_MAX_DEPTH = 8
+# search-extremal's --budget and --restarts are capped at extremal.MAX_SEARCH_BUDGET
 
 
 def _max_depth() -> int:
@@ -184,7 +185,8 @@ def _cmd_embed(args) -> dict:
     total = float(carleson.embedding_sum(f, mu))
     norm2 = float(f.norm2())
     packing = float(mu.packing_intensity())
-    slack = carleson.embedding_slack(f, mu)
+    bound = carleson.E * packing * norm2
+    slack = bound - total  # embedding_slack, from the sums at hand
     weighted = carleson.weighted_embedding_slack(f, mu)
     violations = []
     if not slack >= -args.tolerance:
@@ -195,7 +197,7 @@ def _cmd_embed(args) -> dict:
         "embedding_sum": total,
         "norm2": norm2,
         "packing_intensity": packing,
-        "bound": carleson.E * packing * norm2,
+        "bound": bound,
         "slack": slack,
         "weighted_slack": weighted,
         "balance_residual": float(mu.balance_residual()),

@@ -96,6 +96,16 @@ def nan_min(values):
     return least
 
 
+def _sum_pyramid(nums, exact: bool):
+    """Leaf row nums and its pair sums times level_step's half, root row first."""
+    half = level_step(exact)[0]
+    levels = [nums]
+    while len(levels[-1]) > 1:
+        pairs = iter(levels[-1])
+        levels.append(tuple([(a + b) * half for a, b in zip(pairs, pairs)]))
+    return levels[::-1]
+
+
 def dyadic_length(level: int) -> Fraction:
     """Exact length 2**-level of an interval at the given level."""
     if level >= 0:
@@ -317,12 +327,7 @@ class PiecewiseConstant:
         node (r, j) is pyramid()[r][j] / den_at(r).  Exact trees keep integer
         subtree sums, float trees the averages themselves (see level_step)."""
         if self._pyramid is None:
-            half = level_step(self.exact)[0]
-            levels = [self.nums]
-            while len(levels[-1]) > 1:
-                pairs = iter(levels[-1])
-                levels.append(tuple([(a + b) * half for a, b in zip(pairs, pairs)]))
-            self._pyramid = levels[::-1]
+            self._pyramid = _sum_pyramid(self.nums, self.exact)
         return self._pyramid
 
     def den_at(self, r: int):

@@ -11,15 +11,16 @@ import math
 import random
 from dataclasses import dataclass
 
-from .dyadic import unit_root
-from .martingale import DyadicAnalytic, _sliced_from_increments, s0
-from .carleson import DiscreteMeasure, _split_measure, embedding_slack, embedding_sum
+from .dyadic import _sum_pyramid, unit_root
+from .martingale import DyadicAnalytic, _rotated_leaves, _sliced_from_increments, _sliced_leaves, s0
+from .carleson import DiscreteMeasure, _split_masses, _subtree_sums, embedding_sum
 
 E = math.e
 
 BALANCE_TOL = 1e-12
 INTENSITY_TOL = 1e-12
 SLACK_TOL = 1e-9
+MAX_SEARCH_BUDGET = 100_000  # cap on search's budget and restarts, the knobs that set its work
 
 
 @dataclass
@@ -46,10 +47,11 @@ class Configuration:
         norm2 = float(f.norm2())
         if norm2 <= 0.0:
             raise ValueError("the zero pair certifies nothing")
-        slack = embedding_slack(f, mu)
+        total = float(embedding_sum(f, mu))
+        slack = E * packing * norm2 - total  # embedding_slack, from the sums at hand
         if slack < -SLACK_TOL:
             raise ValueError(f"embedding bound violated (slack {slack:.3g})")
-        ratio = float(embedding_sum(f, mu)) / norm2
+        ratio = total / norm2
         if ratio > E + INTENSITY_TOL:
             raise ValueError(f"ratio {ratio:.6g} exceeds e; configuration is invalid")
         return cls(f, mu, ratio)
@@ -107,20 +109,15 @@ def _random_state(rng: random.Random, depth: int) -> dict:
 
 
 def _jitter_state(rng: random.Random, state: dict, step: float) -> dict:
-    def clamp(x):
-        return min(1.0, max(0.0, x))
-
-    incs = [
-        [(dx + rng.gauss(0.0, step), dy + rng.gauss(0.0, step)) for dx, dy in row]
-        for row in state["incs"]
-    ]
-    meas = [
-        [tuple(clamp(p + rng.gauss(0.0, step)) for p in params) for params in row]
-        for row in state["meas"]
-    ]
+    gauss = rng.gauss
+    incs = [[(dx + gauss(0.0, step), dy + gauss(0.0, step)) for dx, dy in row]
+            for row in state["incs"]]
+    meas = [[tuple([0.0 if q <= 0.0 else 1.0 if q >= 1.0 else q  # clamped to [0, 1]
+                    for q in [p + gauss(0.0, step) for p in params]]) for params in row]
+            for row in state["meas"]]
     return {
-        "u0": state["u0"] + rng.gauss(0.0, step),
-        "v0": state["v0"] + rng.gauss(0.0, step),
+        "u0": state["u0"] + gauss(0.0, step),
+        "v0": state["v0"] + gauss(0.0, step),
         "incs": incs,
         "meas": meas,
     }
@@ -147,21 +144,34 @@ def _pair_from_state(state: dict) -> DyadicAnalytic:
 
 
 def _measure_from_state(state: dict) -> DiscreteMeasure:
-    meas = state["meas"]
-    mu = _split_measure(unit_root(), 2 * len(meas), 1.0, lambda r, j: meas[r // 2][j])
-    packing = mu.packing_intensity()
-    if packing > 0.0:
-        mu = mu.scale(1.0 / packing)
-    return mu
+    meas, depth = state["meas"], 2 * len(state["meas"])
+    masses = _split_masses(depth, 1.0, lambda r, j: meas[r // 2][j])
+    mu = DiscreteMeasure._from_nodes(unit_root(), depth, *masses)
+    return mu.scale(1.0 / mu.packing_intensity())  # the root's unit mass makes it positive
 
 
 def _evaluate_state(state: dict) -> float:
-    f = _pair_from_state(state)
-    norm2 = float(f.norm2())
+    """The ratio of _pair_from_state and _measure_from_state bit for bit (-inf
+    for a zero pair), from their loops run on the float rows alone."""
+    depth, v0 = 2 * len(state["incs"]), state["v0"]
+    u = _sliced_leaves(state["u0"], state["incs"])
+    upyr = _sum_pyramid(u, False)
+    v = [x + v0 for x in _rotated_leaves(upyr, False)]  # s0(u).shift(v0)
+    cell = 2.0 ** -depth  # the leaf length, as l2_norm2 applies it
+    norm2 = sum(x * x for x in u) * cell + sum(y * y for y in v) * cell
     if norm2 < 1e-15:
         return -math.inf
-    mu = _measure_from_state(state)
-    return float(embedding_sum(f, mu)) / norm2
+    vpyr = _sum_pyramid(v, False)
+    meas = state["meas"]
+    nodes, masses = _split_masses(depth, 1.0, lambda r, j: meas[r // 2][j])
+    sums = _subtree_sums(zip(nodes, masses), depth)
+    # the measure is rescaled to unit packing; only its own masses c * m enter
+    c = 1.0 / max(max(level.values()) * (1 << 2 * k) for k, level in enumerate(sums) if level)
+    total = 0.0
+    for (r, j), m in zip(nodes, masses):
+        a, b = upyr[r][j], vpyr[r][j]
+        total += c * m * (a * a + b * b)
+    return total / norm2
 
 
 def _search_state(depth: int, budget: int, seed: int, restarts: int) -> dict:
@@ -201,6 +211,9 @@ def search(depth: int, budget: int = 2000, seed: int = 0, restarts: int = 6):
     """
     if depth < 2 or depth % 2:
         raise ValueError("depth must be an even number at least 2")
+    if not (1 <= budget <= MAX_SEARCH_BUDGET and 0 <= restarts <= MAX_SEARCH_BUDGET):
+        raise ValueError(f"budget must lie in 1..{MAX_SEARCH_BUDGET} and restarts in"
+                         f" 0..{MAX_SEARCH_BUDGET}, got {budget} and {restarts}")
     state = _search_state(depth, budget, seed, restarts)
     return Configuration.build(_pair_from_state(state), _measure_from_state(state))
 

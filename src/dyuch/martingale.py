@@ -98,31 +98,41 @@ class SlicedMartingale(PiecewiseConstant):
 
 
 def _jump_rows(pc: PiecewiseConstant):
-    """(rows, den): the half jumps (dx, dy) of every 4-adic level, nodes left
-    to right, as numerators over one denominator den (pc.den_at(0)).  Below
-    each node, dx is half the difference of the right sibling pair of
-    grandchildren and dy that of the left pair."""
-    pyr = pc.pyramid()
-    half, grow = level_step(pc.exact)
+    """(rows, den): _jumps of pc's pyramid, over den = pc.den_at(0)."""
+    return _jumps(pc.pyramid(), pc.exact), pc.den_at(0)
+
+
+def _jumps(pyr, exact: bool):
+    """The half jumps (dx, dy) of every 4-adic level of a sum pyramid, nodes
+    left to right, over the root row's denominator: dx is half the step
+    across the right pair of grandchildren, dy across the left."""
+    half, grow = level_step(exact)
     rows = []
-    for k in range(0, pc.depth, 2):
+    for k in range(0, len(pyr) - 1, 2):
         row, c = pyr[k + 2], half * grow ** (k + 1)
         rows.append([((row[q + 3] - row[q + 2]) * c, (row[q + 1] - row[q]) * c)
                      for q in range(0, len(row), 4)])
-    return rows, pc.den_at(0)
+    return rows
 
 
-def _sliced_from_increments(w0, rows, den=1, root: DyadicInterval | None = None):
-    """Sliced martingale with root value w0 / den and (dx, dy) rows over den.
-
-    Each 4-adic generation sends a node value w to its grandchildren
-    (w - dy, w + dy, w - dx, w + dx), left to right.  Value rows (Fractions
-    or floats) go in over den 1.
-    """
+def _sliced_leaves(w0, rows):
+    """Leaf row from a root value w0 and (dx, dy) rows: each 4-adic generation
+    sends a node value w to (w - dy, w + dy, w - dx, w + dx), left to right."""
     cur = [w0]
     for row in rows:
         cur = [x for w, (dx, dy) in zip(cur, row) for x in (w - dy, w + dy, w - dx, w + dx)]
-    return SlicedMartingale.from_numerators(cur, den, root)
+    return cur
+
+
+def _rotated_leaves(pyr, exact: bool):
+    """s0's leaves for the tree with sum pyramid pyr: jumps (dx, dy) as (-dy, dx)."""
+    rows = [[(-dy, dx) for dx, dy in row] for row in _jumps(pyr, exact)]
+    return _sliced_leaves(0 * level_step(exact)[0], rows)  # 0, or 0.0 for floats
+
+
+def _sliced_from_increments(w0, rows, den=1, root: DyadicInterval | None = None):
+    """Sliced martingale with leaves _sliced_leaves(w0, rows) / den (den 1 for value rows)."""
+    return SlicedMartingale.from_numerators(_sliced_leaves(w0, rows), den, root)
 
 
 def s0(u) -> SlicedMartingale:
@@ -135,10 +145,8 @@ def s0(u) -> SlicedMartingale:
     """
     if not isinstance(u, SlicedMartingale):
         u = SlicedMartingale(u)  # rejects non-sliced input
-    rows, den = _jump_rows(u)
-    rotated = [[(-dy, dx) for dx, dy in row] for row in rows]
-    zero_num = 0 * level_step(u.exact)[0]  # 0, or 0.0 for a float tree
-    return _sliced_from_increments(zero_num, rotated, den, u.root)
+    leaves = _rotated_leaves(u.pyramid(), u.exact)
+    return SlicedMartingale.from_numerators(leaves, u.den_at(0), u.root)
 
 
 def cr_residual(u, v):

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from dyuch import bellman
 from dyuch.bellman import (
     BellmanPoint,
     HessianParams,
@@ -382,6 +383,76 @@ class TestPsdStress:
     def test_no_boundary(self):
         rep = verify_sliced_psd(samples=500, seed=4, boundary=False)
         assert rep.samples == 500 and rep.ok
+
+
+def _one_pass(samples, seed, boundary):
+    # the report from all draws at once, folded by numpy alone
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(0.0, 1.0, samples)
+    delta = np.minimum(m, 1.0 - m)
+    d1 = rng.uniform(-1.0, 1.0, samples) * delta
+    d2 = rng.uniform(-1.0, 1.0, samples) * delta
+    if boundary:
+        gm, gt = (g.ravel() for g in np.meshgrid(np.linspace(0.0, 1.0, 21),
+                                                  np.linspace(-0.5, 0.5, 21)))
+        m = np.concatenate([m, gm, gm])
+        d1 = np.concatenate([d1, 0.0 * gm, gt])
+        d2 = np.concatenate([d2, gt, 0.0 * gm])
+    hp = HessianParams(m, d1, d2)
+    mats = concavity_form_matrix(hp)
+    minors = principal_minors(mats)
+    third_err = np.abs(minors[2] - third_minor_closed_form(hp))
+    det_err = np.abs(minors[3] - det_closed_form(hp))
+    return (len(m), float(min(mn.min() for mn in minors)),
+            float(np.linalg.eigvalsh(mats)[:, 0].min()), float(third_err.max()),
+            float(det_err.max()))
+
+
+class TestPsdSlices:
+    """The verifier checks its draws in slices and folds them to one report."""
+
+    @pytest.mark.parametrize("size", [1000, 4096, 1 << 14])
+    @pytest.mark.parametrize("boundary", [True, False])
+    def test_slices_fold_to_one_pass(self, monkeypatch, size, boundary):
+        monkeypatch.setattr(bellman, "PSD_SLICE", size)
+        rep = verify_sliced_psd(samples=20_000, seed=5, boundary=boundary)
+        got = (rep.samples, rep.min_minor, rep.min_eigenvalue, rep.max_third_minor_error,
+               rep.max_det_error)
+        assert got == _one_pass(20_000, 5, boundary)
+        assert rep.ok and rep.closed_form_failures == 0
+
+    @pytest.mark.parametrize("samples, boundary", [(-1, True), (-1, False), (0, False)])
+    def test_nothing_checked_raises(self, samples, boundary):
+        with pytest.raises(ValueError, match="--samples"):
+            verify_sliced_psd(samples=samples, boundary=boundary)
+
+    def test_nan_in_a_later_slice_sticks(self, monkeypatch):
+        real, calls = bellman.principal_minors, []
+
+        def poisoned(mats):
+            minors = real(mats)
+            calls.append(None)
+            if len(calls) == 2:
+                minors[1][-1] = math.nan
+            return minors
+
+        monkeypatch.setattr(bellman, "PSD_SLICE", 1000)
+        monkeypatch.setattr(bellman, "principal_minors", poisoned)
+        rep = verify_sliced_psd(samples=3000, seed=1, boundary=False)
+        assert math.isnan(rep.min_minor) and not rep.ok
+
+    def test_nan_closed_form_counts_as_failure(self, monkeypatch):
+        real = bellman.det_closed_form
+
+        def poisoned(hp):
+            out = real(hp)
+            out[0] = math.nan
+            return out
+
+        monkeypatch.setattr(bellman, "PSD_SLICE", 1000)
+        monkeypatch.setattr(bellman, "det_closed_form", poisoned)
+        rep = verify_sliced_psd(samples=3000, seed=1, boundary=False)
+        assert rep.closed_form_failures == 3 and not rep.ok
 
 
 class TestScan:

@@ -77,6 +77,22 @@ class TestVerifyBellman:
         assert a.read_bytes() == b.read_bytes()
 
 
+    @pytest.mark.parametrize("argv", [["--samples", "-1"], ["--samples", "0", "--no-boundary"]],
+                             ids=["negative", "nothing-checked"])
+    def test_nothing_checked_is_usage_error(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "rep.json"
+        code, out, err = run(capsys, "verify-bellman", *argv, "--out", str(out_path))
+        assert code == 2
+        assert "result:" not in out
+        assert "--samples" in err
+        assert not out_path.exists()
+
+    def test_boundary_grid_alone_is_checked(self, capsys):
+        code, out, _ = run(capsys, "verify-bellman", "--samples", "0")
+        assert code == 0
+        assert "samples: 882" in out
+
+
 class TestScanUnsliced:
     def test_sweep_finds_witnesses(self, capsys, tmp_path):
         csv_path = tmp_path / "w.csv"
@@ -454,6 +470,21 @@ class TestSearchExtremal:
         )
         assert cfg.ratio == pytest.approx(obj["ratio"], rel=1e-9, abs=1e-12)
         assert cfg.ratio >= 1.0 - 1e-12
+
+
+    @pytest.mark.parametrize("argv", [
+        ["--budget", "-1"], ["--budget", "0"], ["--budget", "100001"],
+        ["--restarts", "-3"], ["--restarts", "100001"],
+    ], ids=["negative-budget", "zero-budget", "budget-over-cap", "negative-restarts",
+            "restarts-over-cap"])
+    def test_knob_out_of_range_is_usage_error(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "rep.json"
+        code, out, err = run(capsys, "search-extremal", "--depth", "4", *argv,
+                             "--out", str(out_path))
+        assert code == 2
+        assert "result:" not in out
+        assert argv[0][2:] in err
+        assert not out_path.exists()
 
 
 class TestCertifyLowerBound:

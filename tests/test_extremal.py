@@ -5,11 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from dyuch.carleson import DiscreteMeasure
+from dyuch.carleson import DiscreteMeasure, embedding_sum
 from dyuch.dyadic import DyadicInterval, unit_root
 from dyuch.extremal import (
+    MAX_SEARCH_BUDGET,
     BoundProfile,
     Configuration,
+    _embed_state,
+    _evaluate_state,
+    _flat_state,
+    _jitter_state,
+    _measure_from_state,
+    _pair_from_state,
+    _random_state,
     competitor,
     exponential_profile,
     lower_bound_certificate,
@@ -109,11 +117,25 @@ class TestSearch:
             with pytest.raises(ValueError):
                 search(bad, budget=1)
 
+    def test_knob_bounds(self):
+        for budget in (-1, 0, MAX_SEARCH_BUDGET + 1):
+            with pytest.raises(ValueError, match="budget"):
+                search(2, budget=budget)
+        for restarts in (-3, MAX_SEARCH_BUDGET + 1):
+            with pytest.raises(ValueError, match="restarts"):
+                search(2, budget=10, restarts=restarts)
+        assert search(2, budget=1, restarts=0).ratio >= 1.0 - 1e-12
+
     @pytest.mark.parametrize(
         "args, ratio, support, pinned",
         [
             ((4, 200, 3), 1.1153104308029502, 19, "af43ac8ff156a3a4"),
             ((6, 300, 0), 1.1095968198201451, 5, "4524e498cb8413bf"),
+            # the benchmark's seed-1 calls, and the deepest search the CLI allows
+            ((6, 800, 1000), 1.143950571596901, 4, "ed21f9719224dea7"),
+            ((6, 800, 1001), 1.124935475033036, 4, "be767daedfcbf316"),
+            ((6, 800, 1002), 1.145322015294632, 3, "1fc9447dbab10902"),
+            ((8, 800, 0), 1.088545530079711, 4, "d16e508283c820d8"),
         ],
     )
     def test_seeded_output_pinned(self, args, ratio, support, pinned):
@@ -124,6 +146,78 @@ class TestSearch:
         items = [(I.id, m) for I, m in cfg.mu.masses.items()]
         state = (cfg.ratio, cfg.f.u.leaves, cfg.f.v.leaves, items)
         assert hashlib.sha256(repr(state).encode()).hexdigest()[:16] == pinned
+
+
+def _reference_ratio(state):
+    # the evaluation through the validated objects that search returns
+    f = _pair_from_state(state)
+    norm2 = float(f.norm2())
+    if norm2 < 1e-15:
+        return -math.inf
+    mu = _measure_from_state(state)
+    return float(embedding_sum(f, mu)) / norm2
+
+
+def _edge_states(depth):
+    flat = _flat_state(depth)
+    rooted = dict(flat, meas=[[(1.0, 0.3, 0.7)]] + flat["meas"][1:])
+    zero = dict(flat, u0=0.0, v0=0.0, incs=[[(0.0, 0.0)] * len(row) for row in flat["incs"]])
+    rng = random.Random(depth)
+    clamped = []
+    for ax, ay in ((0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (1.0, 1.0)):
+        state = _random_state(rng, depth)
+        state["meas"] = [[(own, ax, ay) for own, _, _ in row] for row in state["meas"]]
+        clamped.append(state)
+    return [flat, rooted, zero, *clamped]
+
+
+class TestEvaluator:
+    """The flat evaluator agrees bit for bit with the object path."""
+
+    @pytest.mark.parametrize("depth, count", [(2, 4000), (4, 3000), (6, 2000), (8, 1000)])
+    def test_matches_objects(self, depth, count):
+        rng = random.Random(9000 + depth)
+        states = _edge_states(depth)
+        while len(states) < count:
+            state = _random_state(rng, depth)
+            if depth > 2 and rng.random() < 0.2:
+                state = _embed_state(_random_state(rng, depth - 2))
+            states.append(state)
+            # jitter chains, wide enough to clamp some splits at 0 and 1
+            for step in (0.15, 0.15, 0.6):
+                state = _jitter_state(rng, state, step)
+                states.append(state)
+        for state in states:
+            got, want = _evaluate_state(state), _reference_ratio(state)
+            assert got == want or (got == want == -math.inf), state
+
+    def test_edge_states(self):
+        for depth in (2, 4, 6, 8):
+            flat, rooted, zero, *clamped = _edge_states(depth)
+            assert _evaluate_state(flat) == _reference_ratio(flat) == 1.0
+            assert _evaluate_state(zero) == -math.inf
+            assert _evaluate_state(rooted) == _reference_ratio(rooted)
+            assert len(_measure_from_state(rooted)) == 1
+            for state in clamped:
+                assert _evaluate_state(state) == _reference_ratio(state)
+
+    def test_jitter_draws(self):
+        # the same draws in the same order as the jitter with a clamp helper
+        def clamp(x):
+            return min(1.0, max(0.0, x))
+
+        for seed in range(20):
+            state = _random_state(random.Random(seed), 6)
+            rng, replay = random.Random(seed), random.Random(seed)
+            step = 0.15 if seed % 2 else 0.8
+            incs = [[(dx + replay.gauss(0.0, step), dy + replay.gauss(0.0, step))
+                     for dx, dy in row] for row in state["incs"]]
+            meas = [[tuple(clamp(p + replay.gauss(0.0, step)) for p in params)
+                     for params in row] for row in state["meas"]]
+            want = {"u0": state["u0"] + replay.gauss(0.0, step),
+                    "v0": state["v0"] + replay.gauss(0.0, step), "incs": incs, "meas": meas}
+            assert _jitter_state(rng, state, step) == want
+            assert rng.random() == replay.random()
 
 
 class TestProfiles:
