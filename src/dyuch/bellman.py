@@ -12,15 +12,25 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # numpy is imported where the PSD form needs it, not on import
+    import numpy as np
 
 E = math.e
 PSD_TOL = 1e-9
 DOMAIN_TOL = 1e-12
 STEP_TOL = 1e-9  # domain and constraint slack of one step of the dynamics
-PSD_SLICE = 1 << 14  # samples checked at a time, so memory stays flat in --samples
+PSD_SLICE = 1 << 14  # samples checked at a time, so the 4x4 forms stay one slice deep
+# checked samples (16 slices) from which spawned workers pay for their start-up of
+# about 0.45 s on a 2-vCPU VM; verify_sliced_psd checks fewer in process
+PSD_POOL_SAMPLES = 1 << 18
+# cap on verify_sliced_psd's draws, 24 bytes each: at the cap a run takes about 18 s and
+# 340 MB on a 2-vCPU VM
+MAX_PSD_SAMPLES = 10_000_000
+MAX_SCAN_POINTS = 1_000_000  # cap on scan_unsliced's grid, which it holds as a list
 
 
 @dataclass(frozen=True)
@@ -146,6 +156,8 @@ def unsliced_form_matrix(d, d1, d2) -> np.ndarray:
     The parameters broadcast: arrays of one shape give one array of that
     shape + (4, 4), filled in place.
     """
+    import numpy as np
+
     a, b = np.exp(-d), np.exp(d)
     p = a * (np.exp(-d1) - np.exp(d1))
     q = b * (np.exp(-d2) - np.exp(d2))
@@ -167,6 +179,8 @@ def concavity_form_matrix(hp: HessianParams) -> np.ndarray:
     real (M, d1, d2), which is the heart of the embedding bound.  It is the
     untilted form scaled in place by exp(-M)/4.
     """
+    import numpy as np
+
     mats = unsliced_form_matrix(0.0, hp.d1, hp.d2)
     mats *= np.asarray(np.exp(-hp.M) / 4.0)[..., None, None]
     return mats
@@ -174,11 +188,15 @@ def concavity_form_matrix(hp: HessianParams) -> np.ndarray:
 
 def principal_minors(mat: np.ndarray):
     """Nested principal minors of a 4x4 form (or a batch), from the upper left."""
+    import numpy as np
+
     return [np.linalg.det(mat[..., :k, :k]) for k in range(1, 5)]
 
 
 def third_minor_closed_form(hp: HessianParams):
     """Upper-left 3x3 minor of the sliced form in closed form."""
+    import numpy as np
+
     x1 = 2.0 * np.cosh(hp.d1)
     x2 = 2.0 * np.cosh(hp.d2)
     return (np.exp(-hp.M) / 4.0) ** 3 * (x1 + x2 - 4.0) * 2.0 * (x1 - 2.0) * (x2 - 2.0)
@@ -186,6 +204,8 @@ def third_minor_closed_form(hp: HessianParams):
 
 def det_closed_form(hp: HessianParams):
     """Determinant of the sliced form in closed form; a fourth power, never negative."""
+    import numpy as np
+
     s1 = 2.0 * np.sinh(hp.d1 / 2.0)
     s2 = 2.0 * np.sinh(hp.d2 / 2.0)
     return 4.0 * (np.exp(-hp.M) / 4.0) ** 4 * s1**4 * s2**4
@@ -266,50 +286,123 @@ def verify_sliced_psd(
     d2 = 0, and checks every nested minor, the spectrum, and the two closed
     forms.  Closed forms are compared with a relative gate that falls back
     to absolute near their zero sets.  The draws are checked in slices of
-    PSD_SLICE samples, and a NaN anywhere makes its minimum or maximum NaN.
+    PSD_SLICE samples, the edges in one slice of their own, and a NaN
+    anywhere makes its minimum or maximum NaN.  The report does not depend
+    on how many CPUs check the slices.
     """
-    if samples < 0 or not (samples or boundary):
-        raise ValueError(f"--samples must be >= 0 and leave a sample to check, got {samples}")
+    if not (0 <= samples <= MAX_PSD_SAMPLES and (samples or boundary)):
+        raise ValueError(f"--samples must lie in 0..{MAX_PSD_SAMPLES} and leave a sample"
+                         f" to check, got {samples}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     m = rng.uniform(0.0, 1.0, samples)
     delta = np.minimum(m, 1.0 - m)
-    d1 = rng.uniform(-1.0, 1.0, samples) * delta
-    d2 = rng.uniform(-1.0, 1.0, samples) * delta
+    d1 = rng.uniform(-1.0, 1.0, samples)
+    d1 *= delta
+    d2 = rng.uniform(-1.0, 1.0, samples)
+    d2 *= delta
+    del delta
+    slices = [(m[lo:lo + PSD_SLICE], d1[lo:lo + PSD_SLICE], d2[lo:lo + PSD_SLICE])
+              for lo in range(0, samples, PSD_SLICE)]
+    expected = samples
     if boundary:
         grid_m, grid_t = np.meshgrid(
             np.linspace(0.0, 1.0, 21), np.linspace(-0.5, 0.5, 21)
         )
         gm, gt = grid_m.ravel(), grid_t.ravel()
         zero = np.zeros_like(gm)
-        m = np.concatenate([m, gm, gm])
-        d1 = np.concatenate([d1, zero, gt])
-        d2 = np.concatenate([d2, gt, zero])
-    folds = []  # per slice: 4 minor minima, least eigenvalue, 2 largest errors, failures
-    for lo in range(0, len(m), PSD_SLICE):
-        hp = HessianParams(*(a[lo:lo + PSD_SLICE] for a in (m, d1, d2)))
-        mats = concavity_form_matrix(hp)
-        minors = principal_minors(mats)
-        third_closed, det_closed = third_minor_closed_form(hp), det_closed_form(hp)
-        third_err = np.abs(minors[2] - third_closed)
-        det_err = np.abs(minors[3] - det_closed)
-        third_gate = np.maximum(1e-9 * np.abs(third_closed), 1e-12)
-        det_gate = np.maximum(1e-9 * np.abs(det_closed), 1e-12)
-        failures = (~(third_err <= third_gate)).sum() + (~(det_err <= det_gate)).sum()
-        folds.append([*(mn.min() for mn in minors), np.linalg.eigvalsh(mats)[:, 0].min(),
-                      third_err.max(), det_err.max(), failures])
-    folds = np.array(folds)
-    min_minor, min_eig = float(folds[:, :4].min()), float(folds[:, 4].min())
-    failures = int(folds[:, 7].sum())
+        slices.append((np.concatenate([gm, gm]), np.concatenate([zero, gt]),
+                       np.concatenate([gt, zero])))
+        expected += 2 * gm.size
+    return _fold(_check_slices(slices), expected, tolerance)
 
-    ok = min_minor >= -tolerance and min_eig >= -tolerance and failures == 0
+
+def _check_slice(m, d1, d2) -> list:
+    """Fold row of one slice: its size, the four minor minima, the least
+    eigenvalue, the two largest closed-form errors and the failure count."""
+    import numpy as np
+
+    hp = HessianParams(m, d1, d2)
+    mats = concavity_form_matrix(hp)
+    minors = principal_minors(mats)
+    third_closed, det_closed = third_minor_closed_form(hp), det_closed_form(hp)
+    third_err = np.abs(minors[2] - third_closed)
+    det_err = np.abs(minors[3] - det_closed)
+    third_gate = np.maximum(1e-9 * np.abs(third_closed), 1e-12)
+    det_gate = np.maximum(1e-9 * np.abs(det_closed), 1e-12)
+    failures = (~(third_err <= third_gate)).sum() + (~(det_err <= det_gate)).sum()
+    return [len(m), *(float(mn.min()) for mn in minors),
+            float(np.linalg.eigvalsh(mats)[:, 0].min()),
+            float(third_err.max()), float(det_err.max()), int(failures)]
+
+
+def _check_slices(slices) -> list:
+    """Fold rows of every slice, in slice order.
+
+    Runs with fewer than PSD_POOL_SAMPLES samples, or one usable CPU, are
+    checked in process.  Larger ones also go to spawned workers, one per
+    further usable CPU: the workers are fed slices from the front, two
+    queued per worker, while this process checks slices from the back.
+    Workers are spawned, not forked, because numpy's BLAS threads already
+    run in this process.  No future is ever cancelled: Python 3.11's pool
+    hangs when a worker dies while a cancelled one is still queued.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cpus or 1, len(slices)) - 1
+    if workers < 1 or sum(len(m) for m, _, _ in slices) < PSD_POOL_SAMPLES:
+        return [_check_slice(*s) for s in slices]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    rows = [None] * len(slices)
+    queued = {}  # future -> index of its slice
+    front, back = 0, len(slices)
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        while front < back:
+            for future in [f for f in queued if f.done()]:
+                rows[queued.pop(future)] = future.result()
+            while front < back and len(queued) < 2 * workers:
+                queued[pool.submit(_check_slice, *slices[front])] = front
+                front += 1
+            if front < back:
+                back -= 1
+                rows[back] = _check_slice(*slices[back])
+        for future, k in queued.items():
+            rows[k] = future.result()
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(
+            f"verify_sliced_psd: a worker process died before its slices were checked ({exc})"
+        ) from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return rows
+
+
+def _fold(rows, expected: int, tolerance: float) -> PsdReport:
+    """One report from the slices' fold rows; a NaN in any row sticks.
+
+    Raises RuntimeError unless the rows cover exactly `expected` samples,
+    so a report never passes on fewer checked slices.
+    """
+    import numpy as np
+
+    folds = np.array(rows, dtype=float)
+    checked = int(folds[:, 0].sum())
+    if checked != expected:
+        raise RuntimeError(f"verify_sliced_psd checked {checked} samples, expected {expected}")
+    min_minor, min_eig = float(folds[:, 1:5].min()), float(folds[:, 5].min())
+    failures = int(folds[:, 8].sum())
     return PsdReport(
-        samples=len(m),
+        samples=checked,
         min_minor=min_minor,
         min_eigenvalue=min_eig,
-        max_third_minor_error=float(folds[:, 5].max()),
-        max_det_error=float(folds[:, 6].max()),
+        max_third_minor_error=float(folds[:, 6].max()),
+        max_det_error=float(folds[:, 7].max()),
         closed_form_failures=failures,
-        ok=ok,
+        ok=min_minor >= -tolerance and min_eig >= -tolerance and failures == 0,
     )
 
 
@@ -326,9 +419,10 @@ def scan_unsliced(
     or a supplied list of triples.  region "d-zero" pins the tilt to zero
     (no witnesses exist there), "d1-zero" pins the first spread (the known
     witnesses live there), "sweep" varies all three.  The grid needs a finite
-    step > 0 and a finite max_sum >= 0, and threshold must be finite, so a
-    scan never passes without checking.  Returns the witness list sorted by
-    minor value, most negative first, and a summary table.
+    step > 0 and a finite max_sum >= 0 giving at most MAX_SCAN_POINTS
+    points, counted before the grid is built, and threshold must be finite,
+    so a scan never passes without checking.  Returns the witness list
+    sorted by minor value, most negative first, and a summary table.
     """
     explicit = triples is not None
     if not math.isfinite(threshold):
@@ -341,6 +435,12 @@ def scan_unsliced(
         if not 0 <= max_sum < math.inf:
             raise ValueError(f"max_sum must be finite and >= 0, got {max_sum!r}")
         steps = int(round(max_sum / step))
+        n = steps + 1
+        points = {"sweep": n * (n + 1) * (2 * n + 1) // 6, "d-zero": n * n,
+                  "d1-zero": n * (n + 1) // 2}[region]
+        if points > MAX_SCAN_POINTS:
+            raise ValueError(f"step {step!r} and max_sum {max_sum!r} give {points} grid"
+                             f" points, over the cap of {MAX_SCAN_POINTS}")
         triples = []
         for a in range(steps + 1):
             d = a * step

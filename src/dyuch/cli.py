@@ -23,7 +23,9 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 DEFAULT_MAX_DEPTH = 8
-# search-extremal's --budget and --restarts are capped at extremal.MAX_SEARCH_BUDGET
+# search-extremal's --budget and --restarts are capped at extremal.MAX_SEARCH_BUDGET,
+# verify-bellman's --samples at bellman.MAX_PSD_SAMPLES, and scan-unsliced's grid
+# from --step and --max-sum at bellman.MAX_SCAN_POINTS
 
 
 def _max_depth() -> int:

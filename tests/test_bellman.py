@@ -1,12 +1,14 @@
 import csv
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dyuch import bellman
 from dyuch.bellman import (
+    PSD_TOL,
     BellmanPoint,
     HessianParams,
     SplitSpec,
@@ -455,6 +457,54 @@ class TestPsdSlices:
         assert rep.closed_form_failures == 3 and not rep.ok
 
 
+class TestPsdFold:
+    """The fold of per-slice rows alone: NaN sticks, and every sample is accounted for."""
+
+    # [samples, 4 minor minima, least eigenvalue, third and det errors, failures]
+    ROWS = [[1000, 0.5, 0.2, 0.1, 0.0, 0.0, 1e-15, 2e-15, 0],
+            [1000, 0.4, 0.3, 0.2, 1e-18, 1e-3, 3e-15, 1e-15, 0],
+            [882, 0.6, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0]]
+    FIELDS = {1: "min_minor", 2: "min_minor", 3: "min_minor", 4: "min_minor",
+              5: "min_eigenvalue", 6: "max_third_minor_error", 7: "max_det_error"}
+
+    def test_clean_rows_fold(self):
+        rep = bellman._fold(self.ROWS, 2882, PSD_TOL)
+        assert (rep.samples, rep.min_minor, rep.min_eigenvalue) == (2882, 0.0, 0.0)
+        assert (rep.max_third_minor_error, rep.max_det_error) == (3e-15, 2e-15)
+        assert rep.closed_form_failures == 0 and rep.ok
+
+    @pytest.mark.parametrize("row", range(3))
+    @pytest.mark.parametrize("column", sorted(FIELDS))
+    def test_nan_in_any_row_and_column_sticks(self, row, column):
+        rows = [list(r) for r in self.ROWS]
+        rows[row][column] = math.nan
+        rep = bellman._fold(rows, 2882, PSD_TOL)
+        assert math.isnan(getattr(rep, self.FIELDS[column]))
+        if column <= 5:
+            assert not rep.ok
+
+    @pytest.mark.parametrize("expected", [2881, 2883, 2000])
+    def test_sample_count_must_match_draws_plus_grid(self, expected):
+        with pytest.raises(RuntimeError, match="checked 2882 samples"):
+            bellman._fold(self.ROWS, expected, PSD_TOL)
+
+    def test_failures_add_up(self):
+        rows = [list(r) for r in self.ROWS]
+        rows[0][8], rows[2][8] = 2, 1
+        rep = bellman._fold(rows, 2882, PSD_TOL)
+        assert rep.closed_form_failures == 3 and not rep.ok
+
+    def test_samples_over_the_cap_raise_before_drawing(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=str(bellman.MAX_PSD_SAMPLES)):
+                verify_sliced_psd(samples=bellman.MAX_PSD_SAMPLES + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 class TestScan:
     def test_sweep_finds_witnesses(self):
         witnesses, summary = scan_unsliced()
@@ -503,3 +553,25 @@ class TestScan:
         assert len(rows) == len(witnesses) + 1
         got = [tuple(float(x) for x in row) for row in rows[1:]]
         assert got == [tuple(map(float, w)) for w in witnesses]
+
+    @pytest.mark.parametrize("region", ["sweep", "d-zero", "d1-zero"])
+    @pytest.mark.parametrize("step, max_sum", [(0.05, 0.5), (0.1, 0.0), (0.03, 0.31), (1.0, 0.4)])
+    def test_grid_count_matches_the_walk(self, monkeypatch, region, step, max_sum):
+        # with the cap at the counted size the scan runs, one point less and it raises
+        _, summary = scan_unsliced(region=region, step=step, max_sum=max_sum)
+        monkeypatch.setattr(bellman, "MAX_SCAN_POINTS", summary["checked"])
+        scan_unsliced(region=region, step=step, max_sum=max_sum)
+        monkeypatch.setattr(bellman, "MAX_SCAN_POINTS", summary["checked"] - 1)
+        with pytest.raises(ValueError, match=f"give {summary['checked']} grid points"):
+            scan_unsliced(region=region, step=step, max_sum=max_sum)
+
+    @pytest.mark.parametrize("region", ["sweep", "d-zero", "d1-zero"])
+    def test_grid_over_the_cap_raises_before_building(self, region):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="over the cap"):
+                scan_unsliced(region=region, step=1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

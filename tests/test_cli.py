@@ -1,10 +1,18 @@
 import json
 import math
+import multiprocessing
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import dyuch
+from dyuch import bellman
 from dyuch.carleson import measure_from_json, random_balanced_measure, measure_to_json
 from dyuch.cli import main
 from dyuch.dyadic import tree_to_json
@@ -40,6 +48,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+_check_slice = bellman._check_slice
+
+
+def _die_in_worker(*piece):
+    # sent to the verifier's workers by import path; the parent checks its slices as usual
+    if multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return _check_slice(*piece)
 
 
 class TestParsing:
@@ -91,6 +109,28 @@ class TestVerifyBellman:
         code, out, _ = run(capsys, "verify-bellman", "--samples", "0")
         assert code == 0
         assert "samples: 882" in out
+
+    def test_samples_over_the_cap_is_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "rep.json"
+        over = str(bellman.MAX_PSD_SAMPLES + 1)
+        code, out, err = run(capsys, "verify-bellman", "--samples", over, "--out", str(out_path))
+        assert code == 2
+        assert "result:" not in out
+        assert "--samples" in err and str(bellman.MAX_PSD_SAMPLES) in err
+        assert not out_path.exists()
+
+    def test_dead_worker_is_an_error_not_a_verdict(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(bellman, "PSD_SLICE", 1000)
+        monkeypatch.setattr(bellman, "PSD_POOL_SAMPLES", 0)
+        monkeypatch.setattr(bellman, "_check_slice", _die_in_worker)
+        out_path = tmp_path / "rep.json"
+        code, out, err = run(capsys, "verify-bellman", "--samples", "8000", "--out", str(out_path))
+        assert code == 2
+        assert "result:" not in out
+        assert err.startswith("error: verify_sliced_psd: a worker process died")
+        assert "Traceback" not in err
+        assert not out_path.exists()
 
 
 class TestScanUnsliced:
@@ -660,6 +700,21 @@ class TestScanUnslicedChecksSomething:
         assert err.startswith("error:")
         assert not (tmp_path / "w.csv").exists()
 
+    @pytest.mark.parametrize("region", ["sweep", "d-zero", "d1-zero"])
+    def test_grid_over_the_cap_is_usage_error(self, capsys, tmp_path, region):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "scan-unsliced", "--region", region, "--step", "1e-4",
+                                 "--csv", str(tmp_path / "w.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "result:" not in out
+        assert "over the cap" in err and str(bellman.MAX_SCAN_POINTS) in err
+        assert not (tmp_path / "w.csv").exists()
+        assert peak < 1 << 20
+
     def test_no_csv_unless_asked(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         out_path = tmp_path / "scan.json"
@@ -769,3 +824,32 @@ class TestInputsTheCoreRejects:
         code, _, err = run(capsys, "kernel", "--interval", "L04N9", "--height", "1")
         assert code == 2
         assert "not canonical" in err
+
+
+class TestNumpyOffTheImportPath:
+    """Only the PSD verifier needs numpy, so other commands never import it."""
+
+    CHILD = ("import sys\n"
+             "from dyuch.cli import main\n"
+             "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+             "sys.exit(9 if 'numpy' in sys.modules else code)\n")
+
+    def fresh(self, *argv, cwd):
+        env = dict(os.environ, PYTHONPATH=str(Path(dyuch.__file__).resolve().parents[1]))
+        env.pop("DYUCH_MAX_DEPTH", None)
+        return subprocess.run([sys.executable, "-c", self.CHILD, *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_import(self, tmp_path):
+        assert self.fresh(cwd=tmp_path).returncode == 0
+
+    @pytest.mark.parametrize("command", ["embed", "scan-unsliced"])
+    def test_command(self, tmp_path, fixtures, command):
+        argv = {"embed": ["embed", "--function", fixtures["pair"], "--measure", fixtures["mu"]],
+                "scan-unsliced": ["scan-unsliced"]}[command]
+        child = self.fresh(*argv, cwd=tmp_path)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.endswith("result: PASS\n")
+
+    def test_verify_bellman_does_import_it(self, tmp_path):
+        assert self.fresh("verify-bellman", "--samples", "10", cwd=tmp_path).returncode == 9

@@ -6,9 +6,11 @@ files (leaves times 1/3 and pi, masses divided by pi, random.uniform trees).
 The digest covers the exit code, stdout, stderr and the bytes written to
 --out, --emit and --csv, so a change in any report shows here.
 """
+import concurrent.futures
 import hashlib
 import json
 import math
+import os
 import random
 
 import pytest
@@ -66,6 +68,10 @@ RUNS = {
     "verify-bellman": ["verify-bellman", "--samples", "200"],
     "verify-bellman-no-boundary": ["verify-bellman", "--samples", "200", "--seed", "3",
                                    "--no-boundary"],
+    # large enough that the verifier spawns workers wherever two CPUs are usable
+    "verify-bellman-pool": ["verify-bellman", "--samples", "300000", "--seed", "2"],
+    "verify-bellman-pool-no-boundary": ["verify-bellman", "--samples", "300000", "--seed", "2",
+                                        "--no-boundary"],
     "scan-unsliced": ["scan-unsliced", "--csv", "w.csv"],
     "scan-unsliced-d-zero": ["scan-unsliced", "--region", "d-zero", "--step", "0.1"],
     "embed": ["embed", "--function", "pair.json", "--measure", "mu.json"],
@@ -137,6 +143,8 @@ PINNED = {
     "uchiyama-window": "de91a88cb6aa8a95",
     "verify-bellman": "cae83ca09c5336b7",
     "verify-bellman-no-boundary": "3d9c015f5f62d945",
+    "verify-bellman-pool": "1eee9c2e3b6babd1",
+    "verify-bellman-pool-no-boundary": "7306d2dc4a329430",
 }
 
 
@@ -164,3 +172,21 @@ def test_cli_bytes_pinned(box, name, capsys, monkeypatch):
     monkeypatch.delenv("DYUCH_MAX_DEPTH", raising=False)
     monkeypatch.chdir(box)
     assert run_digest(box, name, capsys) == PINNED[name]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("name", ["verify-bellman-pool", "verify-bellman-pool-no-boundary"])
+def test_verifier_bytes_do_not_depend_on_cpus(box, name, cpus, capsys, monkeypatch):
+    # one usable CPU checks every slice in process, two spawn one worker
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.chdir(box)
+    assert run_digest(box, name, capsys) == PINNED[name]
+    assert pools == ([] if cpus == 1 else [(1,)])
