@@ -43,10 +43,12 @@ class BellmanPoint:
     M: float
 
     def in_domain(self, tol: float = DOMAIN_TOL) -> bool:
-        return (
-            self.F >= self.r * self.r + self.i * self.i - tol
-            and -tol <= self.M <= 1 + tol
-        )
+        return _in_domain(self.F, self.r * self.r + self.i * self.i, self.M, tol)
+
+
+def _in_domain(F, mod2, M, tol) -> bool:
+    # the domain F >= r*r + i*i, 0 <= M <= 1, with mod2 = r*r + i*i, widened by tol
+    return F >= mod2 - tol and -tol <= M <= 1 + tol
 
 
 def bellman_value(p: BellmanPoint) -> float:
@@ -107,13 +109,41 @@ class SplitSpec:
         )
 
 
-def _step_gap(p: BellmanPoint, split: SplitSpec) -> float:
-    if not p.in_domain(STEP_TOL):
+def _value_drop(F, r, i, M, dxr, dyr, d1, d2, mu, F_parts) -> float:
+    # B at the state (F, r, i, M) minus the mean of B over SplitSpec.children,
+    # on plain floats: the state must lie in the domain and F_parts average to F
+    mod2 = r * r + i * i
+    if not _in_domain(F, mod2, M, STEP_TOL):
         raise ValueError("state lies outside the certificate domain")
-    if abs(sum(split.F_parts) / 4 - p.F) > max(STEP_TOL, 1e-9 * abs(p.F)):
+    if abs(sum(F_parts) / 4 - F) > max(STEP_TOL, 1e-9 * abs(F)):
         raise ValueError("children second moments must average to the parent F")
-    kids = split.children(p)
-    return bellman_value(p) - sum(bellman_value(c) for c in kids) / 4
+    mean = M - mu
+    fxm, fxp, fym, fyp = F_parts
+    kids = (
+        (fxm, r - dxr, i + dyr, mean - d1),
+        (fxp, r + dxr, i - dyr, mean + d1),
+        (fym, r - dyr, i - dxr, mean - d2),
+        (fyp, r + dyr, i + dxr, mean + d2),
+    )
+    values = [E * fc - math.exp(1.0 - mc) * (a * a + b * b) for fc, a, b, mc in kids]
+    return E * F - math.exp(1.0 - M) * mod2 - sum(values) / 4
+
+
+def step_surplus(F, r, i, M, dxr, dyr, d1, d2, mu, F_parts) -> float:
+    """dynamics_gap on plain floats: the state (F, r, i, M) and the split
+    (dxr, dyr, d1, d2, mu, F_parts), F_parts in the order (x-, x+, y-, y+).
+
+    Makes dynamics_gap's checks and float operations in the same order, and
+    builds no BellmanPoint or SplitSpec, so the Bellman chain calls it per node.
+    """
+    if mu < 0:
+        raise ValueError("mass density must be nonnegative")
+    harvest = mu * (r * r + i * i)
+    return _value_drop(F, r, i, M, dxr, dyr, d1, d2, mu, F_parts) - harvest
+
+
+def _flat(p: BellmanPoint, split: SplitSpec):
+    return p.F, p.r, p.i, p.M, split.dxr, split.dyr, split.d1, split.d2, split.mu, split.F_parts
 
 
 def concavity_gap(p: BellmanPoint, split: SplitSpec) -> float:
@@ -124,15 +154,12 @@ def concavity_gap(p: BellmanPoint, split: SplitSpec) -> float:
     """
     if split.mu != 0:
         raise ValueError("concavity_gap needs a mass-free split (mu == 0)")
-    return _step_gap(p, split)
+    return _value_drop(*_flat(p, split))
 
 
 def dynamics_gap(p: BellmanPoint, split: SplitSpec) -> float:
     """Full one-step surplus: value drop minus the harvested mass term."""
-    if split.mu < 0:
-        raise ValueError("mass density must be nonnegative")
-    harvest = split.mu * (p.r * p.r + p.i * p.i)
-    return _step_gap(p, split) - harvest
+    return step_surplus(*_flat(p, split))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ is the engine behind the weighted embedding bound.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,9 +18,9 @@ from .dyadic import (
     DyadicInterval,
     as_numerators,
     four_adic_nodes,
-    interval_from_id,
     json_number,
     nan_min,
+    node_from_id,
     ratio,
     root_from_json,
     root_to_json,
@@ -81,12 +82,13 @@ class DiscreteMeasure:
         self._set(root, depth, nodes, vals.values())
 
     @classmethod
-    def _from_nodes(cls, root, depth, nodes, values, den=1) -> "DiscreteMeasure":
+    def _from_nodes(cls, root, depth, nodes, values, den=1, check_depth=None) -> "DiscreteMeasure":
         mu = cls.__new__(cls)
-        mu._set(root, depth, nodes, values, den)
+        mu._set(root, depth, nodes, values, den, check_depth)
         return mu
 
-    def _set(self, root, depth, nodes, values, den=1):
+    def _set(self, root, depth, nodes, values, den=1, check_depth=None):
+        # check_depth, when given, sees the depth before the level rows are built
         nums, den, exact = as_numerators(values, "mass", den)
         own = {}
         for (r, j), m in zip(nodes, nums):
@@ -100,6 +102,8 @@ class DiscreteMeasure:
             depth = max_rel
         elif depth % 2 or depth < max_rel:
             raise ValueError(f"depth {depth} cannot hold support down to {max_rel}")
+        if check_depth is not None:
+            check_depth(depth)
         sums = _subtree_sums(own.items(), depth)
         if not sums[0].get(0, 0) < math.inf:
             raise ValueError("the masses add up past the float range")
@@ -137,7 +141,7 @@ class DiscreteMeasure:
         if r < 0 or (I.base, I.ancestor_levels) != (root.base, root.ancestor_levels):
             return None
         j = I.index - (root.index << r)
-        return (r, j) if 0 <= j < (1 << r) else None
+        return (r, j) if j >= 0 and not j >> r else None
 
     def mass(self, I: DyadicInterval):
         return self._value(self.own.get(self._node(I), 0))
@@ -208,15 +212,24 @@ def measure_to_json(mu: DiscreteMeasure) -> dict:
     return root_to_json(mu.root, depth=mu.depth, masses=masses)
 
 
-def measure_from_json(obj: dict) -> DiscreteMeasure:
+def measure_from_json(obj: dict, check_depth=None) -> DiscreteMeasure:
+    """Parse the canonical measure form straight to (r, j) rows, with no
+    interval per mass; check_depth, when given, is called with the measure's
+    depth (declared, or its deepest mass) before its level rows are built."""
     if not isinstance(obj, dict) or "masses" not in obj:
         raise ValueError("measure object must carry a masses table")
     root, depth = root_from_json(obj)
-    if not isinstance(obj["masses"], dict):
+    masses = obj["masses"]
+    if not isinstance(masses, dict):
         raise ValueError("masses must be an object of node ids")
-    items = obj["masses"].items()
-    masses = {interval_from_id(key, root.base, root.ancestor_levels): m for key, m in items}
-    return DiscreteMeasure(masses, root, depth)
+    rows = [node_from_id(key, root.base, root.ancestor_levels) for key in masses]
+    odd = next((key for key, (level, _) in zip(masses, rows) if level % 2), None)
+    if odd is not None:
+        raise ValueError(f"{odd} is not 4-adic")
+    top = root.level  # a base root has index 0, so a node's index is its j
+    nodes = [(level - top, index) for level, index in rows]
+    return DiscreteMeasure._from_nodes(root, depth, nodes, masses.values(),
+                                      check_depth=check_depth)
 
 
 class SlicedSuperMartingale:
@@ -328,6 +341,24 @@ def _steps(f: DyadicAnalytic, mu: DiscreteMeasure):
             yield r, j, here[j], own, kids, uf[r][j], vf[r][j], dx / den, dy / den
 
 
+def _memo(fn):
+    """fn(f, mu) kept in a one-entry memo in mu._cache: a call with the same
+    f (matched with `is`) returns the first result, another f replaces it."""
+    key = fn.__name__
+
+    @functools.wraps(fn)
+    def memo(f, mu):
+        hit = mu._cache.get(key)
+        if hit is not None and hit[0] is f:
+            return hit[1]
+        value = fn(f, mu)
+        mu._cache[key] = f, value
+        return value
+
+    return memo
+
+
+@_memo
 def embedding_sum(f: DyadicAnalytic, mu: DiscreteMeasure):
     """Sum of mu_I times the squared modulus of the averaged pair at I."""
     _require_compatible(f, mu)
@@ -348,6 +379,7 @@ def embedding_slack(f: DyadicAnalytic, mu: DiscreteMeasure):
     return bound - float(embedding_sum(f, mu))
 
 
+@_memo
 def weighted_embedding_slack(f: DyadicAnalytic, mu: DiscreteMeasure) -> float:
     """Slack of the exponentially weighted bound, no packing cap required.
 
@@ -433,12 +465,12 @@ def bellman_chain_slacks(f: DyadicAnalytic, mu: DiscreteMeasure) -> dict:
     packing = mu.packing_intensity()
     scaled = mu.scale(1 / packing) if packing > 1 else mu
     sums, den = f.moment_sums()
-    gaps = {}
+    gaps, at, surplus = {}, f.root.descendant, bellman.step_surplus
     for r, j, m, own, (xm, xp, ym, yp), u, v, dx, dy in _steps(f, scaled):
-        point = bellman.BellmanPoint(F=sums[r][j] / (den << f.depth - r), r=u, i=v, M=m)
-        quarters = (sums[r + 2][4 * j + q] / (den << f.depth - r - 2) for q in (2, 3, 0, 1))
-        split = bellman.SplitSpec(dx, dy, (xp - xm) / 2, (yp - ym) / 2, own, tuple(quarters))
-        gaps[f.root.descendant(r, j)] = bellman.dynamics_gap(point, split)
+        F = sums[r][j] / (den << f.depth - r)
+        below, qden, q = sums[r + 2], den << f.depth - r - 2, 4 * j
+        quarters = (below[q + 2] / qden, below[q + 3] / qden, below[q] / qden, below[q + 1] / qden)
+        gaps[at(r, j)] = surplus(F, u, v, m, dx, dy, (xp - xm) / 2, (yp - ym) / 2, own, quarters)
     return gaps
 
 

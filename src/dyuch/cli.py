@@ -23,6 +23,9 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 DEFAULT_MAX_DEPTH = 8
+# a real_line window of a ancestor levels is 4**a long, a finite float up to a = 511; the
+# kernel's --ancestors and a file's ancestor_levels are capped there
+MAX_ANCESTOR_LEVELS = 511
 # search-extremal's --budget and --restarts are capped at extremal.MAX_SEARCH_BUDGET,
 # verify-bellman's --samples at bellman.MAX_PSD_SAMPLES, and scan-unsliced's grid
 # from --step and --max-sum at bellman.MAX_SCAN_POINTS
@@ -45,6 +48,12 @@ def _check_depth(depth: int) -> None:
             f"depth {depth} exceeds the cap {cap}; raise DYUCH_MAX_DEPTH to allow it")
 
 
+def _check_window(ancestor_levels: int) -> None:
+    if ancestor_levels > MAX_ANCESTOR_LEVELS:
+        raise ValueError(f"ancestor levels {ancestor_levels} exceed the cap"
+                         f" {MAX_ANCESTOR_LEVELS}, past which a window's length is no float")
+
+
 def _load_json(path: str):
     try:
         with open(path) as fh:
@@ -63,6 +72,7 @@ def _load(path: str, parse, check_depth=True):
         raise ValueError(f"{path}: {exc}") from exc
     if check_depth:
         _check_depth(obj.depth)
+    _check_window(obj.root.ancestor_levels)
     return obj
 
 
@@ -71,7 +81,8 @@ def _load_pair(path: str) -> martingale.DyadicAnalytic:
 
 
 def _load_measure(path: str) -> carleson.DiscreteMeasure:
-    return _load(path, carleson.measure_from_json)
+    # the cap is checked once the ids are parsed, before the measure's level rows are built
+    return _load(path, lambda obj: carleson.measure_from_json(obj, _check_depth), False)
 
 
 def _require_compatible(f, mu, tol):
@@ -283,6 +294,7 @@ def _cmd_kernel(args) -> dict:
     anc = args.ancestors if base == "real_line" else 0
     I = interval_from_id(args.interval, base, anc)
     _check_depth(I.level - I.root_level)
+    _check_window(anc)
     k = kernel_mod.reproducing_kernel(I, args.height)
     norms = kernel_mod.kernel_norm2(I, args.height)
     summary = {

@@ -113,6 +113,31 @@ def dyadic_length(level: int) -> Fraction:
     return Fraction(1 << (-level))
 
 
+def check_node(level: int, index: int, base: str = UNIT, ancestor_levels: int = 0) -> None:
+    """Raise ValueError unless (level, index) is an interval of the base's tree.
+
+    The unit tree is rooted at level 0; a real_line window of ancestor_levels
+    at level -2 * ancestor_levels.  The index range is checked with a shift,
+    so no power of two as wide as the window is ever built.
+    """
+    if base == UNIT:
+        if ancestor_levels:
+            raise ValueError("unit base carries no ancestor levels")
+        if level < 0:
+            raise ValueError("unit base requires level >= 0")
+        span = level
+    elif base == REAL_LINE:
+        if ancestor_levels < 0:
+            raise ValueError("ancestor_levels must be nonnegative")
+        span = level + 2 * ancestor_levels
+        if span < 0:
+            raise ValueError(f"level {level} above the window root {-2 * ancestor_levels}")
+    else:
+        raise ValueError(f"unknown base {base!r}")
+    if index < 0 or index >> span:
+        raise ValueError(f"index {index} outside the window at level {level}")
+
+
 @dataclass(frozen=True)
 class DyadicInterval:
     """Dyadic interval [index * 2**-level, (index + 1) * 2**-level).
@@ -129,21 +154,7 @@ class DyadicInterval:
     ancestor_levels: int = 0
 
     def __post_init__(self):
-        if self.base == UNIT:
-            if self.ancestor_levels:
-                raise ValueError("unit base carries no ancestor levels")
-            if self.level < 0:
-                raise ValueError("unit base requires level >= 0")
-        elif self.base == REAL_LINE:
-            if self.ancestor_levels < 0:
-                raise ValueError("ancestor_levels must be nonnegative")
-            if self.level < self.root_level:
-                raise ValueError(f"level {self.level} above the window root {self.root_level}")
-        else:
-            raise ValueError(f"unknown base {self.base!r}")
-        span = self.level - self.root_level
-        if not 0 <= self.index < (1 << span):
-            raise ValueError(f"index {self.index} outside the window at level {self.level}")
+        check_node(self.level, self.index, self.base, self.ancestor_levels)
 
     @property
     def root_level(self) -> int:
@@ -230,18 +241,26 @@ def window_root(ancestor_levels: int) -> DyadicInterval:
     return DyadicInterval(-2 * ancestor_levels, 0, REAL_LINE, ancestor_levels)
 
 
-def interval_from_id(text: str, base: str = UNIT, ancestor_levels: int = 0) -> DyadicInterval:
-    """Parse the canonical id string L{level}N{index}."""
+def node_from_id(text: str, base: str = UNIT, ancestor_levels: int = 0):
+    """(level, index) of the canonical id string L{level}N{index}, checked by
+    check_node against the base's tree, without building an interval."""
     if not text.startswith("L") or "N" not in text:
         raise ValueError(f"malformed interval id {text!r}")
     lev, _, idx = text[1:].partition("N")
     try:
-        I = DyadicInterval(int(lev), int(idx), base, ancestor_levels)
+        level, index = int(lev), int(idx)
+        check_node(level, index, base, ancestor_levels)
     except ValueError as exc:
         raise ValueError(f"malformed interval id {text!r}: {exc}") from exc
-    if I.id != text:
-        raise ValueError(f"interval id {text!r} is not canonical (write {I.id})")
-    return I
+    canonical = f"L{level}N{index}"
+    if canonical != text:
+        raise ValueError(f"interval id {text!r} is not canonical (write {canonical})")
+    return level, index
+
+
+def interval_from_id(text: str, base: str = UNIT, ancestor_levels: int = 0) -> DyadicInterval:
+    """Parse the canonical id string L{level}N{index}."""
+    return DyadicInterval(*node_from_id(text, base, ancestor_levels), base, ancestor_levels)
 
 
 def four_adic_nodes(root: DyadicInterval, max_rel_level: int):
@@ -280,7 +299,8 @@ class PiecewiseConstant:
     whole tree to finite doubles over 1.  Values leave as Fractions or floats.
     """
 
-    __slots__ = ("nums", "den", "depth", "root", "exact", "_leaves", "_pyramid", "_floats")
+    __slots__ = ("nums", "den", "depth", "root", "exact", "_leaves", "_pyramid", "_floats",
+                 "_norm2")
 
     def __init__(self, leaves, root: DyadicInterval | None = None):
         self._set(leaves, 1, root)
@@ -305,7 +325,7 @@ class PiecewiseConstant:
             raise ValueError(f"depth {depth} is odd; trees must have even depth")
         self.nums, self.den, self.depth = tuple(nums), den, depth
         self.root, self.exact = root, exact
-        self._leaves = self._pyramid = self._floats = None
+        self._leaves = self._pyramid = self._floats = self._norm2 = None
 
     @classmethod
     def constant(cls, value, depth: int, root: DyadicInterval | None = None):
@@ -361,8 +381,10 @@ class PiecewiseConstant:
         return ratio(self.pyramid()[0][0], self.den_at(0), self.exact)
 
     def l2_norm2(self):
-        """Integral of the square over the tree root."""
-        return self.inner(self)
+        """Integral of the square over the tree root, computed once."""
+        if self._norm2 is None:
+            self._norm2 = self.inner(self)
+        return self._norm2
 
     def inner(self, other: "PiecewiseConstant"):
         self._require_same_grid(other)

@@ -9,6 +9,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from dyuch.bellman import (
     scan_unsliced,
@@ -329,7 +330,7 @@ def test_criterion_9_cli_deterministic_with_exit_discipline(tmp_path, capsys):
         for _ in range(2):
             code = cli_main(list(argv))
             captured = capsys.readouterr()
-            blobs = tuple(open(p, "rb").read() for p in emitted)
+            blobs = tuple(Path(p).read_bytes() for p in emitted)
             runs.append((code, captured.out, captured.err, blobs))
         if runs[0] != runs[1]:
             mismatched.append(argv[0])

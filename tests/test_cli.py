@@ -357,6 +357,74 @@ class TestKernel:
         assert "exceeds the cap" in err
 
 
+class TestMalformedInputWork:
+    """Numbers in an input cap the work they cause before they size anything.
+
+    Each input exits 2 with a tracemalloc peak under 1 MB: an index range is
+    checked with a shift that builds nothing, a measure's depth is checked
+    against DYUCH_MAX_DEPTH before its level rows are built, and a window's
+    ancestor levels are capped before any length 4**ancestor_levels is built.
+    """
+
+    MEASURES = {
+        "deep-id-declared": ({"depth": 8, "masses": {"L100000000N0": 1}}, "cannot hold support"),
+        "deep-id": ({"masses": {"L100000000N0": 1}}, "depth 100000000 exceeds the cap"),
+        "deep-depth": ({"depth": 2000000, "masses": {"L0N0": 1}},
+                       "depth 2000000 exceeds the cap"),
+        "wide-window": ({"base": "real_line", "ancestor_levels": 5000000,
+                         "masses": {"L-10000000N0": 1}}, "ancestor levels 5000000 exceed the cap"),
+    }
+    KERNELS = {
+        "wide-window": (["--base", "real_line", "--ancestors", "50000000", "--interval", "L0N0",
+                         "--height", "0"], "depth 100000000 exceeds the cap"),
+        "tall-kernel": (["--interval", "L8N0", "--height", "1000000000"], "odd ancestors"),
+        "window-root": (["--base", "real_line", "--ancestors", "5000000", "--interval",
+                         "L-10000000N0", "--height", "0"], "ancestor levels 5000000 exceed the cap"),
+    }
+
+    @staticmethod
+    def peak_run(capsys, *argv):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "result:" not in out
+        assert peak < 1 << 20
+        return err
+
+    @pytest.mark.parametrize("case", sorted(MEASURES))
+    def test_measure(self, capsys, tmp_path, monkeypatch, case):
+        monkeypatch.delenv("DYUCH_MAX_DEPTH", raising=False)
+        obj, message = self.MEASURES[case]
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps(obj))
+        assert message in self.peak_run(capsys, "check-3e", "--measure", str(path))
+
+    @pytest.mark.parametrize("case", sorted(KERNELS))
+    def test_kernel(self, capsys, monkeypatch, case):
+        monkeypatch.delenv("DYUCH_MAX_DEPTH", raising=False)
+        argv, message = self.KERNELS[case]
+        assert message in self.peak_run(capsys, "kernel", *argv)
+
+    def test_wide_tree(self, capsys, tmp_path):
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps({"base": "real_line", "ancestor_levels": 5000000,
+                                    "leaves": [0, 0, 0, 0]}))
+        err = self.peak_run(capsys, "conjugate", "--function", str(path))
+        assert "ancestor levels 5000000 exceed the cap" in err
+
+    def test_widest_window_under_the_cap(self, capsys):
+        anc = dyuch.cli.MAX_ANCESTOR_LEVELS
+        for extra, want in ((0, 0), (1, 2)):
+            a = anc + extra
+            code, _, _ = run(capsys, "kernel", "--base", "real_line", "--ancestors", str(a),
+                             "--interval", f"L{-2 * a}N0", "--height", "0")
+            assert code == want
+
+
 class TestCheck3e:
     def test_measure_only(self, capsys, fixtures):
         code, out, _ = run(capsys, "check-3e", "--measure", fixtures["mu"])
@@ -402,7 +470,7 @@ class TestCheck3e:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_mass_rejected(self, capsys, fixtures, tmp_path, bad):
-        obj = json.loads(open(fixtures["mu"]).read())
+        obj = json.loads(Path(fixtures["mu"]).read_text())
         obj["masses"][next(iter(obj["masses"]))] = bad
         path = tmp_path / "mu_bad.json"
         path.write_text(json.dumps(obj))
@@ -413,7 +481,7 @@ class TestCheck3e:
             assert "not finite" in err
 
     def test_nan_leaf_does_not_pass(self, capsys, fixtures, tmp_path):
-        obj = json.loads(open(fixtures["pair"]).read())
+        obj = json.loads(Path(fixtures["pair"]).read_text())
         obj["u"]["leaves"][3] = math.nan
         path = tmp_path / "pair_nan.json"
         path.write_text(json.dumps(obj))
@@ -431,7 +499,7 @@ class TestNonFiniteAndOverflow:
 
     @staticmethod
     def pair_file(tmp_path, fixtures, edit):
-        obj = json.loads(open(fixtures["pair"]).read())
+        obj = json.loads(Path(fixtures["pair"]).read_text())
         edit(obj)
         path = tmp_path / "pair_edit.json"
         path.write_text(json.dumps(obj))
@@ -611,7 +679,7 @@ class TestMalformedInput:
         assert err.startswith("error:")
 
     def test_pair_leaf_rejected(self, capsys, fixtures, tmp_path):
-        obj = json.loads(open(fixtures["pair"]).read())
+        obj = json.loads(Path(fixtures["pair"]).read_text())
         obj["v"]["leaves"][0] = str(obj["v"]["leaves"][0])
         path = self.write(tmp_path, obj)
         code, out, err = run(capsys, "embed", "--function", path, "--measure", fixtures["mu"])
