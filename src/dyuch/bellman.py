@@ -24,10 +24,15 @@ PSD_TOL = 1e-9
 DOMAIN_TOL = 1e-12
 STEP_TOL = 1e-9  # domain and constraint slack of one step of the dynamics
 PSD_SLICE = 1 << 14  # samples checked at a time, so the 4x4 forms stay one slice deep
-# checked samples (16 slices) from which spawned workers pay for their start-up of
+# window of _check_slice's eigenvalue candidates: LAPACK's least eigenvalue of a sliced
+# form lies within eps of its closed form (eps was 6.4e-16 at most over 4 million samples),
+# so the slice's least LAPACK eigenvalue sits at a sample whose closed form is at most
+# 2 * eps above the slice's least; the window allows eps up to 1e-12
+PSD_EIG_WINDOW = 2e-12
+# checked samples (32 slices) from which spawned workers pay for their start-up of
 # about 0.45 s on a 2-vCPU VM; verify_sliced_psd checks fewer in process
-PSD_POOL_SAMPLES = 1 << 18
-# cap on verify_sliced_psd's draws, 24 bytes each: at the cap a run takes about 18 s and
+PSD_POOL_SAMPLES = 1 << 19
+# cap on verify_sliced_psd's draws, 24 bytes each: at the cap a run takes about 8 s and
 # 340 MB on a 2-vCPU VM
 MAX_PSD_SAMPLES = 10_000_000
 MAX_SCAN_POINTS = 1_000_000  # cap on scan_unsliced's grid, which it holds as a list
@@ -205,12 +210,30 @@ def concavity_form_matrix(hp: HessianParams) -> np.ndarray:
     w = (r, i, dxr, dyr).  The matrix is positive semidefinite for every
     real (M, d1, d2), which is the heart of the embedding bound.  It is the
     untilted form scaled in place by exp(-M)/4.
+
+    Its spectrum has a closed form.  With s = exp(-M)/4 the matrix is
+    s * [[(sig - 4) I, B], [B, sig I]] with B = [[p, q], [q, -p]], and
+    B @ B = (p*p + q*q) I, so the eigenvalues are
+    s * (sig - 2 -+ sqrt(4 + p*p + q*q)), each of them twice; see
+    sliced_eigenvalues.
     """
     import numpy as np
 
     mats = unsliced_form_matrix(0.0, hp.d1, hp.d2)
     mats *= np.asarray(np.exp(-hp.M) / 4.0)[..., None, None]
     return mats
+
+
+def sliced_eigenvalues(mats: np.ndarray):
+    """The two double eigenvalues (least, greatest) of sliced forms, read from
+    their entries a = A[0, 0], c = A[2, 2], p = A[0, 2] and q = A[0, 3]:
+    (a + c)/2 -+ sqrt(((c - a)/2)**2 + p*p + q*q)."""
+    import numpy as np
+
+    a, c, p, q = mats[..., 0, 0], mats[..., 2, 2], mats[..., 0, 2], mats[..., 0, 3]
+    mid = (a + c) / 2.0
+    radius = np.sqrt(((c - a) / 2.0) ** 2 + p * p + q * q)
+    return mid - radius, mid + radius
 
 
 def principal_minors(mat: np.ndarray):
@@ -347,11 +370,25 @@ def verify_sliced_psd(
 
 def _check_slice(m, d1, d2) -> list:
     """Fold row of one slice: its size, the four minor minima, the least
-    eigenvalue, the two largest closed-form errors and the failure count."""
+    eigenvalue, the two largest closed-form errors and the failure count.
+
+    LAPACK computes each form's eigenvalues on its own, so it runs only on
+    the candidates for the least one: the samples whose closed-form least
+    eigenvalue lies within PSD_EIG_WINDOW of the slice's least, and every
+    sample with a non-finite entry, so that LAPACK fails on a NaN form just
+    as it would on the whole slice.  The row is the same bit for bit as from
+    all samples.
+    """
     import numpy as np
 
     hp = HessianParams(m, d1, d2)
     mats = concavity_form_matrix(hp)
+    # first, so its arrays are freed before the minors' are made; fmin skips NaN
+    # without a warning, and the finite check keeps the rows with a NaN
+    least = sliced_eigenvalues(mats)[0]
+    candidates = least <= np.fmin.reduce(least) + PSD_EIG_WINDOW
+    candidates |= ~np.isfinite(mats.reshape(len(m), 16) @ np.ones(16))
+    least = float(np.linalg.eigvalsh(mats[candidates])[:, 0].min())
     minors = principal_minors(mats)
     third_closed, det_closed = third_minor_closed_form(hp), det_closed_form(hp)
     third_err = np.abs(minors[2] - third_closed)
@@ -359,8 +396,7 @@ def _check_slice(m, d1, d2) -> list:
     third_gate = np.maximum(1e-9 * np.abs(third_closed), 1e-12)
     det_gate = np.maximum(1e-9 * np.abs(det_closed), 1e-12)
     failures = (~(third_err <= third_gate)).sum() + (~(det_err <= det_gate)).sum()
-    return [len(m), *(float(mn.min()) for mn in minors),
-            float(np.linalg.eigvalsh(mats)[:, 0].min()),
+    return [len(m), *(float(mn.min()) for mn in minors), least,
             float(third_err.max()), float(det_err.max()), int(failures)]
 
 

@@ -22,6 +22,7 @@ from dyuch.bellman import (
     principal_minors,
     range_gaps,
     scan_unsliced,
+    sliced_eigenvalues,
     third_minor_closed_form,
     unsliced_form_matrix,
     unsliced_third_minor,
@@ -387,27 +388,43 @@ class TestPsdStress:
         assert rep.samples == 500 and rep.ok
 
 
-def _one_pass(samples, seed, boundary):
-    # the report from all draws at once, folded by numpy alone
+def _draws(samples, seed):
+    # the verifier's draws: M in [0, 1], spreads within the window min(M, 1 - M)
     rng = np.random.default_rng(seed)
     m = rng.uniform(0.0, 1.0, samples)
     delta = np.minimum(m, 1.0 - m)
-    d1 = rng.uniform(-1.0, 1.0, samples) * delta
-    d2 = rng.uniform(-1.0, 1.0, samples) * delta
-    if boundary:
-        gm, gt = (g.ravel() for g in np.meshgrid(np.linspace(0.0, 1.0, 21),
-                                                  np.linspace(-0.5, 0.5, 21)))
-        m = np.concatenate([m, gm, gm])
-        d1 = np.concatenate([d1, 0.0 * gm, gt])
-        d2 = np.concatenate([d2, gt, 0.0 * gm])
+    return m, rng.uniform(-1.0, 1.0, samples) * delta, rng.uniform(-1.0, 1.0, samples) * delta
+
+
+def _boundary_grid():
+    gm, gt = (g.ravel() for g in np.meshgrid(np.linspace(0.0, 1.0, 21),
+                                              np.linspace(-0.5, 0.5, 21)))
+    return np.concatenate([gm, gm]), np.concatenate([0.0 * gm, gt]), np.concatenate([gt, 0.0 * gm])
+
+
+def _full_batch_row(m, d1, d2):
+    # a slice's fold row with LAPACK on every sample
     hp = HessianParams(m, d1, d2)
-    mats = concavity_form_matrix(hp)
+    mats = bellman.concavity_form_matrix(hp)
     minors = principal_minors(mats)
-    third_err = np.abs(minors[2] - third_minor_closed_form(hp))
-    det_err = np.abs(minors[3] - det_closed_form(hp))
-    return (len(m), float(min(mn.min() for mn in minors)),
-            float(np.linalg.eigvalsh(mats)[:, 0].min()), float(third_err.max()),
-            float(det_err.max()))
+    third_closed, det_closed = third_minor_closed_form(hp), det_closed_form(hp)
+    third_err = np.abs(minors[2] - third_closed)
+    det_err = np.abs(minors[3] - det_closed)
+    third_gate = np.maximum(1e-9 * np.abs(third_closed), 1e-12)
+    det_gate = np.maximum(1e-9 * np.abs(det_closed), 1e-12)
+    failures = (~(third_err <= third_gate)).sum() + (~(det_err <= det_gate)).sum()
+    return [len(m), *(float(mn.min()) for mn in minors),
+            float(np.linalg.eigvalsh(mats)[:, 0].min()),
+            float(third_err.max()), float(det_err.max()), int(failures)]
+
+
+def _one_pass(samples, seed, boundary):
+    # the report from all draws at once, folded by numpy alone
+    m, d1, d2 = _draws(samples, seed)
+    if boundary:
+        m, d1, d2 = (np.concatenate(pair) for pair in zip((m, d1, d2), _boundary_grid()))
+    row = _full_batch_row(m, d1, d2)
+    return (row[0], min(row[1:5]), *row[5:8])
 
 
 class TestPsdSlices:
@@ -455,6 +472,91 @@ class TestPsdSlices:
         monkeypatch.setattr(bellman, "det_closed_form", poisoned)
         rep = verify_sliced_psd(samples=3000, seed=1, boundary=False)
         assert rep.closed_form_failures == 3 and not rep.ok
+
+
+def _outcome(check, m, d1, d2):
+    # repr is exact for floats, so equal outcomes are equal bit for bit
+    try:
+        return repr(check(m, d1, d2))
+    except np.linalg.LinAlgError as exc:
+        return f"LinAlgError: {exc}"
+
+
+class TestSlicedSpectrum:
+    """The sliced form's two double eigenvalues in closed form."""
+
+    @pytest.mark.parametrize("draws", [_draws(20_000, 61), _boundary_grid(),
+                                       tuple(np.random.default_rng(62).uniform(-3, 3, (3, 2000)))],
+                             ids=["domain", "boundary-grid", "all-real"])
+    def test_all_four_match_lapack(self, draws):
+        mats = concavity_form_matrix(HessianParams(*draws))
+        low, high = sliced_eigenvalues(mats)
+        eig = np.linalg.eigvalsh(mats)
+        for k, closed in enumerate((low, low, high, high)):
+            # high >= |low| is the spectral radius; the domain's forms have high <= 1
+            assert (np.abs(eig[:, k] - closed) <= 1e-14 * np.maximum(1.0, high)).all()
+
+    def test_single_form(self):
+        hp = HessianParams(0.0, math.log(2), 0.0)  # sig = 4.5, p = -1.5, q = 0
+        low, high = sliced_eigenvalues(concavity_form_matrix(hp))
+        assert low == pytest.approx(0.25 * (2.5 - 2.5), abs=1e-15)
+        assert high == pytest.approx(0.25 * (2.5 + 2.5), rel=1e-15)
+
+
+class TestEigenvalueCandidates:
+    """LAPACK runs on a slice's near-minimal samples only; the fold row stays the same."""
+
+    def test_every_slice_of_a_pool_sized_run(self):
+        m, d1, d2 = _draws(300_000, 2)
+        slices = [(m[lo:lo + bellman.PSD_SLICE], d1[lo:lo + bellman.PSD_SLICE],
+                   d2[lo:lo + bellman.PSD_SLICE]) for lo in range(0, 300_000, bellman.PSD_SLICE)]
+        for s in [*slices, _boundary_grid()]:
+            assert _outcome(bellman._check_slice, *s) == _outcome(_full_batch_row, *s)
+
+    @pytest.mark.parametrize("zeros", ["d1", "d1-d2"])
+    def test_slices_where_every_eigenvalue_ties_at_zero(self, zeros):
+        m, d1, d2 = _draws(bellman.PSD_SLICE, 63)
+        d1 = 0.0 * d1
+        if zeros == "d1-d2":
+            d2 = 0.0 * d2
+        low = sliced_eigenvalues(concavity_form_matrix(HessianParams(m, d1, d2)))[0]
+        assert np.abs(low).max() <= 1e-15
+        assert _outcome(bellman._check_slice, m, d1, d2) == _outcome(_full_batch_row, m, d1, d2)
+
+    def test_lapack_sees_few_samples(self, monkeypatch):
+        real, sizes = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or real(a))
+        bellman._check_slice(*_draws(bellman.PSD_SLICE, 64))
+        assert len(sizes) == 1 and 0 < sizes[0] < 2000
+
+    @pytest.mark.parametrize("entry", [(i, j) for i in range(4) for j in range(4)])
+    def test_nan_in_any_entry_gives_the_full_batch_outcome(self, monkeypatch, entry):
+        # LAPACK reads the lower triangle and fails on a NaN there; a NaN above
+        # it reaches the minors instead
+        real = bellman.concavity_form_matrix
+
+        def poisoned(hp):
+            mats = real(hp)
+            mats[(700, *entry)] = math.nan
+            return mats
+
+        monkeypatch.setattr(bellman, "concavity_form_matrix", poisoned)
+        s = _draws(1000, 65)
+        got, want = _outcome(bellman._check_slice, *s), _outcome(_full_batch_row, *s)
+        assert got == want
+        assert want.startswith("LinAlgError") == (entry[0] >= entry[1])
+
+    def test_nan_form_raises_in_the_library(self, monkeypatch):
+        real = bellman.concavity_form_matrix
+
+        def poisoned(hp):
+            mats = real(hp)
+            mats[0, 0, 0] = math.nan
+            return mats
+
+        monkeypatch.setattr(bellman, "concavity_form_matrix", poisoned)
+        with pytest.raises(np.linalg.LinAlgError):
+            verify_sliced_psd(samples=3000, seed=1)
 
 
 class TestPsdFold:

@@ -119,6 +119,24 @@ class TestVerifyBellman:
         assert "--samples" in err and str(bellman.MAX_PSD_SAMPLES) in err
         assert not out_path.exists()
 
+    def test_nan_form_is_an_error_not_a_verdict(self, capsys, monkeypatch, tmp_path):
+        # LAPACK fails on a form with a NaN entry, among the eigenvalue candidates or not
+        real = bellman.concavity_form_matrix
+
+        def poisoned(hp):
+            mats = real(hp)
+            mats[0, 3, 1] = math.nan
+            return mats
+
+        monkeypatch.setattr(bellman, "concavity_form_matrix", poisoned)
+        out_path = tmp_path / "rep.json"
+        code, out, err = run(capsys, "verify-bellman", "--samples", "3000", "--no-boundary",
+                             "--out", str(out_path))
+        assert code == 2
+        assert "result:" not in out
+        assert err.startswith("error: Eigenvalues did not converge")
+        assert not out_path.exists()
+
     def test_dead_worker_is_an_error_not_a_verdict(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(bellman, "PSD_SLICE", 1000)

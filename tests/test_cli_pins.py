@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from dyuch import bellman
 from dyuch.carleson import measure_to_json, random_balanced_measure
 from dyuch.cli import main
 from dyuch.dyadic import tree_to_json, window_root
@@ -68,10 +69,13 @@ RUNS = {
     "verify-bellman": ["verify-bellman", "--samples", "200"],
     "verify-bellman-no-boundary": ["verify-bellman", "--samples", "200", "--seed", "3",
                                    "--no-boundary"],
-    # large enough that the verifier spawns workers wherever two CPUs are usable
+    # 19 slices: test_verifier_bytes_do_not_depend_on_cpus has them spawn workers
     "verify-bellman-pool": ["verify-bellman", "--samples", "300000", "--seed", "2"],
     "verify-bellman-pool-no-boundary": ["verify-bellman", "--samples", "300000", "--seed", "2",
                                         "--no-boundary"],
+    # the benchmark's verifier command, large enough to spawn workers wherever two
+    # CPUs are usable
+    "verify-bellman-million": ["verify-bellman", "--samples", "1000000", "--seed", "1"],
     "scan-unsliced": ["scan-unsliced", "--csv", "w.csv"],
     "scan-unsliced-d-zero": ["scan-unsliced", "--region", "d-zero", "--step", "0.1"],
     "embed": ["embed", "--function", "pair.json", "--measure", "mu.json"],
@@ -142,6 +146,7 @@ PINNED = {
     "uchiyama-third-pi": "8b9ee54591435f3d",
     "uchiyama-window": "de91a88cb6aa8a95",
     "verify-bellman": "cae83ca09c5336b7",
+    "verify-bellman-million": "b1a093aa85035580",
     "verify-bellman-no-boundary": "3d9c015f5f62d945",
     "verify-bellman-pool": "1eee9c2e3b6babd1",
     "verify-bellman-pool-no-boundary": "7306d2dc4a329430",
@@ -187,6 +192,7 @@ def test_verifier_bytes_do_not_depend_on_cpus(box, name, cpus, capsys, monkeypat
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(bellman, "PSD_POOL_SAMPLES", 300_000)
     monkeypatch.chdir(box)
     assert run_digest(box, name, capsys) == PINNED[name]
     assert pools == ([] if cpus == 1 else [(1,)])
