@@ -167,19 +167,6 @@ def dynamics_gap(p: BellmanPoint, split: SplitSpec) -> float:
     return step_surplus(*_flat(p, split))
 
 
-@dataclass(frozen=True)
-class HessianParams:
-    """Parameters of the sliced concavity form.
-
-    M is the state mass, d1 and d2 the half spreads of the children masses:
-    floats for one form, or numpy arrays of one shape for a batch of them.
-    """
-
-    M: float
-    d1: float
-    d2: float
-
-
 def unsliced_form_matrix(d, d1, d2) -> np.ndarray:
     """Concavity form with the pair weights tilted by exp(-+d), in units of
     exp(-M)/4; the tilt makes the form lose definiteness for some admissible
@@ -203,9 +190,11 @@ def unsliced_form_matrix(d, d1, d2) -> np.ndarray:
     return mats
 
 
-def concavity_form_matrix(hp: HessianParams) -> np.ndarray:
+def concavity_form_matrix(M, d1, d2) -> np.ndarray:
     """Quadratic form of the sliced concavity surplus in (r, i, dxr, dyr).
 
+    M is the state mass, d1 and d2 the half spreads of the children masses:
+    floats for one form, or numpy arrays of one shape for a batch of them.
     For a mass-free split the surplus equals e times w.T A w with
     w = (r, i, dxr, dyr).  The matrix is positive semidefinite for every
     real (M, d1, d2), which is the heart of the embedding bound.  It is the
@@ -219,8 +208,8 @@ def concavity_form_matrix(hp: HessianParams) -> np.ndarray:
     """
     import numpy as np
 
-    mats = unsliced_form_matrix(0.0, hp.d1, hp.d2)
-    mats *= np.asarray(np.exp(-hp.M) / 4.0)[..., None, None]
+    mats = unsliced_form_matrix(0.0, d1, d2)
+    mats *= np.asarray(np.exp(-M) / 4.0)[..., None, None]
     return mats
 
 
@@ -243,22 +232,22 @@ def principal_minors(mat: np.ndarray):
     return [np.linalg.det(mat[..., :k, :k]) for k in range(1, 5)]
 
 
-def third_minor_closed_form(hp: HessianParams):
+def third_minor_closed_form(M, d1, d2):
     """Upper-left 3x3 minor of the sliced form in closed form."""
     import numpy as np
 
-    x1 = 2.0 * np.cosh(hp.d1)
-    x2 = 2.0 * np.cosh(hp.d2)
-    return (np.exp(-hp.M) / 4.0) ** 3 * (x1 + x2 - 4.0) * 2.0 * (x1 - 2.0) * (x2 - 2.0)
+    x1 = 2.0 * np.cosh(d1)
+    x2 = 2.0 * np.cosh(d2)
+    return (np.exp(-M) / 4.0) ** 3 * (x1 + x2 - 4.0) * 2.0 * (x1 - 2.0) * (x2 - 2.0)
 
 
-def det_closed_form(hp: HessianParams):
+def det_closed_form(M, d1, d2):
     """Determinant of the sliced form in closed form; a fourth power, never negative."""
     import numpy as np
 
-    s1 = 2.0 * np.sinh(hp.d1 / 2.0)
-    s2 = 2.0 * np.sinh(hp.d2 / 2.0)
-    return 4.0 * (np.exp(-hp.M) / 4.0) ** 4 * s1**4 * s2**4
+    s1 = 2.0 * np.sinh(d1 / 2.0)
+    s2 = 2.0 * np.sinh(d2 / 2.0)
+    return 4.0 * (np.exp(-M) / 4.0) ** 4 * s1**4 * s2**4
 
 
 def unsliced_third_minor(d: float, d1: float, d2: float) -> float:
@@ -381,8 +370,7 @@ def _check_slice(m, d1, d2) -> list:
     """
     import numpy as np
 
-    hp = HessianParams(m, d1, d2)
-    mats = concavity_form_matrix(hp)
+    mats = concavity_form_matrix(m, d1, d2)
     # first, so its arrays are freed before the minors' are made; fmin skips NaN
     # without a warning, and the finite check keeps the rows with a NaN
     least = sliced_eigenvalues(mats)[0]
@@ -390,7 +378,7 @@ def _check_slice(m, d1, d2) -> list:
     candidates |= ~np.isfinite(mats.reshape(len(m), 16) @ np.ones(16))
     least = float(np.linalg.eigvalsh(mats[candidates])[:, 0].min())
     minors = principal_minors(mats)
-    third_closed, det_closed = third_minor_closed_form(hp), det_closed_form(hp)
+    third_closed, det_closed = third_minor_closed_form(m, d1, d2), det_closed_form(m, d1, d2)
     third_err = np.abs(minors[2] - third_closed)
     det_err = np.abs(minors[3] - det_closed)
     third_gate = np.maximum(1e-9 * np.abs(third_closed), 1e-12)

@@ -295,9 +295,7 @@ def pair_supermartingale(mu: DiscreteMeasure, sign: str) -> SlicedSuperMartingal
         res = float(mu.balance_residual())
         raise ValueError(f"measure is not balanced (residual {res:.6g}); the pairing needs"
                          " equal half masses")
-    if sign not in (SUPERMARTINGALE_NONNEG, SUBMARTINGALE_NONPOS):
-        raise ValueError(f"unknown sign convention {sign!r}")
-    flip = 1 if sign == SUPERMARTINGALE_NONNEG else -1
+    flip = 1 if sign == SUPERMARTINGALE_NONNEG else -1  # the constructor checks the sign
     nodes = four_adic_nodes(mu.root, mu.depth)
     values = {I: flip * mu.subtree_mass(I) / I.length for I in nodes}
     return SlicedSuperMartingale(values, mu.root, mu.depth, sign, validate=False)

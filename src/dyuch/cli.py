@@ -86,10 +86,7 @@ def _load_measure(path: str) -> carleson.DiscreteMeasure:
 
 
 def _require_compatible(f, mu, tol):
-    if mu.root != f.root:
-        raise ValueError("function and measure use different bases")
-    if mu.depth > f.depth:
-        raise ValueError("measure reaches deeper than the function tree")
+    carleson._require_compatible(f, mu)
     res = float(mu.balance_residual())
     if not res <= tol:
         raise ValueError(f"measure is not balanced (residual {res:.6g}); this check needs"
@@ -190,27 +187,31 @@ def _cmd_scan_unsliced(args) -> dict:
     return _report("scan-unsliced", args, summary, violations)
 
 
-def _cmd_embed(args) -> dict:
+def _embedding_slacks(args, violations: list):
+    """The pair and measure of --function and --measure, checked to fit and to be
+    balanced, with their embedding and weighted slacks; gates both slacks."""
     f = _load_pair(args.function)
     mu = _load_measure(args.measure)
     _require_compatible(f, mu, args.tolerance)
-
-    total = float(carleson.embedding_sum(f, mu))
-    norm2 = float(f.norm2())
-    packing = float(mu.packing_intensity())
-    bound = carleson.E * packing * norm2
-    slack = bound - total  # embedding_slack, from the sums at hand
-    weighted = carleson.weighted_embedding_slack(f, mu)
-    violations = []
+    slack = carleson.embedding_slack(f, mu)
     if not slack >= -args.tolerance:
         violations.append(f"embedding bound violated by {-slack!r}")
+    weighted = carleson.weighted_embedding_slack(f, mu)
     if not weighted >= -args.tolerance:
         violations.append(f"weighted bound violated by {-weighted!r}")
+    return f, mu, slack, weighted
+
+
+def _cmd_embed(args) -> dict:
+    violations = []
+    f, mu, slack, weighted = _embedding_slacks(args, violations)
+    norm2 = float(f.norm2())
+    packing = float(mu.packing_intensity())
     summary = {
-        "embedding_sum": total,
+        "embedding_sum": float(carleson.embedding_sum(f, mu)),
         "norm2": norm2,
         "packing_intensity": packing,
-        "bound": bound,
+        "bound": carleson.E * packing * norm2,
         "slack": slack,
         "weighted_slack": weighted,
         "balance_residual": float(mu.balance_residual()),
@@ -219,23 +220,12 @@ def _cmd_embed(args) -> dict:
 
 
 def _cmd_uchiyama_check(args) -> dict:
-    f = _load_pair(args.function)
-    mu = _load_measure(args.measure)
-    _require_compatible(f, mu, args.tolerance)
-
     violations = []
-    packing = float(mu.packing_intensity())
-    slack = carleson.embedding_slack(f, mu)
-    if not slack >= -args.tolerance:
-        violations.append(f"embedding bound violated by {-slack!r}")
-    weighted = carleson.weighted_embedding_slack(f, mu)
-    if not weighted >= -args.tolerance:
-        violations.append(f"weighted bound violated by {-weighted!r}")
-
+    f, mu, slack, weighted = _embedding_slacks(args, violations)
     summary = {
         "depth": f.depth,
         "balance_residual": float(mu.balance_residual()),
-        "packing_intensity": packing,
+        "packing_intensity": float(mu.packing_intensity()),
         "embedding_slack": slack,
         "weighted_slack": weighted,
     }

@@ -11,9 +11,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .dyadic import _sum_pyramid, unit_root
+from .dyadic import _sum_pyramid, as_numerators, unit_root
 from .martingale import DyadicAnalytic, _rotated_leaves, _sliced_from_increments, _sliced_leaves, s0
-from .carleson import DiscreteMeasure, _split_masses, _subtree_sums, embedding_sum
+from .carleson import DiscreteMeasure, _split_masses, _subtree_sums, embedding_slack, embedding_sum
 
 E = math.e
 
@@ -39,20 +39,19 @@ class Configuration:
     @classmethod
     def build(cls, f: DyadicAnalytic, mu: DiscreteMeasure) -> "Configuration":
         bal = float(mu.balance_residual())
-        if bal > BALANCE_TOL:
+        if not bal <= BALANCE_TOL:
             raise ValueError(f"measure is not balanced (residual {bal:.3g})")
         packing = float(mu.packing_intensity())
-        if packing > 1.0 + INTENSITY_TOL:
+        if not packing <= 1.0 + INTENSITY_TOL:
             raise ValueError(f"packing intensity {packing:.6g} exceeds the unit cap")
         norm2 = float(f.norm2())
-        if norm2 <= 0.0:
+        if not norm2 > 0.0:
             raise ValueError("the zero pair certifies nothing")
-        total = float(embedding_sum(f, mu))
-        slack = E * packing * norm2 - total  # embedding_slack, from the sums at hand
-        if slack < -SLACK_TOL:
+        slack = embedding_slack(f, mu)
+        if not slack >= -SLACK_TOL:
             raise ValueError(f"embedding bound violated (slack {slack:.3g})")
-        ratio = total / norm2
-        if ratio > E + INTENSITY_TOL:
+        ratio = float(embedding_sum(f, mu)) / norm2
+        if not ratio <= E + INTENSITY_TOL:
             raise ValueError(f"ratio {ratio:.6g} exceeds e; configuration is invalid")
         return cls(f, mu, ratio)
 
@@ -204,9 +203,11 @@ def _search_state(depth: int, budget: int, seed: int, restarts: int) -> dict:
 def search(depth: int, budget: int = 2000, seed: int = 0, restarts: int = 6):
     """Seeded search for high-ratio configurations at the given depth.
 
-    Warm starts from the best configuration two levels up, so the achieved
-    ratio never drops as depth grows; the remaining budget is spent on
-    random restarts with local jitter refinement.  Same arguments, same
+    Warm starts from the best state two levels up, so the ratio is at least
+    that of _embed_state(_search_state(depth - 2, budget // 2, seed + 1,
+    restarts)); it may still drop as depth grows (search(d, 800, 0) gives
+    1.1700, 1.1547 and 1.1328 at d = 2, 4, 6).  The remaining budget is spent
+    on random restarts with local jitter refinement.  Same arguments, same
     result, bit for bit.
     """
     if depth < 2 or depth % 2:
@@ -258,6 +259,8 @@ def profile_residuals(profile: BoundProfile) -> ProfileResiduals:
     grid, vals = profile.grid, profile.values
     if len(grid) != len(vals) or len(grid) < 2:
         raise ValueError("profile needs matching grids and at least two samples")
+    for what, xs in (("grid point", grid), ("value", vals), ("constant", [profile.constant])):
+        as_numerators(xs, f"profile {what}")  # raises on a non-finite or non-numeric entry
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("profile grid must be strictly increasing")
 

@@ -10,7 +10,6 @@ from dyuch import bellman
 from dyuch.bellman import (
     PSD_TOL,
     BellmanPoint,
-    HessianParams,
     SplitSpec,
     bellman_value,
     concavity_form_matrix,
@@ -134,7 +133,7 @@ class TestConcavityGap:
             w = np.array([rng.uniform(-2, 2) for _ in range(4)])
             p = BellmanPoint(30.0, w[0], w[1], M)
             split = SplitSpec(w[2], w[3], d1, d2, 0.0, (30.0,) * 4)
-            mat = concavity_form_matrix(HessianParams(M, d1, d2))
+            mat = concavity_form_matrix(M, d1, d2)
             want = E * float(w @ mat @ w)
             assert concavity_gap(p, split) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
@@ -218,8 +217,7 @@ class TestDynamicsGap:
 
 class TestHessianMatrices:
     def test_matrix_entries(self):
-        hp = HessianParams(0.0, math.log(2), 0.0)
-        mat = concavity_form_matrix(hp)
+        mat = concavity_form_matrix(0.0, math.log(2), 0.0)
         sig = 2.5 + 2.0
         want = 0.25 * np.array(
             [
@@ -233,22 +231,21 @@ class TestHessianMatrices:
         assert np.allclose(mat, mat.T, atol=0.0)
 
     def test_mass_prefactor(self):
-        a = concavity_form_matrix(HessianParams(0.0, 0.2, 0.1))
-        b = concavity_form_matrix(HessianParams(1.0, 0.2, 0.1))
+        a = concavity_form_matrix(0.0, 0.2, 0.1)
+        b = concavity_form_matrix(1.0, 0.2, 0.1)
         assert np.allclose(a, math.e * b, atol=1e-12)
 
     def test_psd_for_all_real_spreads(self):
         rng = random.Random(55)
         for _ in range(300):
-            hp = HessianParams(
+            hp = (
                 rng.uniform(-1, 2), rng.uniform(-3, 3), rng.uniform(-3, 3)
             )
-            eig = np.linalg.eigvalsh(concavity_form_matrix(hp))
+            eig = np.linalg.eigvalsh(concavity_form_matrix(*hp))
             assert eig[0] >= -1e-9
 
     def test_principal_minors_both_corners(self):
-        hp = HessianParams(0.4, 0.3, -0.2)
-        mat = concavity_form_matrix(hp)
+        mat = concavity_form_matrix(0.4, 0.3, -0.2)
         up = principal_minors(mat)
         lo = principal_minors(mat[::-1, ::-1])  # reversed, the lower right comes first
         for k in range(1, 5):
@@ -264,18 +261,18 @@ class TestHessianMatrices:
         # to the single forms and closed forms
         rng = np.random.default_rng(60)
         m, d1, d2 = rng.uniform(0, 1, 50), rng.uniform(-1, 1, 50), rng.uniform(-1, 1, 50)
-        batch = HessianParams(m, d1, d2)
-        mats = concavity_form_matrix(batch)
+        batch = (m, d1, d2)
+        mats = concavity_form_matrix(*batch)
         minors = principal_minors(mats)
-        thirds, dets = third_minor_closed_form(batch), det_closed_form(batch)
+        thirds, dets = third_minor_closed_form(*batch), det_closed_form(*batch)
         assert mats.shape == (50, 4, 4) and thirds.shape == dets.shape == (50,)
         for t in range(50):
-            hp = HessianParams(float(m[t]), float(d1[t]), float(d2[t]))
-            assert np.allclose(mats[t], concavity_form_matrix(hp), rtol=1e-14, atol=0.0)
+            hp = (float(m[t]), float(d1[t]), float(d2[t]))
+            assert np.allclose(mats[t], concavity_form_matrix(*hp), rtol=1e-14, atol=0.0)
             assert np.allclose([mn[t] for mn in minors], principal_minors(mats[t]),
                                rtol=1e-12, atol=1e-15)
-            assert thirds[t] == pytest.approx(third_minor_closed_form(hp), rel=1e-14)
-            assert dets[t] == pytest.approx(det_closed_form(hp), rel=1e-14, abs=1e-300)
+            assert thirds[t] == pytest.approx(third_minor_closed_form(*hp), rel=1e-14)
+            assert dets[t] == pytest.approx(det_closed_form(*hp), rel=1e-14, abs=1e-300)
         tilted = unsliced_form_matrix(0.1, d1, d2)
         assert np.allclose(tilted[7], unsliced_form_matrix(0.1, float(d1[7]), float(d2[7])),
                            rtol=1e-14, atol=0.0)
@@ -283,21 +280,21 @@ class TestHessianMatrices:
     def test_closed_forms_match_numerics(self):
         rng = random.Random(56)
         for _ in range(200):
-            hp = HessianParams(
+            hp = (
                 rng.uniform(0.0, 1.0), rng.uniform(-1, 1), rng.uniform(-1, 1)
             )
-            mat = concavity_form_matrix(hp)
+            mat = concavity_form_matrix(*hp)
             third = float(np.linalg.det(mat[:3, :3]))
             det = float(np.linalg.det(mat))
-            tc = third_minor_closed_form(hp)
-            dc = det_closed_form(hp)
+            tc = third_minor_closed_form(*hp)
+            dc = det_closed_form(*hp)
             assert abs(third - tc) <= max(1e-9 * abs(tc), 1e-12)
             assert abs(det - dc) <= max(1e-9 * abs(dc), 1e-12)
             assert tc >= 0.0 and dc >= 0.0
 
     def test_det_vanishes_on_axes(self):
-        assert det_closed_form(HessianParams(0.3, 0.0, 0.7)) == 0.0
-        assert det_closed_form(HessianParams(0.3, 0.7, 0.0)) == 0.0
+        assert det_closed_form(0.3, 0.0, 0.7) == 0.0
+        assert det_closed_form(0.3, 0.7, 0.0) == 0.0
 
 
 class TestUnslicedForm:
@@ -306,7 +303,7 @@ class TestUnslicedForm:
         for _ in range(50):
             d1, d2 = rng.uniform(-1, 1), rng.uniform(-1, 1)
             a = unsliced_form_matrix(0.0, d1, d2)
-            b = 4.0 * concavity_form_matrix(HessianParams(0.0, d1, d2))
+            b = 4.0 * concavity_form_matrix(0.0, d1, d2)
             assert np.allclose(a, b, atol=1e-12)
 
     def test_third_minor_matches_matrix(self):
@@ -404,10 +401,9 @@ def _boundary_grid():
 
 def _full_batch_row(m, d1, d2):
     # a slice's fold row with LAPACK on every sample
-    hp = HessianParams(m, d1, d2)
-    mats = bellman.concavity_form_matrix(hp)
+    mats = bellman.concavity_form_matrix(m, d1, d2)
     minors = principal_minors(mats)
-    third_closed, det_closed = third_minor_closed_form(hp), det_closed_form(hp)
+    third_closed, det_closed = third_minor_closed_form(m, d1, d2), det_closed_form(m, d1, d2)
     third_err = np.abs(minors[2] - third_closed)
     det_err = np.abs(minors[3] - det_closed)
     third_gate = np.maximum(1e-9 * np.abs(third_closed), 1e-12)
@@ -463,8 +459,8 @@ class TestPsdSlices:
     def test_nan_closed_form_counts_as_failure(self, monkeypatch):
         real = bellman.det_closed_form
 
-        def poisoned(hp):
-            out = real(hp)
+        def poisoned(*hp):
+            out = real(*hp)
             out[0] = math.nan
             return out
 
@@ -489,7 +485,7 @@ class TestSlicedSpectrum:
                                        tuple(np.random.default_rng(62).uniform(-3, 3, (3, 2000)))],
                              ids=["domain", "boundary-grid", "all-real"])
     def test_all_four_match_lapack(self, draws):
-        mats = concavity_form_matrix(HessianParams(*draws))
+        mats = concavity_form_matrix(*draws)
         low, high = sliced_eigenvalues(mats)
         eig = np.linalg.eigvalsh(mats)
         for k, closed in enumerate((low, low, high, high)):
@@ -497,8 +493,8 @@ class TestSlicedSpectrum:
             assert (np.abs(eig[:, k] - closed) <= 1e-14 * np.maximum(1.0, high)).all()
 
     def test_single_form(self):
-        hp = HessianParams(0.0, math.log(2), 0.0)  # sig = 4.5, p = -1.5, q = 0
-        low, high = sliced_eigenvalues(concavity_form_matrix(hp))
+        # sig = 4.5, p = -1.5, q = 0
+        low, high = sliced_eigenvalues(concavity_form_matrix(0.0, math.log(2), 0.0))
         assert low == pytest.approx(0.25 * (2.5 - 2.5), abs=1e-15)
         assert high == pytest.approx(0.25 * (2.5 + 2.5), rel=1e-15)
 
@@ -519,7 +515,7 @@ class TestEigenvalueCandidates:
         d1 = 0.0 * d1
         if zeros == "d1-d2":
             d2 = 0.0 * d2
-        low = sliced_eigenvalues(concavity_form_matrix(HessianParams(m, d1, d2)))[0]
+        low = sliced_eigenvalues(concavity_form_matrix(m, d1, d2))[0]
         assert np.abs(low).max() <= 1e-15
         assert _outcome(bellman._check_slice, m, d1, d2) == _outcome(_full_batch_row, m, d1, d2)
 
@@ -535,8 +531,8 @@ class TestEigenvalueCandidates:
         # it reaches the minors instead
         real = bellman.concavity_form_matrix
 
-        def poisoned(hp):
-            mats = real(hp)
+        def poisoned(*hp):
+            mats = real(*hp)
             mats[(700, *entry)] = math.nan
             return mats
 
@@ -549,8 +545,8 @@ class TestEigenvalueCandidates:
     def test_nan_form_raises_in_the_library(self, monkeypatch):
         real = bellman.concavity_form_matrix
 
-        def poisoned(hp):
-            mats = real(hp)
+        def poisoned(*hp):
+            mats = real(*hp)
             mats[0, 0, 0] = math.nan
             return mats
 

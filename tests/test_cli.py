@@ -123,8 +123,8 @@ class TestVerifyBellman:
         # LAPACK fails on a form with a NaN entry, among the eigenvalue candidates or not
         real = bellman.concavity_form_matrix
 
-        def poisoned(hp):
-            mats = real(hp)
+        def poisoned(*hp):
+            mats = real(*hp)
             mats[0, 3, 1] = math.nan
             return mats
 
@@ -265,6 +265,40 @@ class TestUchiyamaCheck:
         )
         assert code == 0
         assert "result: PASS" in out
+
+
+class TestIncompatibleInputs:
+    """A pair and a measure that do not fit are an input error for every command."""
+
+    COMMANDS = [["embed"], ["uchiyama-check"], ["check-3e"]]
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        box = tmp_path_factory.mktemp("incompatible")
+        shallow, window = box / "pair2.json", box / "window_mu.json"
+        shallow.write_text(json.dumps(analytic_to_json(random_analytic(random.Random(12), 2))))
+        window.write_text(json.dumps({"base": "real_line", "ancestor_levels": 2, "depth": 2,
+                                      "masses": {"L-4N0": 1}}))
+        return {"shallow_pair": str(shallow), "window_mu": str(window)}
+
+    def check(self, capsys, tmp_path, argv, pair, measure, message):
+        out_path = tmp_path / "rep.json"
+        code, out, err = run(capsys, *argv, "--function", pair, "--measure", measure,
+                             "--out", str(out_path))
+        assert code == 2
+        assert "result: PASS" not in out
+        assert message in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0])
+    def test_measure_deeper_than_pair(self, capsys, fixtures, inputs, tmp_path, argv):
+        self.check(capsys, tmp_path, argv, inputs["shallow_pair"], fixtures["mu"],
+                   "measure depth 4 exceeds function depth 2")
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0])
+    def test_measure_on_another_base(self, capsys, fixtures, inputs, tmp_path, argv):
+        self.check(capsys, tmp_path, argv, fixtures["pair"], inputs["window_mu"],
+                   "function and measure live on different roots")
 
 
 class TestConjugate:

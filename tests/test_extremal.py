@@ -18,6 +18,7 @@ from dyuch.extremal import (
     _measure_from_state,
     _pair_from_state,
     _random_state,
+    _search_state,
     competitor,
     exponential_profile,
     lower_bound_certificate,
@@ -81,6 +82,14 @@ class TestConfiguration:
         with pytest.raises(ValueError, match="zero pair"):
             Configuration.build(f, mu)
 
+    def test_rejects_overflowing_pair(self):
+        # norm2 and the embedding sum overflow to inf, so the slack and ratio are NaN
+        f = DyadicAnalytic.from_leaves([1.5e154] * 4, [0.0] * 4)
+        mu = DiscreteMeasure({unit_root(): 1.0}, depth=2)
+        assert float(f.norm2()) == math.inf
+        with pytest.raises(ValueError, match="slack nan"):
+            Configuration.build(f, mu)
+
     def test_accepts_admissible(self):
         f = DyadicAnalytic.from_leaves([1] * 4, [0] * 4)
         mu = DiscreteMeasure({unit_root(): Fraction(1, 2)}, depth=2)
@@ -105,6 +114,13 @@ class TestSearch:
         deep = search(4, budget=200, seed=3, restarts=4)
         shallow = search(2, budget=100, seed=4, restarts=4)
         assert deep.ratio >= shallow.ratio - 1e-12
+
+    @pytest.mark.parametrize("depth, budget, seed, restarts",
+                             [(4, 200, 3, 4), (4, 800, 0, 6), (6, 800, 0, 6), (6, 300, 9, 2)])
+    def test_never_below_its_warm_start(self, depth, budget, seed, restarts):
+        warm = _embed_state(_search_state(depth - 2, budget // 2, seed + 1, restarts))
+        floor = Configuration.build(_pair_from_state(warm), _measure_from_state(warm)).ratio
+        assert search(depth, budget, seed, restarts).ratio >= floor
 
     def test_result_is_admissible(self):
         cfg = search(4, budget=80, seed=7, restarts=2)
@@ -250,6 +266,18 @@ class TestProfiles:
         concave = BoundProfile(grid, [math.exp(-m * m) for m in grid], E)
         res = profile_residuals(concave)
         assert res.log_convexity > 0.0
+
+    @pytest.mark.parametrize("grid, values, constant, what", [
+        ([0.0, 0.5, 1.0], [math.nan] * 3, E, "value 0"),
+        ([0.0, 0.5, 1.0], [1.0, math.inf, 1.0], E, "value 1"),
+        ([0.0, math.nan, 1.0], [1.0] * 3, E, "grid point 1"),
+        ([0.0, 0.5, 1.0], [1.0] * 3, math.nan, "constant"),
+        ([0.0, 0.5, 1.0], [1.0] * 3, -math.inf, "constant"),
+    ])
+    def test_non_finite_profile_raises(self, grid, values, constant, what):
+        # the builtin max drops NaN, so an unchecked NaN profile would read all zeros
+        with pytest.raises(ValueError, match=f"profile {what}"):
+            profile_residuals(BoundProfile(grid, values, constant))
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
