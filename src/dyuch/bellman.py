@@ -120,18 +120,21 @@ def _value_drop(F, r, i, M, dxr, dyr, d1, d2, mu, F_parts) -> float:
     mod2 = r * r + i * i
     if not _in_domain(F, mod2, M, STEP_TOL):
         raise ValueError("state lies outside the certificate domain")
-    if abs(sum(F_parts) / 4 - F) > max(STEP_TOL, 1e-9 * abs(F)):
+    fxm, fxp, fym, fyp = F_parts
+    # sums are left folds from 0, the same bits on every Python (3.12's sum compensates)
+    if abs((0 + fxm + fxp + fym + fyp) / 4 - F) > max(STEP_TOL, 1e-9 * abs(F)):
         raise ValueError("children second moments must average to the parent F")
     mean = M - mu
-    fxm, fxp, fym, fyp = F_parts
     kids = (
         (fxm, r - dxr, i + dyr, mean - d1),
         (fxp, r + dxr, i - dyr, mean + d1),
         (fym, r - dyr, i - dxr, mean - d2),
         (fyp, r + dyr, i + dxr, mean + d2),
     )
-    values = [E * fc - math.exp(1.0 - mc) * (a * a + b * b) for fc, a, b, mc in kids]
-    return E * F - math.exp(1.0 - M) * mod2 - sum(values) / 4
+    total = 0
+    for fc, a, b, mc in kids:
+        total += E * fc - math.exp(1.0 - mc) * (a * a + b * b)
+    return E * F - math.exp(1.0 - M) * mod2 - total / 4
 
 
 def step_surplus(F, r, i, M, dxr, dyr, d1, d2, mu, F_parts) -> float:

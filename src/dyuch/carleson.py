@@ -19,6 +19,7 @@ from .dyadic import (
     as_numerators,
     four_adic_nodes,
     json_number,
+    left_sum,
     nan_min,
     node_from_id,
     ratio,
@@ -45,9 +46,12 @@ def _subtree_sums(own, depth):
     """Per level k, {j: subtree mass of node (2k, j)}, summed over own's ((r, j), m) in order."""
     sums = [{} for _ in range(depth // 2 + 1)]
     for (r, j), m in own:
-        for level in reversed(sums[: r // 2 + 1]):
+        k = r >> 1
+        while k >= 0:  # node (r, j), then its 4-adic ancestors up to the root
+            level = sums[k]
             level[j] = level.get(j, 0) + m
             j >>= 2
+            k -= 1
     return sums
 
 
@@ -308,7 +312,7 @@ def measure_from_supermartingale(M: SlicedSuperMartingale) -> DiscreteMeasure:
     for I, v in M.values.items():
         s_here = flip * v * I.length
         below = I.grandchildren() if I.level - M.root.level + 2 <= M.depth else ()
-        m = s_here - sum(flip * M.values[c] * c.length for c in below)
+        m = s_here - left_sum(flip * M.values[c] * c.length for c in below)
         if m < (-DEFAULT_TOL if not M.exact else 0):
             raise ValueError(f"negative implied mass at {I.id}")
         if m > 0:
@@ -405,7 +409,8 @@ class WeightedSlackDecomposition:
     leaf_terms: dict
 
     def total(self) -> float:
-        return self.root_term + sum(self.node_terms.values()) + sum(self.leaf_terms.values())
+        return (self.root_term + left_sum(self.node_terms.values())
+                + left_sum(self.leaf_terms.values()))
 
     def min_term(self) -> float:
         """Smallest term; a NaN term wins and sticks."""

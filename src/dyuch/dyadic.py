@@ -86,6 +86,15 @@ def level_step(exact: bool):
     return (1, 2) if exact else (0.5, 1)
 
 
+def left_sum(values):
+    """sum(values) as a plain left fold from 0, the same bits on every Python:
+    from 3.12 on, the builtin sum rounds a float total with compensation."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 def nan_min(values):
     """Smallest value (inf for none); a NaN wins and sticks, where the
     builtin min drops a NaN that is not first."""
@@ -388,7 +397,9 @@ class PiecewiseConstant:
 
     def inner(self, other: "PiecewiseConstant"):
         self._require_same_grid(other)
-        total = sum(a * b for a, b in zip(self.nums, other.nums))
+        total = 0  # a left fold; see left_sum
+        for a, b in zip(self.nums, other.nums):
+            total += a * b
         exact = self.exact and other.exact
         return ratio(total, self.den * other.den, exact) * dyadic_length(self.leaf_level)
 

@@ -18,6 +18,7 @@ from .dyadic import (
     DEFAULT_TOL,
     DyadicInterval,
     PiecewiseConstant,
+    left_sum,
     level_step,
     ratio,
     tree_from_json,
@@ -227,7 +228,7 @@ class DyadicAnalytic:
             a, b = den // up.den, den // vp.den
             sq = [(x * a) * (x * a) + (y * b) * (y * b) for x, y in zip(up.nums, vp.nums)]
             self._moments = [
-                [sum(sq[j << span:(j + 1) << span]) for j in range(1 << r)]
+                [left_sum(sq[j << span:(j + 1) << span]) for j in range(1 << r)]
                 for r, span in zip(range(self.depth + 1), range(self.depth, -1, -1))
             ], den * den
         return self._moments

@@ -11,6 +11,7 @@ from dyuch.carleson import (
     SUPERMARTINGALE_NONNEG,
     DiscreteMeasure,
     SlicedSuperMartingale,
+    _subtree_sums,
     bellman_chain_slacks,
     embedding_slack,
     embedding_sum,
@@ -157,6 +158,46 @@ class TestDiscreteMeasure:
         mu = DiscreteMeasure({unit_root(): Fraction(1, 2)})
         assert mu.scale(Fraction(1, 2)).total_mass() == Fraction(1, 4)
         assert mu.scale(2).packing_intensity() == 1
+
+
+class TestSubtreeSums:
+    @staticmethod
+    def naive(own, depth):
+        # level by level, each mass added to its ancestor at that level in support order
+        sums = [{} for _ in range(depth // 2 + 1)]
+        for k, level in enumerate(sums):
+            for (r, j), m in own:
+                if r // 2 >= k:
+                    anc = j >> (r - 2 * k)
+                    level[anc] = level.get(anc, 0) + m
+        return sums
+
+    @staticmethod
+    def support(rng, depth, mass):
+        # a shuffled sparse support over mixed depths, so many ancestors hold no mass
+        own = [((r, j), mass(rng)) for r in range(0, depth + 1, 2)
+               for j in range(1 << r) if rng.random() < 0.4]
+        rng.shuffle(own)
+        return own
+
+    @pytest.mark.parametrize("depth", [2, 4, 6])
+    def test_float_levels_are_left_folds_in_support_order(self, depth):
+        rng = random.Random(70 + depth)
+        for _ in range(5):
+            # magnitudes far apart, so another order or grouping rounds differently
+            own = self.support(rng, depth, lambda g: g.uniform(0.0, 1.0) * 10.0 ** g.randint(-9, 9))
+            got, want = _subtree_sums(own, depth), self.naive(own, depth)
+            assert [[(j, m.hex()) for j, m in level.items()] for level in got] == \
+                [[(j, m.hex()) for j, m in level.items()] for level in want]
+
+    @pytest.mark.parametrize("depth", [2, 4, 6])
+    def test_int_levels_are_exact(self, depth):
+        rng = random.Random(80 + depth)
+        own = self.support(rng, depth, lambda g: g.randint(1, 10 ** 30))
+        got = _subtree_sums(own, depth)
+        assert [list(level.items()) for level in got] == \
+            [list(level.items()) for level in self.naive(own, depth)]
+        assert got[0] == {0: sum(m for _, m in own)}
 
 
 class TestMeasureJson:

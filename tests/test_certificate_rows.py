@@ -22,7 +22,7 @@ from dyuch.carleson import (
     telescoped_weighted_slack,
     weighted_embedding_slack,
 )
-from dyuch.dyadic import PiecewiseConstant, interval_from_id, node_from_id
+from dyuch.dyadic import PiecewiseConstant, interval_from_id, left_sum, node_from_id
 from dyuch.extremal import Configuration
 from dyuch import kernel
 from dyuch.martingale import analytic_from_json, analytic_to_json, random_analytic
@@ -122,7 +122,7 @@ class TestStepSurplus:
             mu = rng.uniform(0, M)
             room = min(M - mu, 1 - (M - mu))
             parts = [F + rng.uniform(-1, 1) for _ in range(3)]
-            parts.append(4 * F - sum(parts))
+            parts.append(4 * F - left_sum(parts))  # the same bits on every Python
             split = (rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-room, room),
                      rng.uniform(-room, room), mu, tuple(parts))
             yield (F, r, i, M), split

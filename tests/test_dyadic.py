@@ -14,6 +14,7 @@ from dyuch.dyadic import (
     haar_inner_indicator,
     haar_sign_on,
     interval_from_id,
+    left_sum,
     tree_from_json,
     tree_to_json,
     unit_root,
@@ -143,6 +144,20 @@ class TestInterval:
 
 
 class TestPiecewiseConstant:
+    def test_inner_is_a_plain_left_fold(self):
+        # 1e16 + 1.0 rounds back to 1e16: a left fold from 0 loses the 1.0 that a
+        # compensated sum (the builtin sum from Python 3.12 on) would keep
+        leaves = [1e16, 1.0, -1e16, 1.0, 0.1, -3e15, 2.0, 3e15,
+                  0.5, 5e15, 1.0, -5e15, 1e-3, 7.0, -0.25, 1.0]
+        fold = 0
+        for x in leaves:
+            fold += x
+        assert fold != math.fsum(leaves)
+        f = PiecewiseConstant(leaves, unit_root())
+        ones = PiecewiseConstant([1.0] * len(leaves), unit_root())
+        assert f.inner(ones) == ones.inner(f) == fold / len(leaves)
+        assert left_sum(leaves) == fold
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             PiecewiseConstant([])

@@ -14,6 +14,7 @@ from dyuch.extremal import (
     _embed_state,
     _evaluate_state,
     _flat_state,
+    _gaussians,
     _jitter_state,
     _measure_from_state,
     _pair_from_state,
@@ -233,7 +234,23 @@ class TestEvaluator:
             want = {"u0": state["u0"] + replay.gauss(0.0, step),
                     "v0": state["v0"] + replay.gauss(0.0, step), "incs": incs, "meas": meas}
             assert _jitter_state(rng, state, step) == want
-            assert rng.random() == replay.random()
+            # getstate holds gauss_next, the cached sine half a later random() cannot see
+            assert rng.getstate() == replay.getstate()
+
+
+class TestGaussians:
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("count", range(10))
+    def test_same_draws_and_state_as_gauss(self, count, cached):
+        for seed in range(5):
+            rng, replay = random.Random(seed), random.Random(seed)
+            if cached:  # one gauss call leaves its sine half in gauss_next
+                rng.gauss(0.0, 1.0), replay.gauss(0.0, 1.0)
+            sigma = 0.15 if seed % 2 else 2.5
+            want = [replay.gauss(0.0, sigma) for _ in range(count)]
+            assert _gaussians(rng, count, sigma) == want
+            assert rng.getstate() == replay.getstate()
+            assert (rng.gauss_next is None) == (cached == (count % 2 == 1))
 
 
 class TestProfiles:
