@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -24,15 +23,15 @@ PSD_TOL = 1e-9
 DOMAIN_TOL = 1e-12
 STEP_TOL = 1e-9  # domain and constraint slack of one step of the dynamics
 PSD_SLICE = 1 << 14  # samples checked at a time, so the 4x4 forms stay one slice deep
-# window of _check_slice's eigenvalue candidates: LAPACK's least eigenvalue of a sliced
-# form lies within eps of its closed form (eps was 6.4e-16 at most over 4 million samples),
-# so the slice's least LAPACK eigenvalue sits at a sample whose closed form is at most
-# 2 * eps above the slice's least; the window allows eps up to 1e-12
+# window of _check_slice's LAPACK candidates.  LAPACK's least eigenvalue of a sliced form
+# lies within eps of its closed form (eps was 6.4e-16 at most over 4 million samples), so
+# the slice's least LAPACK eigenvalue sits at a sample whose closed form is at most
+# 2 * eps above the slice's least.  Its first two minors, det of a and of a * I with
+# a = A[0, 0] >= 0, lie within a relative error r of a few ulps of a and a * a, so their
+# least sit at samples whose a is at most 2 * r * a above the slice's least a, and a < 0.13
+# on the domain.  The window allows eps and r up to 1e-12.
 PSD_EIG_WINDOW = 2e-12
-# checked samples (32 slices) from which spawned workers pay for their start-up of
-# about 0.45 s on a 2-vCPU VM; verify_sliced_psd checks fewer in process
-PSD_POOL_SAMPLES = 1 << 19
-# cap on verify_sliced_psd's draws, 24 bytes each: at the cap a run takes about 8 s and
+# cap on verify_sliced_psd's draws, 24 bytes each: at the cap a run takes about 12 s and
 # 340 MB on a 2-vCPU VM
 MAX_PSD_SAMPLES = 10_000_000
 MAX_SCAN_POINTS = 1_000_000  # cap on scan_unsliced's grid, which it holds as a list
@@ -329,8 +328,8 @@ def verify_sliced_psd(
     forms.  Closed forms are compared with a relative gate that falls back
     to absolute near their zero sets.  The draws are checked in slices of
     PSD_SLICE samples, the edges in one slice of their own, and a NaN
-    anywhere makes its minimum or maximum NaN.  The report does not depend
-    on how many CPUs check the slices.
+    anywhere makes its minimum or maximum NaN.  Every slice is checked in
+    the calling process.
     """
     if not (0 <= samples <= MAX_PSD_SAMPLES and (samples or boundary)):
         raise ValueError(f"--samples must lie in 0..{MAX_PSD_SAMPLES} and leave a sample"
@@ -357,30 +356,38 @@ def verify_sliced_psd(
         slices.append((np.concatenate([gm, gm]), np.concatenate([zero, gt]),
                        np.concatenate([gt, zero])))
         expected += 2 * gm.size
-    return _fold(_check_slices(slices), expected, tolerance)
+    return _fold([_check_slice(*s) for s in slices], expected, tolerance)
 
 
 def _check_slice(m, d1, d2) -> list:
     """Fold row of one slice: its size, the four minor minima, the least
     eigenvalue, the two largest closed-form errors and the failure count.
 
-    LAPACK computes each form's eigenvalues on its own, so it runs only on
-    the candidates for the least one: the samples whose closed-form least
-    eigenvalue lies within PSD_EIG_WINDOW of the slice's least, and every
-    sample with a non-finite entry, so that LAPACK fails on a NaN form just
-    as it would on the whole slice.  The row is the same bit for bit as from
-    all samples.
+    Raises ValueError, before any LAPACK call, when a form has a non-finite
+    entry.  LAPACK computes each form on its own, so the minima with a known
+    closed form come from their candidates alone: the samples whose
+    closed-form least eigenvalue lies within PSD_EIG_WINDOW of the slice's
+    least, and those whose a = A[0, 0] does.  The upper-left 1x1 and 2x2
+    blocks are a and a * I, whose determinants LAPACK returns within a few
+    ulps of a and a * a, with a >= 0.  The 3x3 and 4x4 minors run on every
+    sample, whose closed-form errors are all read.  The row is the same bit
+    for bit as from all samples.
     """
     import numpy as np
 
     mats = concavity_form_matrix(m, d1, d2)
-    # first, so its arrays are freed before the minors' are made; fmin skips NaN
-    # without a warning, and the finite check keeps the rows with a NaN
-    least = sliced_eigenvalues(mats)[0]
-    candidates = least <= np.fmin.reduce(least) + PSD_EIG_WINDOW
-    candidates |= ~np.isfinite(mats.reshape(len(m), 16) @ np.ones(16))
-    least = float(np.linalg.eigvalsh(mats[candidates])[:, 0].min())
-    minors = principal_minors(mats)
+    finite = np.isfinite(mats)
+    if not finite.all():
+        k = int(np.argmin(finite.all(axis=(1, 2))))
+        raise ValueError(f"the sliced form of sample {k} of a slice, at M={float(m[k])!r},"
+                         f" d1={float(d1[k])!r}, d2={float(d2[k])!r}, has a non-finite entry")
+    # first, so its arrays are freed before the minors' are made; fmin skips a NaN
+    least, a = sliced_eigenvalues(mats)[0], mats[:, 0, 0]
+    candidates = mats[(least <= np.fmin.reduce(least) + PSD_EIG_WINDOW)
+                      | (a <= a.min() + PSD_EIG_WINDOW)]
+    least = float(np.linalg.eigvalsh(candidates)[:, 0].min())
+    minors = [np.linalg.det(candidates[:, :k, :k]) for k in (1, 2)]
+    minors += [np.linalg.det(mats[:, :k, :k]) for k in (3, 4)]
     third_closed, det_closed = third_minor_closed_form(m, d1, d2), det_closed_form(m, d1, d2)
     third_err = np.abs(minors[2] - third_closed)
     det_err = np.abs(minors[3] - det_closed)
@@ -389,50 +396,6 @@ def _check_slice(m, d1, d2) -> list:
     failures = (~(third_err <= third_gate)).sum() + (~(det_err <= det_gate)).sum()
     return [len(m), *(float(mn.min()) for mn in minors), least,
             float(third_err.max()), float(det_err.max()), int(failures)]
-
-
-def _check_slices(slices) -> list:
-    """Fold rows of every slice, in slice order.
-
-    Runs with fewer than PSD_POOL_SAMPLES samples, or one usable CPU, are
-    checked in process.  Larger ones also go to spawned workers, one per
-    further usable CPU: the workers are fed slices from the front, two
-    queued per worker, while this process checks slices from the back.
-    Workers are spawned, not forked, because numpy's BLAS threads already
-    run in this process.  No future is ever cancelled: Python 3.11's pool
-    hangs when a worker dies while a cancelled one is still queued.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cpus or 1, len(slices)) - 1
-    if workers < 1 or sum(len(m) for m, _, _ in slices) < PSD_POOL_SAMPLES:
-        return [_check_slice(*s) for s in slices]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    rows = [None] * len(slices)
-    queued = {}  # future -> index of its slice
-    front, back = 0, len(slices)
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
-    try:
-        while front < back:
-            for future in [f for f in queued if f.done()]:
-                rows[queued.pop(future)] = future.result()
-            while front < back and len(queued) < 2 * workers:
-                queued[pool.submit(_check_slice, *slices[front])] = front
-                front += 1
-            if front < back:
-                back -= 1
-                rows[back] = _check_slice(*slices[back])
-        for future, k in queued.items():
-            rows[k] = future.result()
-    except BrokenProcessPool as exc:
-        raise ChildProcessError(
-            f"verify_sliced_psd: a worker process died before its slices were checked ({exc})"
-        ) from exc
-    finally:
-        pool.shutdown(cancel_futures=True)
-    return rows
 
 
 def _fold(rows, expected: int, tolerance: float) -> PsdReport:

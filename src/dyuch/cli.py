@@ -334,10 +334,7 @@ def _cmd_check_3e(args) -> dict:
     if args.function:
         f = _load_pair(args.function)
         _require_compatible(f, mu, args.tolerance)
-        # testing_embedding_slack's bound, from the constant already scanned
-        bound = summary["bound_constant"] * float(f.norm2())
-        slack = bound - float(carleson.embedding_sum(f, mu))
-        summary["embedding_slack"] = slack
+        slack = summary["embedding_slack"] = kernel_mod.testing_embedding_slack(f, mu)
         if not slack >= -args.tolerance:
             violations.append(f"tested embedding bound violated by {-slack!r}")
     return _report("check-3e", args, summary, violations)

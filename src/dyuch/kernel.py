@@ -227,7 +227,7 @@ class TestingReport(NamedTuple):
     slack: float
 
 
-def _packing_report(I: DyadicInterval, packing: float, t: float) -> TestingReport:
+def _packing_report(packing: float, t: float) -> TestingReport:
     return TestingReport(t, packing, 3.0 * t, 3.0 * t - packing)
 
 
@@ -237,7 +237,7 @@ def testing_to_packing(mu: DiscreteMeasure, I: DyadicInterval) -> TestingReport:
     The kernel of I is flat at height 1/(3|I|) on its own subtree, so the
     subtree mass alone already contributes a third of the packing ratio.
     """
-    return _packing_report(I, float(mu.subtree_mass(I) / I.length), testing_sum(mu, I))
+    return _packing_report(float(mu.subtree_mass(I) / I.length), testing_sum(mu, I))
 
 
 class TestingScan(NamedTuple):
@@ -256,8 +256,10 @@ def testing_scan(mu: DiscreteMeasure) -> TestingScan:
     Goes down the tree level by level, so each node extends its parent's
     path term once.  Ties go to the first node in `four_adic_nodes` order; a
     NaN wins its reduction and sticks, so it can never hide behind a finite
-    value.
+    value.  The scan is kept on the measure, like its packing and balance.
     """
+    if "testing" in mu._cache:
+        return mu._cache["testing"]
     worst_t, worst_s = -math.inf, math.inf
     node_t = node_s = None
     n = 0
@@ -267,13 +269,14 @@ def testing_scan(mu: DiscreteMeasure) -> TestingScan:
             level = [q for node in level for q in _quarter_paths(mu, node)]
         for I, _, _, mass, path in level:
             t = _testing_value(I, mass / mu.den, path)
-            rep = _packing_report(I, mu.float_density(mass, I.level), t)
+            rep = _packing_report(mu.float_density(mass, I.level), t)
             if worst_t == worst_t and not rep.testing_sum <= worst_t:
                 worst_t, node_t = rep.testing_sum, I
             if worst_s == worst_s and not rep.slack >= worst_s:
                 worst_s, node_s = rep.slack, I
         n += len(level)
-    return TestingScan(worst_t, node_t, worst_s, node_s, n)
+    scan = mu._cache["testing"] = TestingScan(worst_t, node_t, worst_s, node_s, n)
+    return scan
 
 
 def testing_constant(mu: DiscreteMeasure) -> float:

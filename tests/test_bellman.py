@@ -1,7 +1,11 @@
 import csv
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -442,19 +446,35 @@ class TestPsdSlices:
             verify_sliced_psd(samples=samples, boundary=boundary)
 
     def test_nan_in_a_later_slice_sticks(self, monkeypatch):
-        real, calls = bellman.principal_minors, []
+        # a NaN 3x3 minor in the second slice reaches min_minor and the failure count
+        real, calls = np.linalg.det, []
 
-        def poisoned(mats):
-            minors = real(mats)
-            calls.append(None)
-            if len(calls) == 2:
-                minors[1][-1] = math.nan
+        def poisoned(a):
+            minors = real(a)
+            if a.shape[-1] == 3:
+                calls.append(None)
+                if len(calls) == 2:
+                    minors[-1] = math.nan
             return minors
 
         monkeypatch.setattr(bellman, "PSD_SLICE", 1000)
-        monkeypatch.setattr(bellman, "principal_minors", poisoned)
+        monkeypatch.setattr(np.linalg, "det", poisoned)
         rep = verify_sliced_psd(samples=3000, seed=1, boundary=False)
-        assert math.isnan(rep.min_minor) and not rep.ok
+        assert len(calls) == 3
+        assert math.isnan(rep.min_minor) and rep.closed_form_failures == 1 and not rep.ok
+
+    def test_script_without_main_guard(self, tmp_path):
+        # a script run as a file, whatever the number of CPUs, checks in one process
+        script = tmp_path / "unguarded.py"
+        script.write_text("from dyuch import bellman\n"
+                          "rep = bellman.verify_sliced_psd(600_000, seed=1)\n"
+                          "print(rep.ok, repr(rep.min_minor))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(bellman.__file__).resolve().parents[1]))
+        child = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                               capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        rep = verify_sliced_psd(600_000, seed=1)
+        assert child.stdout == f"{rep.ok} {rep.min_minor!r}\n"
 
     def test_nan_closed_form_counts_as_failure(self, monkeypatch):
         real = bellman.det_closed_form
@@ -472,10 +492,7 @@ class TestPsdSlices:
 
 def _outcome(check, m, d1, d2):
     # repr is exact for floats, so equal outcomes are equal bit for bit
-    try:
-        return repr(check(m, d1, d2))
-    except np.linalg.LinAlgError as exc:
-        return f"LinAlgError: {exc}"
+    return repr(check(m, d1, d2))
 
 
 class TestSlicedSpectrum:
@@ -519,16 +536,47 @@ class TestEigenvalueCandidates:
         assert np.abs(low).max() <= 1e-15
         assert _outcome(bellman._check_slice, m, d1, d2) == _outcome(_full_batch_row, m, d1, d2)
 
+    def test_every_a_ties_at_a_nonzero_value(self):
+        # constant (M, d1, d2): every sample is a candidate for both windows
+        m, d1, d2 = (np.full(bellman.PSD_SLICE, x) for x in (0.4, 0.3, -0.2))
+        assert concavity_form_matrix(m, d1, d2)[0, 0, 0] > 0
+        assert _outcome(bellman._check_slice, m, d1, d2) == _outcome(_full_batch_row, m, d1, d2)
+
+    def test_least_a_away_from_the_least_eigenvalue(self):
+        # even samples have d1 = 0, so a least eigenvalue of 0; odd ones hold the
+        # least a, with least eigenvalues far above the window
+        rng = np.random.default_rng(66)
+        m = rng.uniform(0.4, 0.6, bellman.PSD_SLICE)
+        delta = np.minimum(m, 1.0 - m)
+        d1, d2 = rng.uniform(0.3, 0.4, (2, len(m))) * delta
+        d1[::2], d2[::2] = 0.0, 0.9 * delta[::2]
+        mats = concavity_form_matrix(m, d1, d2)
+        low, a = sliced_eigenvalues(mats)[0], mats[:, 0, 0]
+        assert low[np.argmin(a)] > low.min() + 1e3 * bellman.PSD_EIG_WINDOW
+        assert _outcome(bellman._check_slice, m, d1, d2) == _outcome(_full_batch_row, m, d1, d2)
+
     def test_lapack_sees_few_samples(self, monkeypatch):
         real, sizes = np.linalg.eigvalsh, []
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or real(a))
         bellman._check_slice(*_draws(bellman.PSD_SLICE, 64))
         assert len(sizes) == 1 and 0 < sizes[0] < 2000
 
+    def test_first_two_minors_see_few_samples(self, monkeypatch):
+        real, sizes = np.linalg.det, {}
+
+        def counted(a):
+            sizes[a.shape[-1]] = len(a)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "det", counted)
+        bellman._check_slice(*_draws(bellman.PSD_SLICE, 64))
+        assert 0 < sizes[1] == sizes[2] < 2000
+        assert sizes[3] == sizes[4] == bellman.PSD_SLICE
+
     @pytest.mark.parametrize("entry", [(i, j) for i in range(4) for j in range(4)])
     def test_nan_in_any_entry_gives_the_full_batch_outcome(self, monkeypatch, entry):
-        # LAPACK reads the lower triangle and fails on a NaN there; a NaN above
-        # it reaches the minors instead
+        # a NaN anywhere in a form stops the slice before LAPACK sees it, in the
+        # lower triangle, which eigvalsh reads, and above it alike
         real = bellman.concavity_form_matrix
 
         def poisoned(*hp):
@@ -537,10 +585,11 @@ class TestEigenvalueCandidates:
             return mats
 
         monkeypatch.setattr(bellman, "concavity_form_matrix", poisoned)
-        s = _draws(1000, 65)
-        got, want = _outcome(bellman._check_slice, *s), _outcome(_full_batch_row, *s)
-        assert got == want
-        assert want.startswith("LinAlgError") == (entry[0] >= entry[1])
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        monkeypatch.setattr(np.linalg, "det", None)
+        with pytest.raises(ValueError, match="sample 700 of a slice") as exc:
+            bellman._check_slice(*_draws(1000, 65))
+        assert type(exc.value) is ValueError
 
     def test_nan_form_raises_in_the_library(self, monkeypatch):
         real = bellman.concavity_form_matrix
@@ -551,7 +600,7 @@ class TestEigenvalueCandidates:
             return mats
 
         monkeypatch.setattr(bellman, "concavity_form_matrix", poisoned)
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(ValueError, match="sample 0 of a slice, at M=.* has a non-finite"):
             verify_sliced_psd(samples=3000, seed=1)
 
 

@@ -1,6 +1,5 @@
 import json
 import math
-import multiprocessing
 import os
 import random
 import subprocess
@@ -48,16 +47,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-_check_slice = bellman._check_slice
-
-
-def _die_in_worker(*piece):
-    # sent to the verifier's workers by import path; the parent checks its slices as usual
-    if multiprocessing.parent_process() is not None:
-        os._exit(3)
-    return _check_slice(*piece)
 
 
 class TestParsing:
@@ -120,7 +109,7 @@ class TestVerifyBellman:
         assert not out_path.exists()
 
     def test_nan_form_is_an_error_not_a_verdict(self, capsys, monkeypatch, tmp_path):
-        # LAPACK fails on a form with a NaN entry, among the eigenvalue candidates or not
+        # a NaN entry stops the run before LAPACK sees it, wherever it sits in the form
         real = bellman.concavity_form_matrix
 
         def poisoned(*hp):
@@ -134,20 +123,7 @@ class TestVerifyBellman:
                              "--out", str(out_path))
         assert code == 2
         assert "result:" not in out
-        assert err.startswith("error: Eigenvalues did not converge")
-        assert not out_path.exists()
-
-    def test_dead_worker_is_an_error_not_a_verdict(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(bellman, "PSD_SLICE", 1000)
-        monkeypatch.setattr(bellman, "PSD_POOL_SAMPLES", 0)
-        monkeypatch.setattr(bellman, "_check_slice", _die_in_worker)
-        out_path = tmp_path / "rep.json"
-        code, out, err = run(capsys, "verify-bellman", "--samples", "8000", "--out", str(out_path))
-        assert code == 2
-        assert "result:" not in out
-        assert err.startswith("error: verify_sliced_psd: a worker process died")
-        assert "Traceback" not in err
+        assert err.startswith("error: the sliced form of sample 0 of a slice, at M=")
         assert not out_path.exists()
 
 

@@ -6,16 +6,13 @@ files (leaves times 1/3 and pi, masses divided by pi, random.uniform trees).
 The digest covers the exit code, stdout, stderr and the bytes written to
 --out, --emit and --csv, so a change in any report shows here.
 """
-import concurrent.futures
 import hashlib
 import json
 import math
-import os
 import random
 
 import pytest
 
-from dyuch import bellman
 from dyuch.carleson import measure_to_json, random_balanced_measure
 from dyuch.cli import main
 from dyuch.dyadic import tree_to_json, window_root
@@ -69,12 +66,11 @@ RUNS = {
     "verify-bellman": ["verify-bellman", "--samples", "200"],
     "verify-bellman-no-boundary": ["verify-bellman", "--samples", "200", "--seed", "3",
                                    "--no-boundary"],
-    # 19 slices: test_verifier_bytes_do_not_depend_on_cpus has them spawn workers
+    # 19 slices, the size of test_bellman's check of every slice against LAPACK on all samples
     "verify-bellman-pool": ["verify-bellman", "--samples", "300000", "--seed", "2"],
     "verify-bellman-pool-no-boundary": ["verify-bellman", "--samples", "300000", "--seed", "2",
                                         "--no-boundary"],
-    # the benchmark's verifier command, large enough to spawn workers wherever two
-    # CPUs are usable
+    # the benchmark's verifier command
     "verify-bellman-million": ["verify-bellman", "--samples", "1000000", "--seed", "1"],
     "scan-unsliced": ["scan-unsliced", "--csv", "w.csv"],
     "scan-unsliced-d-zero": ["scan-unsliced", "--region", "d-zero", "--step", "0.1"],
@@ -177,22 +173,3 @@ def test_cli_bytes_pinned(box, name, capsys, monkeypatch):
     monkeypatch.delenv("DYUCH_MAX_DEPTH", raising=False)
     monkeypatch.chdir(box)
     assert run_digest(box, name, capsys) == PINNED[name]
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("name", ["verify-bellman-pool", "verify-bellman-pool-no-boundary"])
-def test_verifier_bytes_do_not_depend_on_cpus(box, name, cpus, capsys, monkeypatch):
-    # one usable CPU checks every slice in process, two spawn one worker
-    pools = []
-
-    class CountedPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(args)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
-    monkeypatch.setattr(bellman, "PSD_POOL_SAMPLES", 300_000)
-    monkeypatch.chdir(box)
-    assert run_digest(box, name, capsys) == PINNED[name]
-    assert pools == ([] if cpus == 1 else [(1,)])

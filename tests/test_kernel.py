@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dyuch.carleson import DiscreteMeasure, random_balanced_measure
+from dyuch.carleson import DiscreteMeasure, embedding_sum, random_balanced_measure
 from dyuch.dyadic import (
     REAL_LINE,
     DyadicInterval,
@@ -340,13 +340,23 @@ class TestTestingScan:
 
     def test_nan_testing_sum_sticks(self, monkeypatch):
         mu = DiscreteMeasure({I: 1 for I in four_adic_nodes(unit_root(), 2)}, depth=2)
-        real = kern._packing_report
+        real = kern._testing_value
         bad = DyadicInterval(2, 1)
 
-        def poisoned(I, mass, t):
-            return real(I, mass, math.nan if I == bad else t)
+        def poisoned(I, mass, path):
+            return math.nan if I == bad else real(I, mass, path)
 
-        monkeypatch.setattr(kern, "_packing_report", poisoned)
+        monkeypatch.setattr(kern, "_testing_value", poisoned)
         scan = kern.testing_scan(mu)
         assert math.isnan(scan.testing_constant)
         assert scan.worst_testing_node == bad
+
+    def test_scan_is_kept_on_the_measure(self, monkeypatch):
+        # check-3e scans once, then reads the constant again for the embedding slack
+        rng = random.Random(74)
+        f, mu = random_analytic(rng, 6), random_balanced_measure(rng, 6)
+        scan = kern.testing_scan(mu)
+        monkeypatch.setattr(kern, "_quarter_paths", None)
+        assert kern.testing_scan(mu) is scan
+        bound = 3.0 * E * scan.testing_constant * float(f.norm2())
+        assert kern.testing_embedding_slack(f, mu) == bound - float(embedding_sum(f, mu))
