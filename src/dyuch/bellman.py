@@ -22,7 +22,7 @@ E = math.e
 PSD_TOL = 1e-9
 DOMAIN_TOL = 1e-12
 STEP_TOL = 1e-9  # domain and constraint slack of one step of the dynamics
-PSD_SLICE = 1 << 14  # samples checked at a time, so the 4x4 forms stay one slice deep
+PSD_SLICE = 1 << 14  # samples drawn and checked at a time, so only one slice is alive
 # window of _check_slice's LAPACK candidates.  LAPACK's least eigenvalue of a sliced form
 # lies within eps of its closed form (eps was 6.4e-16 at most over 4 million samples), so
 # the slice's least LAPACK eigenvalue sits at a sample whose closed form is at most
@@ -31,8 +31,8 @@ PSD_SLICE = 1 << 14  # samples checked at a time, so the 4x4 forms stay one slic
 # least sit at samples whose a is at most 2 * r * a above the slice's least a, and a < 0.13
 # on the domain.  The window allows eps and r up to 1e-12.
 PSD_EIG_WINDOW = 2e-12
-# cap on verify_sliced_psd's draws, 24 bytes each: at the cap a run takes about 12 s and
-# 340 MB on a 2-vCPU VM
+# cap on verify_sliced_psd's draws, which bounds its time: at the cap a run takes about
+# 12 s on a 2-vCPU VM; it draws one slice at a time, so it peaks near 41 MB at any size
 MAX_PSD_SAMPLES = 10_000_000
 MAX_SCAN_POINTS = 1_000_000  # cap on scan_unsliced's grid, which it holds as a list
 
@@ -227,13 +227,6 @@ def sliced_eigenvalues(mats: np.ndarray):
     return mid - radius, mid + radius
 
 
-def principal_minors(mat: np.ndarray):
-    """Nested principal minors of a 4x4 form (or a batch), from the upper left."""
-    import numpy as np
-
-    return [np.linalg.det(mat[..., :k, :k]) for k in range(1, 5)]
-
-
 def third_minor_closed_form(M, d1, d2):
     """Upper-left 3x3 minor of the sliced form in closed form."""
     import numpy as np
@@ -326,37 +319,41 @@ def verify_sliced_psd(
     keeping children masses in range, adds the degenerate edges d1 = 0 and
     d2 = 0, and checks every nested minor, the spectrum, and the two closed
     forms.  Closed forms are compared with a relative gate that falls back
-    to absolute near their zero sets.  The draws are checked in slices of
-    PSD_SLICE samples, the edges in one slice of their own, and a NaN
-    anywhere makes its minimum or maximum NaN.  Every slice is checked in
-    the calling process.
+    to absolute near their zero sets.  The samples are drawn and checked one
+    slice of PSD_SLICE at a time, the same draws as all at once from
+    default_rng(seed), so memory does not grow with `samples`; the edges come
+    last, in one slice of their own.  A NaN anywhere makes its minimum or
+    maximum NaN.  Every slice is checked in the calling process.
     """
     if not (0 <= samples <= MAX_PSD_SAMPLES and (samples or boundary)):
         raise ValueError(f"--samples must lie in 0..{MAX_PSD_SAMPLES} and leave a sample"
                          f" to check, got {samples}")
     import numpy as np
 
-    rng = np.random.default_rng(seed)
-    m = rng.uniform(0.0, 1.0, samples)
-    delta = np.minimum(m, 1.0 - m)
-    d1 = rng.uniform(-1.0, 1.0, samples)
-    d1 *= delta
-    d2 = rng.uniform(-1.0, 1.0, samples)
-    d2 *= delta
-    del delta
-    slices = [(m[lo:lo + PSD_SLICE], d1[lo:lo + PSD_SLICE], d2[lo:lo + PSD_SLICE])
-              for lo in range(0, samples, PSD_SLICE)]
-    expected = samples
-    if boundary:
-        grid_m, grid_t = np.meshgrid(
-            np.linspace(0.0, 1.0, 21), np.linspace(-0.5, 0.5, 21)
-        )
-        gm, gt = grid_m.ravel(), grid_t.ravel()
-        zero = np.zeros_like(gm)
-        slices.append((np.concatenate([gm, gm]), np.concatenate([zero, gt]),
-                       np.concatenate([gt, zero])))
-        expected += 2 * gm.size
-    return _fold([_check_slice(*s) for s in slices], expected, tolerance)
+    # Generator.uniform takes one 64-bit output per double, so the M, d1 and d2
+    # blocks start 0, samples and 2 * samples outputs into default_rng(seed)'s stream
+    rngs = [np.random.default_rng(seed) for _ in range(3)]
+    for k, rng in enumerate(rngs):
+        rng.bit_generator.advance(k * samples)
+    grid_m, grid_t = np.meshgrid(np.linspace(0.0, 1.0, 21), np.linspace(-0.5, 0.5, 21))
+    gm, gt = grid_m.ravel(), grid_t.ravel()
+
+    def slices():
+        for lo in range(0, samples, PSD_SLICE):
+            size = min(PSD_SLICE, samples - lo)
+            m = rngs[0].uniform(0.0, 1.0, size)
+            delta = np.minimum(m, 1.0 - m)
+            d1 = rngs[1].uniform(-1.0, 1.0, size)
+            d1 *= delta
+            d2 = rngs[2].uniform(-1.0, 1.0, size)
+            d2 *= delta
+            yield m, d1, d2
+        if boundary:
+            zero = np.zeros_like(gm)
+            yield np.concatenate([gm, gm]), np.concatenate([zero, gt]), np.concatenate([gt, zero])
+
+    expected = samples + (2 * gm.size if boundary else 0)
+    return _fold([_check_slice(*s) for s in slices()], expected, tolerance)
 
 
 def _check_slice(m, d1, d2) -> list:

@@ -375,10 +375,14 @@ def embedding_sum(f: DyadicAnalytic, mu: DiscreteMeasure):
     return ratio(total, mu.den * (dus[0] * dvs[0]) ** 2, f.exact and mu.exact)
 
 
+def embedding_bound(f: DyadicAnalytic, mu: DiscreteMeasure) -> float:
+    """Certified bound e * packing intensity * squared norm, as a float."""
+    return E * float(mu.packing_intensity()) * float(f.norm2())
+
+
 def embedding_slack(f: DyadicAnalytic, mu: DiscreteMeasure):
     """Certified bound minus the embedding sum; nonnegative when the bound holds."""
-    bound = E * float(mu.packing_intensity()) * float(f.norm2())
-    return bound - float(embedding_sum(f, mu))
+    return embedding_bound(f, mu) - float(embedding_sum(f, mu))
 
 
 @_memo

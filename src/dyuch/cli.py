@@ -205,13 +205,11 @@ def _embedding_slacks(args, violations: list):
 def _cmd_embed(args) -> dict:
     violations = []
     f, mu, slack, weighted = _embedding_slacks(args, violations)
-    norm2 = float(f.norm2())
-    packing = float(mu.packing_intensity())
     summary = {
         "embedding_sum": float(carleson.embedding_sum(f, mu)),
-        "norm2": norm2,
-        "packing_intensity": packing,
-        "bound": carleson.E * packing * norm2,
+        "norm2": float(f.norm2()),
+        "packing_intensity": float(mu.packing_intensity()),
+        "bound": carleson.embedding_bound(f, mu),
         "slack": slack,
         "weighted_slack": weighted,
         "balance_residual": float(mu.balance_residual()),

@@ -22,7 +22,6 @@ from dyuch.bellman import (
     det_closed_form,
     dynamics_gap,
     laplacian_step_gap,
-    principal_minors,
     range_gaps,
     scan_unsliced,
     sliced_eigenvalues,
@@ -34,6 +33,11 @@ from dyuch.bellman import (
 )
 
 E = math.e
+
+
+def _minors(mats):
+    # LAPACK's nested principal minors of a form or a batch, from the upper left
+    return [np.linalg.det(mats[..., :k, :k]) for k in range(1, 5)]
 
 
 def random_domain_point(rng):
@@ -248,18 +252,6 @@ class TestHessianMatrices:
             eig = np.linalg.eigvalsh(concavity_form_matrix(*hp))
             assert eig[0] >= -1e-9
 
-    def test_principal_minors_both_corners(self):
-        mat = concavity_form_matrix(0.4, 0.3, -0.2)
-        up = principal_minors(mat)
-        lo = principal_minors(mat[::-1, ::-1])  # reversed, the lower right comes first
-        for k in range(1, 5):
-            assert up[k - 1] == pytest.approx(
-                float(np.linalg.det(mat[:k, :k])), rel=1e-12, abs=1e-15
-            )
-            assert lo[k - 1] == pytest.approx(
-                float(np.linalg.det(mat[4 - k :, 4 - k :])), rel=1e-12, abs=1e-15
-            )
-
     def test_batch_matches_single_forms(self):
         # the verifier's array path: one call on arrays, entry by entry equal
         # to the single forms and closed forms
@@ -267,13 +259,13 @@ class TestHessianMatrices:
         m, d1, d2 = rng.uniform(0, 1, 50), rng.uniform(-1, 1, 50), rng.uniform(-1, 1, 50)
         batch = (m, d1, d2)
         mats = concavity_form_matrix(*batch)
-        minors = principal_minors(mats)
+        minors = _minors(mats)
         thirds, dets = third_minor_closed_form(*batch), det_closed_form(*batch)
         assert mats.shape == (50, 4, 4) and thirds.shape == dets.shape == (50,)
         for t in range(50):
             hp = (float(m[t]), float(d1[t]), float(d2[t]))
             assert np.allclose(mats[t], concavity_form_matrix(*hp), rtol=1e-14, atol=0.0)
-            assert np.allclose([mn[t] for mn in minors], principal_minors(mats[t]),
+            assert np.allclose([mn[t] for mn in minors], _minors(mats[t]),
                                rtol=1e-12, atol=1e-15)
             assert thirds[t] == pytest.approx(third_minor_closed_form(*hp), rel=1e-14)
             assert dets[t] == pytest.approx(det_closed_form(*hp), rel=1e-14, abs=1e-300)
@@ -406,7 +398,7 @@ def _boundary_grid():
 def _full_batch_row(m, d1, d2):
     # a slice's fold row with LAPACK on every sample
     mats = bellman.concavity_form_matrix(m, d1, d2)
-    minors = principal_minors(mats)
+    minors = _minors(mats)
     third_closed, det_closed = third_minor_closed_form(m, d1, d2), det_closed_form(m, d1, d2)
     third_err = np.abs(minors[2] - third_closed)
     det_err = np.abs(minors[3] - det_closed)
@@ -439,6 +431,39 @@ class TestPsdSlices:
                rep.max_det_error)
         assert got == _one_pass(20_000, 5, boundary)
         assert rep.ok and rep.closed_form_failures == 0
+
+    @pytest.mark.parametrize("samples", [1, bellman.PSD_SLICE - 1, bellman.PSD_SLICE,
+                                         bellman.PSD_SLICE + 1, 3 * bellman.PSD_SLICE + 7])
+    def test_streamed_slices_are_the_draws(self, monkeypatch, samples):
+        # each slice is drawn just before it is checked; together they are the draws
+        # all at once, bit for bit, with the boundary grid last
+        seen, real = [], bellman._check_slice
+
+        def recorded(*s):
+            seen.append(tuple(x.copy() for x in s))
+            return real(*s)
+
+        monkeypatch.setattr(bellman, "_check_slice", recorded)
+        verify_sliced_psd(samples=samples, seed=7)
+        *drawn, grid = seen
+        assert [len(s[0]) for s in drawn[:-1]] == [bellman.PSD_SLICE] * (len(drawn) - 1)
+        for got, want in zip(zip(*drawn), _draws(samples, 7)):
+            assert np.array_equal(np.concatenate(got), want)
+        for got, want in zip(grid, _boundary_grid()):
+            assert np.array_equal(got, want)
+
+    def test_peak_memory_does_not_grow_with_samples(self):
+        verify_sliced_psd(samples=50_000, boundary=False)  # warm-up
+        peaks = []
+        for samples in (50_000, 400_000):
+            tracemalloc.start()
+            try:
+                verify_sliced_psd(samples=samples, seed=2, boundary=False)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # all draws at once would add 32 bytes per sample: 11 MB more at 400,000
+        assert peaks[1] <= peaks[0] + (1 << 20)
 
     @pytest.mark.parametrize("samples, boundary", [(-1, True), (-1, False), (0, False)])
     def test_nothing_checked_raises(self, samples, boundary):
