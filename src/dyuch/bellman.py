@@ -3,10 +3,11 @@
 The certificate is the explicit function B(F, r, i, M) = e*F
 - exp(1 - M) * (r*r + i*i) on the domain F >= r*r + i*i, 0 <= M <= 1.
 Its size is pinned between 0 and e*F, and one step of the split dynamics
-below always releases at least the mass harvested at the node.  The
-quadratic form governing the concavity part is written out as an explicit
-4x4 matrix whose minors have closed forms; verify_sliced_psd stress-tests
-positive semidefiniteness numerically at scale.
+(dynamics_gap, on plain floats, called once per node by the Bellman chain)
+always releases at least the mass harvested at the node.  The quadratic
+form governing the concavity part is written out as an explicit 4x4 matrix
+whose minors have closed forms; verify_sliced_psd stress-tests positive
+semidefiniteness numerically at scale.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ if TYPE_CHECKING:  # numpy is imported where the PSD form needs it, not on impor
 
 E = math.e
 PSD_TOL = 1e-9
-DOMAIN_TOL = 1e-12
 STEP_TOL = 1e-9  # domain and constraint slack of one step of the dynamics
 PSD_SLICE = 1 << 14  # samples drawn and checked at a time, so only one slice is alive
 # window of _check_slice's LAPACK candidates.  LAPACK's least eigenvalue of a sliced form
@@ -37,88 +37,47 @@ MAX_PSD_SAMPLES = 10_000_000
 MAX_SCAN_POINTS = 1_000_000  # cap on scan_unsliced's grid, which it holds as a list
 
 
-@dataclass(frozen=True)
-class BellmanPoint:
-    """State (F, r, i, M): second moment, averaged pair, normalized mass."""
-
-    F: float
-    r: float
-    i: float
-    M: float
-
-    def in_domain(self, tol: float = DOMAIN_TOL) -> bool:
-        return _in_domain(self.F, self.r * self.r + self.i * self.i, self.M, tol)
+def bellman_value(F, r, i, M) -> float:
+    return E * F - math.exp(1.0 - M) * (r * r + i * i)
 
 
-def _in_domain(F, mod2, M, tol) -> bool:
-    # the domain F >= r*r + i*i, 0 <= M <= 1, with mod2 = r*r + i*i, widened by tol
-    return F >= mod2 - tol and -tol <= M <= 1 + tol
-
-
-def bellman_value(p: BellmanPoint) -> float:
-    return E * p.F - math.exp(1.0 - p.M) * (p.r * p.r + p.i * p.i)
-
-
-def range_gaps(p: BellmanPoint):
+def range_gaps(F, r, i, M):
     """Distances to the pinning bounds 0 <= B <= e*F; both nonnegative on the domain."""
-    b = bellman_value(p)
-    return b, E * p.F - b
+    b = bellman_value(F, r, i, M)
+    return b, E * F - b
 
 
-def derivative_gap(p: BellmanPoint, mu: float) -> float:
+def derivative_gap(r, i, M, mu) -> float:
     """Surplus of the mass-harvest step over the linear harvest.
 
     Lowering M by mu raises the value by exp(1 - M)(r*r + i*i) expm1(mu),
     which must cover the harvested mu * (r*r + i*i); the difference is
     nonnegative whenever M <= 1 and mu >= 0.
     """
-    mod2 = p.r * p.r + p.i * p.i
-    return math.exp(1.0 - p.M) * mod2 * math.expm1(mu) - mu * mod2
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """One step of the four-way split dynamics.
-
-    dxr and dyr are the half jumps of the pair, d1 and d2 the half spreads
-    of the children masses around their common mean M - mu, and F_parts the
-    children second moments in the order (x-, x+, y-, y+).
-    """
-
-    dxr: float
-    dyr: float
-    d1: float
-    d2: float
-    mu: float
-    F_parts: tuple
-
-    def __post_init__(self):
-        if len(self.F_parts) != 4:
-            raise ValueError("F_parts must list the four children (x-, x+, y-, y+)")
-
-    def children(self, p: BellmanPoint):
-        """Children states in the order (x-, x+, y-, y+).
-
-        The pair moves by the conjugate rule: a jump dxr in r across the x
-        pair forces the jump dyr in i with opposite orientation, and vice
-        versa across the y pair.
-        """
-        mean = p.M - self.mu
-        fxm, fxp, fym, fyp = self.F_parts
-        return (
-            BellmanPoint(fxm, p.r - self.dxr, p.i + self.dyr, mean - self.d1),
-            BellmanPoint(fxp, p.r + self.dxr, p.i - self.dyr, mean + self.d1),
-            BellmanPoint(fym, p.r - self.dyr, p.i - self.dxr, mean - self.d2),
-            BellmanPoint(fyp, p.r + self.dyr, p.i + self.dxr, mean + self.d2),
-        )
-
-
-def _value_drop(F, r, i, M, dxr, dyr, d1, d2, mu, F_parts) -> float:
-    # B at the state (F, r, i, M) minus the mean of B over SplitSpec.children,
-    # on plain floats: the state must lie in the domain and F_parts average to F
     mod2 = r * r + i * i
-    if not _in_domain(F, mod2, M, STEP_TOL):
+    return math.exp(1.0 - M) * mod2 * math.expm1(mu) - mu * mod2
+
+
+def dynamics_gap(F, r, i, M, dxr, dyr, d1, d2, mu, F_parts) -> float:
+    """One step's surplus: B at the state (F, r, i, M) minus the mean of B over
+    the four children, minus the harvested mass term mu * (r*r + i*i).
+
+    dxr and dyr are the half jumps of the pair, d1 and d2 the half spreads of
+    the children masses around their common mean M - mu, and F_parts the
+    children second moments in the order (x-, x+, y-, y+).  The pair moves
+    by the conjugate rule: a jump dxr in r across the x pair forces the jump
+    dyr in i with opposite orientation, and vice versa across the y pair
+    (see kids below).  The state must lie in the domain, up to STEP_TOL, and
+    F_parts average to F; the children may leave the domain.  At mu = 0 the
+    gap is the midpoint concavity surplus, nonnegative always.
+    """
+    if mu < 0:
+        raise ValueError("mass density must be nonnegative")
+    mod2 = r * r + i * i
+    if not (F >= mod2 - STEP_TOL and -STEP_TOL <= M <= 1 + STEP_TOL):
         raise ValueError("state lies outside the certificate domain")
+    if len(F_parts) != 4:
+        raise ValueError("F_parts must list the four children (x-, x+, y-, y+)")
     fxm, fxp, fym, fyp = F_parts
     # sums are left folds from 0, the same bits on every Python (3.12's sum compensates)
     if abs((0 + fxm + fxp + fym + fyp) / 4 - F) > max(STEP_TOL, 1e-9 * abs(F)):
@@ -133,40 +92,7 @@ def _value_drop(F, r, i, M, dxr, dyr, d1, d2, mu, F_parts) -> float:
     total = 0
     for fc, a, b, mc in kids:
         total += E * fc - math.exp(1.0 - mc) * (a * a + b * b)
-    return E * F - math.exp(1.0 - M) * mod2 - total / 4
-
-
-def step_surplus(F, r, i, M, dxr, dyr, d1, d2, mu, F_parts) -> float:
-    """dynamics_gap on plain floats: the state (F, r, i, M) and the split
-    (dxr, dyr, d1, d2, mu, F_parts), F_parts in the order (x-, x+, y-, y+).
-
-    Makes dynamics_gap's checks and float operations in the same order, and
-    builds no BellmanPoint or SplitSpec, so the Bellman chain calls it per node.
-    """
-    if mu < 0:
-        raise ValueError("mass density must be nonnegative")
-    harvest = mu * (r * r + i * i)
-    return _value_drop(F, r, i, M, dxr, dyr, d1, d2, mu, F_parts) - harvest
-
-
-def _flat(p: BellmanPoint, split: SplitSpec):
-    return p.F, p.r, p.i, p.M, split.dxr, split.dyr, split.d1, split.d2, split.mu, split.F_parts
-
-
-def concavity_gap(p: BellmanPoint, split: SplitSpec) -> float:
-    """Midpoint concavity surplus along a mass-free split; nonnegative always.
-
-    Children may leave the domain without breaking the inequality, so they
-    are not checked.
-    """
-    if split.mu != 0:
-        raise ValueError("concavity_gap needs a mass-free split (mu == 0)")
-    return _value_drop(*_flat(p, split))
-
-
-def dynamics_gap(p: BellmanPoint, split: SplitSpec) -> float:
-    """Full one-step surplus: value drop minus the harvested mass term."""
-    return step_surplus(*_flat(p, split))
+    return E * F - math.exp(1.0 - M) * mod2 - total / 4 - mu * mod2
 
 
 def unsliced_form_matrix(d, d1, d2) -> np.ndarray:
@@ -197,10 +123,10 @@ def concavity_form_matrix(M, d1, d2) -> np.ndarray:
 
     M is the state mass, d1 and d2 the half spreads of the children masses:
     floats for one form, or numpy arrays of one shape for a batch of them.
-    For a mass-free split the surplus equals e times w.T A w with
-    w = (r, i, dxr, dyr).  The matrix is positive semidefinite for every
-    real (M, d1, d2), which is the heart of the embedding bound.  It is the
-    untilted form scaled in place by exp(-M)/4.
+    At mu = 0, with every F_parts equal to F, dynamics_gap equals e times
+    w.T A w with w = (r, i, dxr, dyr).  The matrix is positive semidefinite
+    for every real (M, d1, d2), which is the heart of the embedding bound.
+    It is the untilted form scaled in place by exp(-M)/4.
 
     Its spectrum has a closed form.  With s = exp(-M)/4 the matrix is
     s * [[(sig - 4) I, B], [B, sig I]] with B = [[p, q], [q, -p]], and

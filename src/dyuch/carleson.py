@@ -4,7 +4,9 @@ A measure here is a nonnegative mass per 4-adic node.  It is *balanced* when
 the two halves of every 4-adic interval carry equal subtree mass; balanced
 measures are exactly the ones whose normalized subtree mass S(I)/|I| runs as
 a sliced super- or submartingale along 4-adic generations, and that pairing
-is the engine behind the weighted embedding bound.
+is the engine behind the weighted embedding bound.  The process is kept as
+level rows, one value per 4-adic node (2k, j) below the measure's root, and
+the per-node certificate terms are keyed by (relative level, index) too.
 """
 from __future__ import annotations
 
@@ -17,7 +19,6 @@ from .dyadic import (
     DEFAULT_TOL,
     DyadicInterval,
     as_numerators,
-    four_adic_nodes,
     json_number,
     left_sum,
     nan_min,
@@ -236,88 +237,69 @@ def measure_from_json(obj: dict, check_depth=None) -> DiscreteMeasure:
                                       check_depth=check_depth)
 
 
-class SlicedSuperMartingale:
-    """Normalized subtree masses of a balanced measure, run as a process.
-
-    Carries one value per 4-adic node down to the stated depth, with
-    implicit zero values below; as_numerators sets the mode and rejects NaN,
-    infinite and non-numeric values.  Validation enforces the sign convention,
-    the equal-pair-sum property inherited from balance, and the one-sided
-    drift (nonincreasing means for the nonnegative branch, nondecreasing
-    for the nonpositive one).
-    """
-
-    __slots__ = ("values", "root", "depth", "sign", "exact")
-
-    def __init__(self, values, root, depth, sign, validate=True):
-        if sign not in (SUPERMARTINGALE_NONNEG, SUBMARTINGALE_NONPOS):
-            raise ValueError(f"unknown sign convention {sign!r}")
-        if depth % 2:
-            raise ValueError("depth must be even")
-        vals = dict(values)
-        nums, den, exact = as_numerators(vals.values(), "value")
-        vals = {I: ratio(n, den, exact) for I, n in zip(vals, nums)}
-        for node in four_adic_nodes(root, depth):
-            if node not in vals:
-                raise ValueError(f"missing value at {node.id}")
-        self.values, self.root, self.depth, self.sign = vals, root, depth, sign
-        self.exact = exact
-        if validate:
-            self._check(DEFAULT_TOL if not exact else 0)
-
-    def _check(self, tol):
-        flip = 1 if self.sign == SUPERMARTINGALE_NONNEG else -1
-        for r in range(0, self.depth + 1, 2):
-            for j in range(1 << r):
-                I = self.root.descendant(r, j)
-                if flip * self.values[I] < -tol:
-                    raise ValueError(f"value at {I.id} breaks the sign convention")
-                if r + 2 > self.depth:
-                    continue
-                ym, yp, xm, xp = (self.values[c] for c in I.grandchildren())
-                if abs((xm + xp) - (ym + yp)) > 2 * tol:
-                    raise ValueError(f"half subtree pair sums differ below {I.id}")
-                defect = flip * (self.values[I] - (ym + yp + xm + xp) / 4)
-                if defect < -tol:
-                    raise ValueError(f"drift at {I.id} points the wrong way")
-
-    def value(self, I: DyadicInterval):
-        if not I.is_four_adic:
-            raise ValueError(f"{I.id} is not 4-adic")
-        r = I.level - self.root.level
-        if r > self.depth:
-            return zero(self.exact)
-        try:
-            return self.values[I]
-        except KeyError:
-            raise ValueError(f"{I.id} lies outside the process tree") from None
+def _flip(sign: str) -> int:
+    """+1 for the nonnegative supermartingale, -1 for the nonpositive submartingale."""
+    if sign not in (SUPERMARTINGALE_NONNEG, SUBMARTINGALE_NONPOS):
+        raise ValueError(f"unknown sign convention {sign!r}")
+    return 1 if sign == SUPERMARTINGALE_NONNEG else -1
 
 
-def pair_supermartingale(mu: DiscreteMeasure, sign: str) -> SlicedSuperMartingale:
-    """Process paired with a balanced measure: +-S(I)/|I| on every node."""
+def pair_supermartingale(mu: DiscreteMeasure, sign: str) -> list:
+    """Process paired with a balanced measure, as rows: rows[k][j] is
+    +-S(I)/|I| at node (2k, j), in the measure's mode."""
     if not mu.is_balanced():
         res = float(mu.balance_residual())
         raise ValueError(f"measure is not balanced (residual {res:.6g}); the pairing needs"
                          " equal half masses")
-    flip = 1 if sign == SUPERMARTINGALE_NONNEG else -1  # the constructor checks the sign
-    nodes = four_adic_nodes(mu.root, mu.depth)
-    values = {I: flip * mu.subtree_mass(I) / I.length for I in nodes}
-    return SlicedSuperMartingale(values, mu.root, mu.depth, sign, validate=False)
+    flip, top = _flip(sign), mu.root.level
+    return [[flip * mu._value(sums.get(j, 0), top + 2 * k) for j in range(1 << 2 * k)]
+            for k, sums in enumerate(mu.sums)]
 
 
-def measure_from_supermartingale(M: SlicedSuperMartingale) -> DiscreteMeasure:
-    """Invert the pairing: masses are the per-node drift defects times |I|."""
-    flip = 1 if M.sign == SUPERMARTINGALE_NONNEG else -1
-    masses = {}
-    for I, v in M.values.items():
-        s_here = flip * v * I.length
-        below = I.grandchildren() if I.level - M.root.level + 2 <= M.depth else ()
-        m = s_here - left_sum(flip * M.values[c] * c.length for c in below)
-        if m < (-DEFAULT_TOL if not M.exact else 0):
-            raise ValueError(f"negative implied mass at {I.id}")
-        if m > 0:
-            masses[I] = m
-    return DiscreteMeasure(masses, M.root, M.depth)
+def measure_from_supermartingale(rows, sign: str, root: DyadicInterval | None = None
+                                 ) -> DiscreteMeasure:
+    """Invert the pairing: rows[k][j] is the process value at node (2k, j)
+    below root (the unit interval by default), and a node's mass is its drift
+    defect times |I|, a bottom node's defect being its value.
+
+    One walk checks that the rows are a sliced supermartingale: row k holds
+    the 4**k values of level 2k; as_numerators sets the mode and rejects NaN,
+    infinite and non-numeric values; every value keeps the sign convention;
+    the pair sums below a node agree, as balance makes them; and the drift
+    is one-sided (nonincreasing means for the nonnegative branch,
+    nondecreasing for the nonpositive one), which is the implied mass being
+    nonnegative.  Float values get DEFAULT_TOL of slack, exact values none.
+    """
+    flip = _flip(sign)
+    root = root if root is not None else unit_root()
+    if not root.is_four_adic:
+        raise ValueError("measure root must be 4-adic")
+    sizes = [len(row) for row in rows]
+    if not rows or sizes != [1 << 2 * k for k in range(len(rows))]:
+        raise ValueError(f"rows must hold 1, 4, 16, ... values, one per 4-adic node; got {sizes}")
+    nums, den, exact = as_numerators([v for row in rows for v in row], "value")
+    tol = 0 if exact else DEFAULT_TOL
+    flat, at = iter(nums), root.descendant
+    vals = [[flip * next(flat) for _ in row] for row in rows]
+    nodes, masses = [], []
+    for k, row in enumerate(vals):
+        below = vals[k + 1] if k + 1 < len(vals) else None
+        for j, v in enumerate(row):
+            if v < -tol:
+                raise ValueError(f"value at {at(2 * k, j).id} breaks the sign convention")
+            defect = 4 * v
+            if below is not None:
+                ym, yp, xm, xp = below[4 * j:4 * j + 4]
+                if abs((xm + xp) - (ym + yp)) > 2 * tol:
+                    raise ValueError(f"half subtree pair sums differ below {at(2 * k, j).id}")
+                defect -= ym + yp + xm + xp
+                if defect < -4 * tol:
+                    raise ValueError(f"drift at {at(2 * k, j).id} points the wrong way:"
+                                     " negative implied mass")
+            if defect > 0:  # four times the mass over |I|, over den
+                nodes.append((2 * k, j))
+                masses.append(ratio(*_scaled(defect, 4 * den, -root.level - 2 * k), exact))
+    return DiscreteMeasure._from_nodes(root, 2 * len(rows) - 2, nodes, masses)
 
 
 def _require_compatible(f: DyadicAnalytic, mu: DiscreteMeasure):
@@ -405,7 +387,8 @@ def weighted_embedding_slack(f: DyadicAnalytic, mu: DiscreteMeasure) -> float:
 
 @dataclass
 class WeightedSlackDecomposition:
-    """Exact split of the weighted slack into one nonnegative term per node."""
+    """Exact split of the weighted slack into one nonnegative term per node,
+    node_terms and leaf_terms keyed by (r, j) below the pair's root."""
 
     slack: float
     node_terms: dict
@@ -427,9 +410,9 @@ def telescoped_weighted_slack(f: DyadicAnalytic,
     """Telescoping certificate for the weighted bound.
 
     Splits norm2(f) minus the weighted sum into one drift-and-convexity gap
-    per internal node, a root boundary term, and one surplus per leaf cell.
-    The measure must reach exactly as deep as the function so the leaf
-    accounting closes.
+    per internal node, a root boundary term, and one surplus per leaf cell,
+    both keyed by (r, j) top down, index ascending.  The measure must reach
+    exactly as deep as the function so the leaf accounting closes.
     """
     _require_compatible(f, mu)
     if mu.depth != f.depth:
@@ -441,7 +424,7 @@ def telescoped_weighted_slack(f: DyadicAnalytic,
     node_terms = {}
     for r, j, m, own, kids, u, v, dx, dy in _steps(f, mu):
         gap = bellman.laplacian_step_gap(-m, own, tuple(-k for k in kids), u, v, dx, dy)
-        node_terms[f.root.descendant(r, j)] = 2.0 ** -(f.root.level + r) * gap
+        node_terms[r, j] = 2.0 ** -(f.root.level + r) * gap
 
     dens, uf, vf = mu.float_densities(), f.u.float_pyramid(), f.v.float_pyramid()
     r0, i0 = uf[0][0], vf[0][0]
@@ -452,14 +435,15 @@ def telescoped_weighted_slack(f: DyadicAnalytic,
     for j, (a, b, s) in enumerate(zip(uf[-1], vf[-1], dens[-1])):
         w, own = math.exp(-s), mu.own.get((f.depth, j), 0) / mu.den
         term = (a * a + b * b) * (leaf_len * (1.0 - w) - own * w)
-        leaf_terms[f.root.descendant(f.depth, j)] = term
+        leaf_terms[f.depth, j] = term
     return WeightedSlackDecomposition(
         weighted_embedding_slack(f, mu), node_terms, root_term, leaf_terms
     )
 
 
 def bellman_chain_slacks(f: DyadicAnalytic, mu: DiscreteMeasure) -> dict:
-    """Per-node dynamics surpluses of the value-function certificate.
+    """Per-node dynamics surpluses of the value-function certificate, keyed by
+    the internal nodes' (r, j) top down, index ascending.
 
     Rescales the measure so its packing intensity is at most one, pairs it
     with the nonnegative process, and reports the dynamics gap of the value
@@ -472,12 +456,12 @@ def bellman_chain_slacks(f: DyadicAnalytic, mu: DiscreteMeasure) -> dict:
     packing = mu.packing_intensity()
     scaled = mu.scale(1 / packing) if packing > 1 else mu
     sums, den = f.moment_sums()
-    gaps, at, surplus = {}, f.root.descendant, bellman.step_surplus
+    gaps, gap = {}, bellman.dynamics_gap
     for r, j, m, own, (xm, xp, ym, yp), u, v, dx, dy in _steps(f, scaled):
         F = sums[r][j] / (den << f.depth - r)
         below, qden, q = sums[r + 2], den << f.depth - r - 2, 4 * j
         quarters = (below[q + 2] / qden, below[q + 3] / qden, below[q] / qden, below[q + 1] / qden)
-        gaps[at(r, j)] = surplus(F, u, v, m, dx, dy, (xp - xm) / 2, (yp - ym) / 2, own, quarters)
+        gaps[r, j] = gap(F, u, v, m, dx, dy, (xp - xm) / 2, (yp - ym) / 2, own, quarters)
     return gaps
 
 

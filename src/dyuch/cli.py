@@ -142,10 +142,9 @@ def _cmd_verify_bellman(args) -> dict:
     ranges, derivs = [], []
     for a in range(21):
         m = a / 20.0
-        point = bellman.BellmanPoint(F=2.0, r=1.0, i=0.5, M=m)
-        ranges.extend(bellman.range_gaps(point))
+        ranges.extend(bellman.range_gaps(2.0, 1.0, 0.5, m))
         # children mean M - mu must stay nonnegative
-        derivs.extend(bellman.derivative_gap(point, (b / 20.0) * m) for b in range(21))
+        derivs.extend(bellman.derivative_gap(1.0, 0.5, m, (b / 20.0) * m) for b in range(21))
     min_range, min_deriv = nan_min(ranges), nan_min(derivs)
     if not min_range >= -args.tolerance:
         violations.append(f"value left its pinned range by {min_range!r}")

@@ -272,13 +272,6 @@ def interval_from_id(text: str, base: str = UNIT, ancestor_levels: int = 0) -> D
     return DyadicInterval(*node_from_id(text, base, ancestor_levels), base, ancestor_levels)
 
 
-def four_adic_nodes(root: DyadicInterval, max_rel_level: int):
-    """All 4-adic descendants of root at relative levels 0, 2, ..., max_rel_level."""
-    for k in range(0, max_rel_level + 1, 2):
-        for j in range(1 << k):
-            yield root.descendant(k, j)
-
-
 def haar_inner_indicator(I: DyadicInterval, J: DyadicInterval) -> float:
     """Average of the Haar function h_J over I.
 

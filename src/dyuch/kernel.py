@@ -254,9 +254,10 @@ def testing_scan(mu: DiscreteMeasure) -> TestingScan:
     """Kernel tests and packing slacks of all 4-adic nodes in one pass.
 
     Goes down the tree level by level, so each node extends its parent's
-    path term once.  Ties go to the first node in `four_adic_nodes` order; a
-    NaN wins its reduction and sticks, so it can never hide behind a finite
-    value.  The scan is kept on the measure, like its packing and balance.
+    path term once.  Ties go to the first node in order level by level,
+    index ascending; a NaN wins its reduction and sticks, so it can never
+    hide behind a finite value.  The scan is kept on the measure, like its
+    packing and balance.
     """
     if "testing" in mu._cache:
         return mu._cache["testing"]

@@ -13,11 +13,8 @@ import pytest
 from dyuch import bellman
 from dyuch.bellman import (
     PSD_TOL,
-    BellmanPoint,
-    SplitSpec,
     bellman_value,
     concavity_form_matrix,
-    concavity_gap,
     derivative_gap,
     det_closed_form,
     dynamics_gap,
@@ -41,95 +38,132 @@ def _minors(mats):
 
 
 def random_domain_point(rng):
+    # a state (F, r, i, M) in the certificate domain
     r = rng.uniform(-1.5, 1.5)
     i = rng.uniform(-1.5, 1.5)
     F = r * r + i * i + rng.uniform(0.0, 2.0)
     M = rng.uniform(0.0, 1.0)
-    return BellmanPoint(F, r, i, M)
+    return F, r, i, M
+
+
+def children(F, r, i, M, dxr, dyr, d1, d2, mu, F_parts):
+    """The children states of one step in the order (x-, x+, y-, y+): the pair
+    moves by the conjugate rule, the masses spread around M - mu."""
+    mean = M - mu
+    fxm, fxp, fym, fyp = F_parts
+    return (
+        (fxm, r - dxr, i + dyr, mean - d1),
+        (fxp, r + dxr, i - dyr, mean + d1),
+        (fym, r - dyr, i - dxr, mean - d2),
+        (fyp, r + dyr, i + dxr, mean + d2),
+    )
+
+
+def in_domain(F, r, i, M):
+    # dynamics_gap takes the state, so the state lies in the domain (up to STEP_TOL)
+    try:
+        dynamics_gap(F, r, i, M, 0.0, 0.0, 0.0, 0.0, 0.0, (F,) * 4)
+    except ValueError as exc:
+        assert str(exc) == "state lies outside the certificate domain"
+        return False
+    return True
+
+
+def manual_gap(state, split):
+    """B at the state minus the mean of B over the children, minus the harvest."""
+    F, r, i, M = state
+    kids = children(*state, *split)
+    drop = bellman_value(*state) - sum(bellman_value(*c) for c in kids) / 4
+    return drop - split[4] * (r * r + i * i)
 
 
 class TestValueAndDomain:
     def test_value_formula(self):
-        p = BellmanPoint(3.0, 1.0, 0.0, 1.0)
-        assert bellman_value(p) == pytest.approx(3 * E - 1, abs=1e-12)
-        q = BellmanPoint(2.0, 1.0, 1.0, 0.0)
-        assert bellman_value(q) == pytest.approx(2 * E - 2 * E, abs=1e-12)
+        assert bellman_value(3.0, 1.0, 0.0, 1.0) == pytest.approx(3 * E - 1, abs=1e-12)
+        assert bellman_value(2.0, 1.0, 1.0, 0.0) == pytest.approx(2 * E - 2 * E, abs=1e-12)
 
     def test_in_domain(self):
-        assert BellmanPoint(1.0, 1.0, 0.0, 0.5).in_domain()
-        assert not BellmanPoint(0.9, 1.0, 0.0, 0.5).in_domain()
-        assert not BellmanPoint(1.0, 1.0, 0.0, 1.5).in_domain()
-        assert not BellmanPoint(1.0, 1.0, 0.0, -0.5).in_domain()
+        assert in_domain(1.0, 1.0, 0.0, 0.5)
+        assert not in_domain(0.9, 1.0, 0.0, 0.5)
+        assert not in_domain(1.0, 1.0, 0.0, 1.5)
+        assert not in_domain(1.0, 1.0, 0.0, -0.5)
         # tolerance loosens the edges
-        assert BellmanPoint(1.0, 1.0, 0.0, 1.0 + 1e-13).in_domain()
+        assert in_domain(1.0, 1.0, 0.0, 1.0 + 1e-13)
+        assert in_domain(1.0 - 1e-10, 1.0, 0.0, -1e-10)
+        assert not in_domain(1.0, 1.0, 0.0, math.nan)
 
     def test_range_gaps(self):
-        lo, hi = range_gaps(BellmanPoint(1.0, 0.0, 0.0, 1.0))
+        lo, hi = range_gaps(1.0, 0.0, 0.0, 1.0)
         assert lo == pytest.approx(E, abs=1e-12)
         assert hi == pytest.approx(0.0, abs=1e-12)
-        lo, hi = range_gaps(BellmanPoint(1.0, 1.0, 0.0, 0.0))
+        lo, hi = range_gaps(1.0, 1.0, 0.0, 0.0)
         assert lo == pytest.approx(0.0, abs=1e-12)
         assert hi == pytest.approx(E, abs=1e-12)
 
     def test_range_gaps_nonnegative_on_domain(self):
         rng = random.Random(50)
         for _ in range(300):
-            p = random_domain_point(rng)
-            lo, hi = range_gaps(p)
+            lo, hi = range_gaps(*random_domain_point(rng))
             assert lo >= -1e-12 and hi >= -1e-12
 
     def test_range_gap_fails_off_domain(self):
         # below M = 0 the weight overshoots and the lower gap flips sign
-        lo, _ = range_gaps(BellmanPoint(1.0, 1.0, 0.0, -1.0))
+        lo, _ = range_gaps(1.0, 1.0, 0.0, -1.0)
         assert lo < 0
 
 
 class TestDerivativeGap:
     def test_frozen_value(self):
-        p = BellmanPoint(2.0, 1.0, 0.0, 1.0)
-        assert derivative_gap(p, 1.0) == pytest.approx(E - 2, abs=1e-12)
+        assert derivative_gap(1.0, 0.0, 1.0, 1.0) == pytest.approx(E - 2, abs=1e-12)
 
     def test_nonnegative_on_domain(self):
         rng = random.Random(51)
         for _ in range(300):
-            p = random_domain_point(rng)
+            _, r, i, M = random_domain_point(rng)
             mu = rng.uniform(0.0, 2.0)
-            assert derivative_gap(p, mu) >= -1e-12
+            assert derivative_gap(r, i, M, mu) >= -1e-12
 
     def test_zero_mass_and_off_domain(self):
-        p = BellmanPoint(2.0, 1.0, 0.0, 1.0)
-        assert derivative_gap(p, 0.0) == 0.0
-        off = BellmanPoint(2.0, 1.0, 0.0, 2.0)
-        assert derivative_gap(off, 0.1) < 0
+        assert derivative_gap(1.0, 0.0, 1.0, 0.0) == 0.0
+        assert derivative_gap(1.0, 0.0, 2.0, 0.1) < 0
 
 
 class TestSplits:
     def test_children_layout(self):
-        p = BellmanPoint(3.0, 1.0, 0.0, 0.5)
-        split = SplitSpec(1.0, 1.0, 0.0, 0.0, 0.0, (3.0, 3.0, 3.0, 3.0))
-        xm, xp, ym, yp = split.children(p)
-        assert (xm.r, xm.i, xm.M) == (0.0, 1.0, 0.5)
-        assert (xp.r, xp.i, xp.M) == (2.0, -1.0, 0.5)
-        assert (ym.r, ym.i, ym.M) == (0.0, -1.0, 0.5)
-        assert (yp.r, yp.i, yp.M) == (2.0, 1.0, 0.5)
+        state, split = (3.0, 1.0, 0.0, 0.5), (1.0, 1.0, 0.0, 0.0, 0.0, (3.0, 3.0, 3.0, 3.0))
+        xm, xp, ym, yp = (c[1:] for c in children(*state, *split))
+        assert (xm, xp, ym, yp) == ((0.0, 1.0, 0.5), (2.0, -1.0, 0.5), (0.0, -1.0, 0.5),
+                                    (2.0, 1.0, 0.5))
+        # dynamics_gap lays its children out the same way: with every parameter
+        # apart, a swapped pair, sign or spread would change the gap
+        rng = random.Random(61)
+        for _ in range(50):
+            state = (9.0, rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.4, 0.6))
+            split = (rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-0.3, 0.3),
+                     rng.uniform(-0.3, 0.3), rng.uniform(0.0, 0.1), (9.0,) * 4)
+            assert dynamics_gap(*state, *split) == pytest.approx(manual_gap(state, split),
+                                                                  rel=1e-12, abs=1e-12)
 
     def test_mass_and_spread_move_children(self):
-        p = BellmanPoint(3.0, 0.0, 0.0, 0.6)
-        split = SplitSpec(0.0, 0.0, 0.1, 0.2, 0.1, (3.0,) * 4)
-        xm, xp, ym, yp = split.children(p)
-        assert (xm.M, xp.M) == (pytest.approx(0.4), pytest.approx(0.6))
-        assert (ym.M, yp.M) == (pytest.approx(0.3), pytest.approx(0.7))
+        state, split = (3.0, 0.0, 0.0, 0.6), (0.0, 0.0, 0.1, 0.2, 0.1, (3.0,) * 4)
+        xm, xp, ym, yp = (c[3] for c in children(*state, *split))
+        assert (xm, xp) == (pytest.approx(0.4), pytest.approx(0.6))
+        assert (ym, yp) == (pytest.approx(0.3), pytest.approx(0.7))
+        state = (3.0, 1.0, 0.5, 0.6)
+        assert dynamics_gap(*state, *split) == pytest.approx(manual_gap(state, split), abs=1e-12)
 
     def test_f_parts_validation(self):
-        with pytest.raises(ValueError):
-            SplitSpec(0.0, 0.0, 0.0, 0.0, 0.0, (1.0, 2.0))
+        for parts in ((1.0, 2.0), (1.0,) * 5):
+            with pytest.raises(ValueError, match="^F_parts must list the four children"):
+                dynamics_gap(1.5, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, parts)
 
 
 class TestConcavityGap:
+    # the concavity gap is dynamics_gap at mu = 0
+
     def test_frozen_value(self):
-        p = BellmanPoint(3.0, 1.0, 0.0, 0.5)
-        split = SplitSpec(1.0, 1.0, 0.0, 0.0, 0.0, (3.0,) * 4)
-        assert concavity_gap(p, split) == pytest.approx(2 * math.sqrt(E), abs=1e-12)
+        gap = dynamics_gap(3.0, 1.0, 0.0, 0.5, 1.0, 1.0, 0.0, 0.0, 0.0, (3.0,) * 4)
+        assert gap == pytest.approx(2 * math.sqrt(E), abs=1e-12)
         assert 2 * math.sqrt(E) == pytest.approx(3.2974425414002564, abs=1e-15)
 
     def test_matches_quadratic_form(self):
@@ -139,88 +173,68 @@ class TestConcavityGap:
             d1 = rng.uniform(-0.6, 0.6)
             d2 = rng.uniform(-0.6, 0.6)
             w = np.array([rng.uniform(-2, 2) for _ in range(4)])
-            p = BellmanPoint(30.0, w[0], w[1], M)
-            split = SplitSpec(w[2], w[3], d1, d2, 0.0, (30.0,) * 4)
+            gap = dynamics_gap(30.0, w[0], w[1], M, w[2], w[3], d1, d2, 0.0, (30.0,) * 4)
             mat = concavity_form_matrix(M, d1, d2)
             want = E * float(w @ mat @ w)
-            assert concavity_gap(p, split) == pytest.approx(want, rel=1e-9, abs=1e-9)
+            assert gap == pytest.approx(want, rel=1e-9, abs=1e-9)
 
     def test_nonnegative_for_wild_splits(self):
         rng = random.Random(53)
         for _ in range(300):
-            p = random_domain_point(rng)
-            split = SplitSpec(
+            F, r, i, M = random_domain_point(rng)
+            split = (
                 rng.uniform(-2, 2),
                 rng.uniform(-2, 2),
                 rng.uniform(-1, 1),
                 rng.uniform(-1, 1),
                 0.0,
-                (p.F,) * 4,
+                (F,) * 4,
             )
-            assert concavity_gap(p, split) >= -1e-9
-
-    def test_requires_zero_mass(self):
-        p = BellmanPoint(3.0, 1.0, 0.0, 0.5)
-        with pytest.raises(ValueError, match="mass-free"):
-            concavity_gap(p, SplitSpec(0.0, 0.0, 0.0, 0.0, 0.5, (3.0,) * 4))
+            assert dynamics_gap(F, r, i, M, *split) >= -1e-9
 
     def test_children_domain_check_optional(self):
-        p = BellmanPoint(1.0, 1.0, 0.0, 0.5)
-        wild = SplitSpec(2.0, 0.0, 0.0, 0.0, 0.0, (1.0,) * 4)
-        assert not all(c.in_domain() for c in wild.children(p))
-        assert concavity_gap(p, wild) >= 0  # children leave the domain, still fine
+        state, wild = (1.0, 1.0, 0.0, 0.5), (2.0, 0.0, 0.0, 0.0, 0.0, (1.0,) * 4)
+        assert not all(in_domain(*c) for c in children(*state, *wild))
+        assert dynamics_gap(*state, *wild) >= 0  # children leave the domain, still fine
 
     def test_rejects_bad_parent_or_parts(self):
         with pytest.raises(ValueError, match="domain"):
-            concavity_gap(
-                BellmanPoint(0.5, 1.0, 0.0, 0.5),
-                SplitSpec(0.0, 0.0, 0.0, 0.0, 0.0, (0.5,) * 4),
-            )
+            dynamics_gap(0.5, 1.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, (0.5,) * 4)
         with pytest.raises(ValueError, match="average"):
-            concavity_gap(
-                BellmanPoint(3.0, 1.0, 0.0, 0.5),
-                SplitSpec(0.0, 0.0, 0.0, 0.0, 0.0, (1.0,) * 4),
-            )
+            dynamics_gap(3.0, 1.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, (1.0,) * 4)
 
 
 class TestDynamicsGap:
     def test_reduces_to_concavity(self):
-        p = BellmanPoint(3.0, 1.0, 0.0, 0.5)
-        split = SplitSpec(1.0, 1.0, 0.0, 0.0, 0.0, (3.0,) * 4)
-        assert dynamics_gap(p, split) == concavity_gap(p, split)
+        # with no mass there is no harvest: the gap is the value drop alone
+        state, split = (3.0, 1.0, 0.5, 0.6), (0.3, -0.2, 0.1, 0.05, 0.0, (3.0, 2.0, 4.0, 3.0))
+        drop = bellman_value(*state) - sum(bellman_value(*c) for c in children(*state, *split)) / 4
+        assert dynamics_gap(*state, *split) == pytest.approx(drop, abs=1e-12)
 
     def test_manual_sum(self):
-        p = BellmanPoint(3.0, 1.0, 0.5, 0.6)
-        split = SplitSpec(0.3, -0.2, 0.1, 0.05, 0.2, (3.0, 2.0, 4.0, 3.0))
-        kids = split.children(p)
-        want = (
-            bellman_value(p)
-            - sum(bellman_value(c) for c in kids) / 4
-            - split.mu * (p.r**2 + p.i**2)
-        )
-        assert dynamics_gap(p, split) == pytest.approx(want, abs=1e-12)
+        state, split = (3.0, 1.0, 0.5, 0.6), (0.3, -0.2, 0.1, 0.05, 0.2, (3.0, 2.0, 4.0, 3.0))
+        assert dynamics_gap(*state, *split) == pytest.approx(manual_gap(state, split), abs=1e-12)
 
     def test_nonnegative_randomized(self):
         rng = random.Random(54)
         for _ in range(300):
-            p = random_domain_point(rng)
-            mu = rng.uniform(0.0, p.M)
-            mean = p.M - mu
+            F, r, i, M = random_domain_point(rng)
+            mu = rng.uniform(0.0, M)
+            mean = M - mu
             room = min(mean, 1.0 - mean)
-            split = SplitSpec(
+            split = (
                 rng.uniform(-1, 1),
                 rng.uniform(-1, 1),
                 rng.uniform(-room, room),
                 rng.uniform(-room, room),
                 mu,
-                (p.F,) * 4,
+                (F,) * 4,
             )
-            assert dynamics_gap(p, split) >= -1e-9
+            assert dynamics_gap(F, r, i, M, *split) >= -1e-9
 
     def test_rejects_negative_mass(self):
-        p = BellmanPoint(3.0, 1.0, 0.0, 0.5)
-        with pytest.raises(ValueError):
-            dynamics_gap(p, SplitSpec(0.0, 0.0, 0.0, 0.0, -0.1, (3.0,) * 4))
+        with pytest.raises(ValueError, match="nonnegative"):
+            dynamics_gap(3.0, 1.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, -0.1, (3.0,) * 4)
 
 
 class TestHessianMatrices:

@@ -10,7 +10,6 @@ from dyuch.carleson import (
     SUBMARTINGALE_NONPOS,
     SUPERMARTINGALE_NONNEG,
     DiscreteMeasure,
-    SlicedSuperMartingale,
     _subtree_sums,
     bellman_chain_slacks,
     embedding_slack,
@@ -235,17 +234,18 @@ class TestMeasureJson:
 class TestSupermartingalePairing:
     def test_point_mass_pairing(self):
         mu = DiscreteMeasure({unit_root(): Fraction(1, 2)}, depth=2)
-        M = pair_supermartingale(mu, SUPERMARTINGALE_NONNEG)
-        assert M.value(unit_root()) == Fraction(1, 2)
-        for j in range(4):
-            assert M.value(DyadicInterval(2, j)) == 0
-        assert M.value(DyadicInterval(4, 3)) == 0  # implicit below depth
+        rows = pair_supermartingale(mu, SUPERMARTINGALE_NONNEG)
+        assert rows == [[Fraction(1, 2)], [0] * 4]
+        assert len(rows) == mu.depth // 2 + 1  # nothing below the depth
 
     def test_signs(self):
         mu = DiscreteMeasure({unit_root(): Fraction(1, 2)}, depth=2)
         up = pair_supermartingale(mu, SUPERMARTINGALE_NONNEG)
         dn = pair_supermartingale(mu, SUBMARTINGALE_NONPOS)
-        assert dn.value(unit_root()) == -up.value(unit_root())
+        assert dn == [[-v for v in row] for row in up]
+        with pytest.raises(ValueError, match="sign"):
+            measure_from_supermartingale(up, SUBMARTINGALE_NONPOS)
+        assert measure_from_supermartingale(dn, SUBMARTINGALE_NONPOS).masses == mu.masses
 
     def test_requires_balanced(self):
         lop = DiscreteMeasure({DyadicInterval(2, 0): 1})
@@ -255,88 +255,85 @@ class TestSupermartingalePairing:
             pair_supermartingale(
                 DiscreteMeasure({unit_root(): 1}), "upward"
             )
+        with pytest.raises(ValueError, match="sign"):
+            measure_from_supermartingale([[1]], "upward")
 
     def test_roundtrip_measure_first(self):
         rng = random.Random(34)
         for depth in (2, 4):
-            for _ in range(5):
-                mu = random_balanced_measure(rng, depth)
-                for sign in (SUPERMARTINGALE_NONNEG, SUBMARTINGALE_NONPOS):
-                    M = pair_supermartingale(mu, sign)
-                    back = measure_from_supermartingale(M)
-                    assert back.masses == mu.masses
-                    assert back.depth == mu.depth
+            for root in (unit_root(), window_root(1)):
+                for _ in range(5):
+                    mu = random_balanced_measure(rng, depth, root)
+                    for sign in (SUPERMARTINGALE_NONNEG, SUBMARTINGALE_NONPOS):
+                        rows = pair_supermartingale(mu, sign)
+                        back = measure_from_supermartingale(rows, sign, root)
+                        assert back.masses == mu.masses
+                        assert back.depth == mu.depth and back.root == root
 
     def test_roundtrip_process_first(self):
-        root = unit_root()
-        vals = {root: Fraction(1)}
-        for j in range(4):
-            vals[DyadicInterval(2, j)] = Fraction(1, 4)
-        M = SlicedSuperMartingale(vals, root, 2, SUPERMARTINGALE_NONNEG)
-        mu = measure_from_supermartingale(M)
-        assert mu.mass(root) == Fraction(3, 4)
+        rows = [[Fraction(1)], [Fraction(1, 4)] * 4]
+        mu = measure_from_supermartingale(rows, SUPERMARTINGALE_NONNEG)
+        assert mu.mass(unit_root()) == Fraction(3, 4)
         assert mu.mass(DyadicInterval(2, 2)) == Fraction(1, 16)
         again = pair_supermartingale(mu, SUPERMARTINGALE_NONNEG)
-        assert again.values == M.values
+        assert again == rows
 
     def test_validation_catches_bad_processes(self):
-        root = unit_root()
-        base = {root: Fraction(1)}
-        for j in range(4):
-            base[DyadicInterval(2, j)] = Fraction(1, 4)
+        base = [[Fraction(1)], [Fraction(1, 4)] * 4]
+        ok = measure_from_supermartingale(base, SUPERMARTINGALE_NONNEG)
+        assert ok.depth == 2
+        with pytest.raises(ValueError, match="^measure root must be 4-adic$"):
+            measure_from_supermartingale(base, SUPERMARTINGALE_NONNEG, DyadicInterval(1, 0))
 
-        missing = dict(base)
-        del missing[DyadicInterval(2, 3)]
-        with pytest.raises(ValueError, match="missing"):
-            SlicedSuperMartingale(missing, root, 2, SUPERMARTINGALE_NONNEG)
+        # a missing value leaves a row short; a missing row is a shallower process
+        for missing in ([[1], [Fraction(1, 4)] * 3], [], [[1, 0]], [[1], [0] * 4, [0] * 15]):
+            with pytest.raises(ValueError, match="^rows must hold 1, 4, 16"):
+                measure_from_supermartingale(missing, SUPERMARTINGALE_NONNEG)
 
-        signbad = dict(base)
-        signbad[DyadicInterval(2, 0)] = Fraction(-1, 4)
+        signbad = [[Fraction(1)], [Fraction(-1, 4)] + [Fraction(1, 4)] * 3]
         with pytest.raises(ValueError):
-            SlicedSuperMartingale(signbad, root, 2, SUPERMARTINGALE_NONNEG)
+            measure_from_supermartingale(signbad, SUPERMARTINGALE_NONNEG)
+        signbad = [[Fraction(0)], [Fraction(-1, 4)] * 4]  # pairs and drift agree
+        with pytest.raises(ValueError, match="^value at L2N0 breaks the sign convention$"):
+            measure_from_supermartingale(signbad, SUPERMARTINGALE_NONNEG)
 
-        lopsided = dict(base)
-        lopsided[DyadicInterval(2, 0)] = Fraction(3, 4)
-        with pytest.raises(ValueError):
-            SlicedSuperMartingale(lopsided, root, 2, SUPERMARTINGALE_NONNEG)
+        lopsided = [[Fraction(1)], [Fraction(3, 4)] + [Fraction(1, 4)] * 3]
+        with pytest.raises(ValueError, match="^half subtree pair sums differ below L0N0$"):
+            measure_from_supermartingale(lopsided, SUPERMARTINGALE_NONNEG)
 
-        drifting = {root: Fraction(0)}
-        for j in range(4):
-            drifting[DyadicInterval(2, j)] = Fraction(1)
-        with pytest.raises(ValueError):
-            SlicedSuperMartingale(drifting, root, 2, SUPERMARTINGALE_NONNEG)
+        drifting = [[Fraction(0)], [Fraction(1)] * 4]
+        with pytest.raises(ValueError, match="^drift at L0N0 points the wrong way"):
+            measure_from_supermartingale(drifting, SUPERMARTINGALE_NONNEG)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, "1", True])
     def test_non_numbers_rejected(self, bad):
-        # a NaN value used to validate, and measure_from_supermartingale
-        # then dropped its node's mass (nan > 0 is false)
-        root = unit_root()
-        vals = {root: 1.0, **{DyadicInterval(2, j): 0.25 for j in range(4)}}
-        vals[DyadicInterval(2, 1)] = bad
-        for validate in (True, False):
-            with pytest.raises(ValueError, match="value 2 is"):
-                SlicedSuperMartingale(vals, root, 2, SUPERMARTINGALE_NONNEG, validate)
+        # a NaN value used to pass the drift checks, and the inverse then
+        # dropped its node's mass (nan > 0 is false)
+        rows = [[1.0], [0.25, bad, 0.25, 0.25]]
+        with pytest.raises(ValueError, match="value 2 is"):
+            measure_from_supermartingale(rows, SUPERMARTINGALE_NONNEG)
 
     def test_values_follow_the_number_policy(self):
-        root = unit_root()
-        vals = {root: 1, **{DyadicInterval(2, j): Fraction(1, 4) for j in range(4)}}
-        M = SlicedSuperMartingale(vals, root, 2, SUPERMARTINGALE_NONNEG)
-        assert M.exact and all(type(v) is Fraction for v in M.values.values())
-        vals[root] = 1.0
-        M = SlicedSuperMartingale(vals, root, 2, SUPERMARTINGALE_NONNEG)
-        assert not M.exact and all(type(v) is float for v in M.values.values())
-        assert M.value(DyadicInterval(4, 0)) == 0.0 and not M.exact
+        rows = [[1], [Fraction(1, 4)] * 4]
+        mu = measure_from_supermartingale(rows, SUPERMARTINGALE_NONNEG)
+        again = pair_supermartingale(mu, SUPERMARTINGALE_NONNEG)
+        assert mu.exact and all(type(v) is Fraction for row in again for v in row)
+        rows[0][0] = 1.0
+        mu = measure_from_supermartingale(rows, SUPERMARTINGALE_NONNEG)
+        again = pair_supermartingale(mu, SUPERMARTINGALE_NONNEG)
+        assert not mu.exact and all(type(v) is float for row in again for v in row)
+        assert again == [[1.0], [0.25] * 4]
 
     def test_negative_implied_mass(self):
-        root = unit_root()
-        drifting = {root: Fraction(0)}
-        for j in range(4):
-            drifting[DyadicInterval(2, j)] = Fraction(1)
-        M = SlicedSuperMartingale(
-            drifting, root, 2, SUPERMARTINGALE_NONNEG, validate=False
-        )
+        # the drift check is the implied mass check scaled by |I|: one check
+        drifting = [[Fraction(0)], [Fraction(1)] * 4]
         with pytest.raises(ValueError, match="negative implied mass"):
-            measure_from_supermartingale(M)
+            measure_from_supermartingale(drifting, SUPERMARTINGALE_NONNEG)
+        within = [[0.25], [0.25 + 1e-14] * 4]  # float values get DEFAULT_TOL
+        assert measure_from_supermartingale(within, SUPERMARTINGALE_NONNEG).mass(unit_root()) == 0
+        with pytest.raises(ValueError, match="negative implied mass"):
+            measure_from_supermartingale([[0.25], [0.25 + 1e-11] * 4],
+                                         SUPERMARTINGALE_NONNEG)
 
 
 class TestEmbedding:
@@ -405,7 +402,7 @@ class TestTelescoping:
         mu = DiscreteMeasure({unit_root(): Fraction(3, 4)}, depth=2)
         deco = telescoped_weighted_slack(f, mu)
         assert deco.slack == pytest.approx(1 - m * math.exp(-m), abs=1e-12)
-        assert deco.node_terms[unit_root()] == pytest.approx(
+        assert deco.node_terms[0, 0] == pytest.approx(
             1 - math.exp(-m) * (1 + m), abs=1e-12
         )
         assert deco.root_term == pytest.approx(math.exp(-m), abs=1e-12)
@@ -512,8 +509,10 @@ class TestRandomBalanced:
         state = []
         for m in (mu, muf):
             for sign in (SUPERMARTINGALE_NONNEG, SUBMARTINGALE_NONPOS):
-                M = pair_supermartingale(m, sign)
-                state.append([(I.id, v) for I, v in M.values.items()])
+                rows = pair_supermartingale(m, sign)
+                at = m.root.descendant
+                state.append([(at(2 * k, j).id, v) for k, row in enumerate(rows)
+                              for j, v in enumerate(row)])
             state.append(json.dumps(measure_to_json(m)))
         return state
 

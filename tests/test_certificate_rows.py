@@ -1,17 +1,18 @@
 """The exact certificate on level rows: memos, the measure parser, chain steps.
 
 Every digest and message here was computed before measures were parsed
-straight to rows, before the embedding and weighted sums were memoized and
-before the Bellman chain ran on plain floats, so each test checks that
-those changes left every value bit for bit (or Fraction for Fraction) and
-every rejection word for word as it was.
+straight to rows, before the embedding and weighted sums were memoized,
+before the Bellman chain ran on plain floats and before its per-node results
+were keyed by (r, j), so each test checks that those changes left every
+value bit for bit (or Fraction for Fraction) and every rejection word for
+word as it was.  Node ids are made from the (r, j) keys here.
 """
 import hashlib
 import random
 
 import pytest
 
-from dyuch.bellman import E, BellmanPoint, SplitSpec, dynamics_gap, step_surplus
+from dyuch.bellman import E, dynamics_gap
 from dyuch.carleson import (
     bellman_chain_slacks,
     embedding_slack,
@@ -22,7 +23,13 @@ from dyuch.carleson import (
     telescoped_weighted_slack,
     weighted_embedding_slack,
 )
-from dyuch.dyadic import PiecewiseConstant, interval_from_id, left_sum, node_from_id
+from dyuch.dyadic import (
+    DyadicInterval,
+    PiecewiseConstant,
+    interval_from_id,
+    left_sum,
+    node_from_id,
+)
 from dyuch.extremal import Configuration
 from dyuch import kernel
 from dyuch.martingale import analytic_from_json, analytic_to_json, random_analytic
@@ -127,7 +134,8 @@ class TestStepSurplus:
                      rng.uniform(-room, room), mu, tuple(parts))
             yield (F, r, i, M), split
 
-    # dynamics_gap on the 2,000 seeded steps, by repr, before step_surplus existed
+    # dynamics_gap on the 2,000 seeded steps, by repr, when it took a state and a
+    # split object, before it ran on plain floats
     GAPS = "cd4bd5991edbf01a18696bcdeaf4a2d85e268e7860414e5aea4c986d2460297f"
 
     def digest(self, gap):
@@ -137,10 +145,7 @@ class TestStepSurplus:
         return h.hexdigest()
 
     def test_row_function_matches_old_dynamics_gap(self):
-        assert self.digest(lambda p, s: step_surplus(*p, *s)) == self.GAPS
-
-    def test_dynamics_gap_unchanged(self):
-        assert self.digest(lambda p, s: dynamics_gap(BellmanPoint(*p), SplitSpec(*s))) == self.GAPS
+        assert self.digest(lambda p, s: dynamics_gap(*p, *s)) == self.GAPS
 
     @pytest.mark.parametrize("state, split, message", [
         ((3.0, 2.0, 0.0, 0.5), (0.0, 0.0, 0.0, 0.0, 0.0, (3.0,) * 4),
@@ -153,11 +158,9 @@ class TestStepSurplus:
          "children second moments must average to the parent F"),
     ])
     def test_same_rejections(self, state, split, message):
-        with pytest.raises(ValueError) as old:
-            dynamics_gap(BellmanPoint(*state), SplitSpec(*split))
-        with pytest.raises(ValueError) as new:
-            step_surplus(*state, *split)
-        assert str(old.value) == str(new.value) == message
+        with pytest.raises(ValueError) as exc:
+            dynamics_gap(*state, *split)
+        assert str(exc.value) == message
 
 
 # (base, id) -> the message a table holding that id got before ids were parsed to rows
@@ -262,9 +265,31 @@ def test_certificate_digests_on_the_exact_verify_stream():
         hashes["weighted"].update(f"{weighted_embedding_slack(f, mu)!r}\n".encode())
         deco = telescoped_weighted_slack(f, mu)
         lines = [repr(deco.slack), repr(deco.root_term)]
-        lines += [f"{I.id} {t!r}" for I, t in deco.node_terms.items()]
-        lines += [f"{I.id} {t!r}" for I, t in deco.leaf_terms.items()]
+        at = f.root.descendant
+        lines += [f"{at(*n).id} {t!r}" for n, t in deco.node_terms.items()]
+        lines += [f"{at(*n).id} {t!r}" for n, t in deco.leaf_terms.items()]
         hashes["telescope"].update(("\n".join(lines) + "\n").encode())
         gaps = bellman_chain_slacks(f, mu)
-        hashes["chain"].update("".join(f"{I.id} {g!r}\n" for I, g in gaps.items()).encode())
+        hashes["chain"].update("".join(f"{at(*n).id} {g!r}\n" for n, g in gaps.items()).encode())
     assert {key: h.hexdigest() for key, h in hashes.items()} == DIGESTS
+
+
+def test_certificate_builds_no_interval_per_node(monkeypatch):
+    # the telescoping and chain results are keyed by (r, j): no DyadicInterval
+    # is built for any of a depth-8 pair's 85 internal nodes and 256 leaves
+    rng = random.Random(8)
+    f, mu = random_analytic(rng, 8), random_balanced_measure(rng, 8)
+    built = []
+    real = DyadicInterval.__post_init__
+
+    def counted(self):
+        built.append(self.id)
+        real(self)
+
+    monkeypatch.setattr(DyadicInterval, "__post_init__", counted)
+    deco = telescoped_weighted_slack(f, mu)
+    gaps = bellman_chain_slacks(f, mu)
+    assert len(deco.node_terms) == len(gaps) == 85 and len(deco.leaf_terms) == 256
+    assert list(gaps) == list(deco.node_terms) == [(r, j) for r in (0, 2, 4, 6)
+                                                   for j in range(1 << r)]
+    assert built == []

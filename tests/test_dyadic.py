@@ -9,7 +9,6 @@ from dyuch.dyadic import (
     DyadicInterval,
     PiecewiseConstant,
     dyadic_length,
-    four_adic_nodes,
     haar_coefficient,
     haar_inner_indicator,
     haar_sign_on,
@@ -133,7 +132,8 @@ class TestInterval:
         assert interval_from_id("L-1N1", REAL_LINE, 1) == DyadicInterval(-1, 1, REAL_LINE, 1)
 
     def test_four_adic_enumeration(self):
-        nodes = list(four_adic_nodes(unit_root(), 4))
+        # the 4-adic nodes below a root are its descendants (2k, j), j < 4**k
+        nodes = [unit_root().descendant(r, j) for r in (0, 2, 4) for j in range(1 << r)]
         assert len(nodes) == 1 + 4 + 16
         assert all(n.is_four_adic for n in nodes)
         assert len(set(nodes)) == len(nodes)

@@ -180,16 +180,12 @@ def ref_chain(p, mu):
             ym, yp, xm, xp = I.grandchildren()
             dx, dy = p.increments(I)
             u, v = p.average(I)
-            point = bellman.BellmanPoint(
-                F=float(p.second_moment(I)), r=float(u), i=float(v), M=m_at(I)
+            gaps[I] = bellman.dynamics_gap(
+                float(p.second_moment(I)), float(u), float(v), m_at(I),
+                float(dx), float(dy), (m_at(xp) - m_at(xm)) / 2, (m_at(yp) - m_at(ym)) / 2,
+                float(scaled.masses.get(I, scaled.zero) / I.length),
+                tuple(float(p.second_moment(c)) for c in (xm, xp, ym, yp)),
             )
-            split = bellman.SplitSpec(
-                dxr=float(dx), dyr=float(dy),
-                d1=(m_at(xp) - m_at(xm)) / 2, d2=(m_at(yp) - m_at(ym)) / 2,
-                mu=float(scaled.masses.get(I, scaled.zero) / I.length),
-                F_parts=tuple(float(p.second_moment(c)) for c in (xm, xp, ym, yp)),
-            )
-            gaps[I] = bellman.dynamics_gap(point, split)
     return gaps
 
 
@@ -234,6 +230,11 @@ def same(a, b):
     return repr(a) == repr(b)
 
 
+def by_interval(f, results):
+    """Per-node results keyed by (r, j) below f.root, rekeyed by interval in order."""
+    return {f.root.descendant(r, j): value for (r, j), value in results.items()}
+
+
 @pytest.mark.parametrize("depth,name", cases())
 def test_flat_core_matches_reference(depth, name):
     f, measures = configs(depth, ROOTS[name])
@@ -261,11 +262,11 @@ def test_flat_core_matches_reference(depth, name):
             if kind != "shallow":
                 deco = telescoped_weighted_slack(g, nu)
                 node_terms, root_term, leaf_terms = ref_telescoped(p, nu)
-                assert same(deco.node_terms, node_terms)
+                assert same(by_interval(g, deco.node_terms), node_terms)
                 assert same(deco.root_term, root_term)
-                assert same(deco.leaf_terms, leaf_terms)
+                assert same(by_interval(g, deco.leaf_terms), leaf_terms)
                 assert same(deco.slack, ref_weighted(p, nu))
-            assert same(bellman_chain_slacks(g, nu), ref_chain(p, nu)), kind
+            assert same(by_interval(g, bellman_chain_slacks(g, nu)), ref_chain(p, nu)), kind
 
 
 def test_reference_sees_a_changed_core():

@@ -69,7 +69,9 @@ def outputs(f, mu):
     one, two = analytic_projection(f.u), analytic_projection(f.u, flipped)
     deco = telescoped_weighted_slack(f, mu)
     scan = kernel.testing_scan(mu)
-    pairings = [sorted((I.id, v) for I, v in pair_supermartingale(mu, sign).values.items())
+    at = f.root.descendant  # ids from the (r, j) keys and rows
+    pairings = [sorted((at(2 * k, j).id, v) for k, row in enumerate(pair_supermartingale(mu, sign))
+                       for j, v in enumerate(row))
                 for sign in (SUPERMARTINGALE_NONNEG, SUBMARTINGALE_NONPOS)]
     return (
         s0(f.u).leaves, s0(f.v).leaves,
@@ -77,9 +79,9 @@ def outputs(f, mu):
         f.moment_sums(), cr_residual(f.u, f.v),
         embedding_sum(f, mu), weighted_embedding_slack(f, mu),
         deco.slack, deco.root_term,
-        [(I.id, t) for I, t in deco.node_terms.items()],
-        [(I.id, t) for I, t in deco.leaf_terms.items()],
-        [(I.id, g) for I, g in bellman_chain_slacks(f, mu).items()],
+        [(at(*n).id, t) for n, t in deco.node_terms.items()],
+        [(at(*n).id, t) for n, t in deco.leaf_terms.items()],
+        [(at(*n).id, g) for n, g in bellman_chain_slacks(f, mu).items()],
         (scan.testing_constant, scan.worst_testing_node.id, scan.min_packing_slack,
          scan.worst_packing_node.id, scan.nodes_checked),
         pairings,

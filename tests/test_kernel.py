@@ -8,7 +8,6 @@ from dyuch.carleson import DiscreteMeasure, embedding_sum, random_balanced_measu
 from dyuch.dyadic import (
     REAL_LINE,
     DyadicInterval,
-    four_adic_nodes,
     unit_root,
     window_root,
 )
@@ -31,6 +30,12 @@ from dyuch.martingale import (
 
 E = math.e
 INV_2RT2 = 1.0 / (2.0 * math.sqrt(2.0))
+
+
+def four_adic_nodes(root, max_rel_level):
+    """All 4-adic descendants of root at relative levels 0, 2, ..., max_rel_level,
+    level by level, index ascending."""
+    return [root.descendant(k, j) for k in range(0, max_rel_level + 1, 2) for j in range(1 << k)]
 
 
 def pairwise_testing_sum(mu, I):
