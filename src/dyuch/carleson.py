@@ -4,9 +4,11 @@ A measure here is a nonnegative mass per 4-adic node.  It is *balanced* when
 the two halves of every 4-adic interval carry equal subtree mass; balanced
 measures are exactly the ones whose normalized subtree mass S(I)/|I| runs as
 a sliced super- or submartingale along 4-adic generations, and that pairing
-is the engine behind the weighted embedding bound.  The process is kept as
-level rows, one value per 4-adic node (2k, j) below the measure's root, and
-the per-node certificate terms are keyed by (relative level, index) too.
+is the engine behind the weighted embedding bound.  Every measure is built by
+one constructor from (relative level, index) rows and their masses: the
+JSON parser, the inverse pairing, the generators and scale all call it.  The
+process is kept as level rows, one value per 4-adic node (2k, j) below the
+measure's root, and the per-node certificate terms are keyed by (r, j) too.
 """
 from __future__ import annotations
 
@@ -63,40 +65,25 @@ class DiscreteMeasure:
     in support (insertion) order, and sums[k][j] the subtree mass of node
     (2k, j), added up in support order; both are numerators over one
     denominator den (ints when exact, floats over 1; see as_numerators).
-    Packing, balance and float densities are computed once.  Zero masses are
-    dropped on construction; masses whose total overflows a float are
-    rejected, so every sum is finite.
+    Packing, balance and float densities are computed once.  Built from
+    rows: node (r, j), with r even and 0 <= j < 2**r, carries mass
+    values[t] / den; depth defaults to the deepest positive mass.  Zero
+    masses are dropped; masses whose total overflows a float are rejected,
+    so every sum is finite.
     """
 
     __slots__ = ("own", "sums", "den", "root", "depth", "exact", "zero", "_masses", "_cache")
 
-    def __init__(self, masses, root: DyadicInterval | None = None, depth: int | None = None):
-        root = root if root is not None else unit_root()
+    def __init__(self, root: DyadicInterval, depth: int | None, nodes, values, den=1,
+                 check_depth=None):
+        # check_depth, when given, sees the depth before the level rows are built
         if not root.is_four_adic:
             raise ValueError("measure root must be 4-adic")
-        vals = dict(masses)
-        nodes = []
-        for I in vals:
-            if not isinstance(I, DyadicInterval):
-                raise ValueError(f"measure keys must be intervals, got {I!r}")
-            if not I.is_four_adic:
-                raise ValueError(f"{I.id} is not 4-adic")
-            if not root.contains(I):
-                raise ValueError(f"{I.id} lies outside the measure root {root.id}")
-            nodes.append(self._node(I, root))
-        self._set(root, depth, nodes, vals.values())
-
-    @classmethod
-    def _from_nodes(cls, root, depth, nodes, values, den=1, check_depth=None) -> "DiscreteMeasure":
-        mu = cls.__new__(cls)
-        mu._set(root, depth, nodes, values, den, check_depth)
-        return mu
-
-    def _set(self, root, depth, nodes, values, den=1, check_depth=None):
-        # check_depth, when given, sees the depth before the level rows are built
         nums, den, exact = as_numerators(values, "mass", den)
         own = {}
         for (r, j), m in zip(nodes, nums):
+            if r % 2 or r < 0 or j < 0 or j >> r:
+                raise ValueError(f"node ({r}, {j}) is not a 4-adic node below the root")
             if m < 0:
                 m = float(ratio(m, den, exact))
                 raise ValueError(f"mass {m:.6g} at {root.descendant(r, j).id} is negative")
@@ -139,9 +126,9 @@ class DiscreteMeasure:
     def __len__(self):
         return len(self.own)
 
-    def _node(self, I: DyadicInterval, root=None):
+    def _node(self, I: DyadicInterval):
         # (r, j) of I below the root, or None when I is not at or below it
-        root = root or self.root
+        root = self.root
         r = I.level - root.level
         if r < 0 or (I.base, I.ancestor_levels) != (root.base, root.ancestor_levels):
             return None
@@ -206,7 +193,7 @@ class DiscreteMeasure:
     def scale(self, c) -> "DiscreteMeasure":
         (a,), b, _ = as_numerators([c], "scale factor")
         nums = [a * m for m in self.own.values()]
-        return self._from_nodes(self.root, self.depth, self.own, nums, self.den * b)
+        return DiscreteMeasure(self.root, self.depth, self.own, nums, self.den * b)
 
     def __repr__(self):
         return f"DiscreteMeasure(support={len(self)}, depth={self.depth}, root={self.root.id})"
@@ -233,8 +220,7 @@ def measure_from_json(obj: dict, check_depth=None) -> DiscreteMeasure:
         raise ValueError(f"{odd} is not 4-adic")
     top = root.level  # a base root has index 0, so a node's index is its j
     nodes = [(level - top, index) for level, index in rows]
-    return DiscreteMeasure._from_nodes(root, depth, nodes, masses.values(),
-                                      check_depth=check_depth)
+    return DiscreteMeasure(root, depth, nodes, masses.values(), check_depth=check_depth)
 
 
 def _flip(sign: str) -> int:
@@ -272,8 +258,6 @@ def measure_from_supermartingale(rows, sign: str, root: DyadicInterval | None = 
     """
     flip = _flip(sign)
     root = root if root is not None else unit_root()
-    if not root.is_four_adic:
-        raise ValueError("measure root must be 4-adic")
     sizes = [len(row) for row in rows]
     if not rows or sizes != [1 << 2 * k for k in range(len(rows))]:
         raise ValueError(f"rows must hold 1, 4, 16, ... values, one per 4-adic node; got {sizes}")
@@ -296,10 +280,10 @@ def measure_from_supermartingale(rows, sign: str, root: DyadicInterval | None = 
                 if defect < -4 * tol:
                     raise ValueError(f"drift at {at(2 * k, j).id} points the wrong way:"
                                      " negative implied mass")
-            if defect > 0:  # four times the mass over |I|, over den
-                nodes.append((2 * k, j))
-                masses.append(ratio(*_scaled(defect, 4 * den, -root.level - 2 * k), exact))
-    return DiscreteMeasure._from_nodes(root, 2 * len(rows) - 2, nodes, masses)
+            # four times the mass over |I|, over den; the constructor drops zeros
+            nodes.append((2 * k, j))
+            masses.append(ratio(*_scaled(max(defect, 0), 4 * den, -root.level - 2 * k), exact))
+    return DiscreteMeasure(root, 2 * len(rows) - 2, nodes, masses)
 
 
 def _require_compatible(f: DyadicAnalytic, mu: DiscreteMeasure):
@@ -467,7 +451,7 @@ def bellman_chain_slacks(f: DyadicAnalytic, mu: DiscreteMeasure) -> dict:
 
 def _split_masses(depth: int, total, split):
     """(nodes, masses) of the balanced measure spread top down from a total
-    mass at the root, for DiscreteMeasure._from_nodes.
+    mass at the root, for the DiscreteMeasure constructor.
 
     split(r, j) gives (own, ax, ay) for the node at relative level r, index
     j: the node keeps own of its mass, and each half gets an equal share of
@@ -519,6 +503,6 @@ def random_balanced_measure(rng, depth: int, root: DyadicInterval | None = None)
 
     total = (rng.getrandbits(bits) + 1) * unit
     masses = _split_masses(depth, total, lambda r, j: (frac(), frac(), frac()))
-    mu = DiscreteMeasure._from_nodes(root, depth, *masses)
+    mu = DiscreteMeasure(root, depth, *masses)
     packing = mu.packing_intensity()
     return mu.scale(1 / packing) if packing > 1 else mu

@@ -178,12 +178,8 @@ class DyadicInterval:
         return dyadic_length(self.level)
 
     @property
-    def parity(self) -> int:
-        return self.level % 2
-
-    @property
     def is_four_adic(self) -> bool:
-        return self.parity == 0
+        return self.level % 2 == 0
 
     @property
     def id(self) -> str:
@@ -198,12 +194,6 @@ class DyadicInterval:
             self._make(self.level + 1, 2 * self.index),
             self._make(self.level + 1, 2 * self.index + 1),
         )
-
-    def grandchildren(self):
-        """The four 4-adic grandchildren (y-, y+, x-, x+), left to right."""
-        if not self.is_four_adic:
-            raise ValueError(f"{self.id} has odd parity; grandchildren need a 4-adic node")
-        return tuple(self._make(self.level + 2, 4 * self.index + j) for j in range(4))
 
     def parent(self) -> "DyadicInterval":
         if self.is_root:

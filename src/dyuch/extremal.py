@@ -71,7 +71,7 @@ def competitor(F: float, r: float, i: float, M: float) -> Configuration:
     u = [r - c, r + c, r - c, r + c]
     v = [i - c, i + c, i + c, i - c]
     f = DyadicAnalytic.from_leaves(u, v)
-    mu = DiscreteMeasure({unit_root(): M}, depth=2)
+    mu = DiscreteMeasure(unit_root(), 2, [(0, 0)], [M])
     return Configuration.build(f, mu)
 
 
@@ -171,7 +171,7 @@ def _pair_from_state(state: dict) -> DyadicAnalytic:
 def _measure_from_state(state: dict) -> DiscreteMeasure:
     meas, depth = state["meas"], 2 * len(state["meas"])
     masses = _split_masses(depth, 1.0, lambda r, j: meas[r // 2][j])
-    mu = DiscreteMeasure._from_nodes(unit_root(), depth, *masses)
+    mu = DiscreteMeasure(unit_root(), depth, *masses)
     return mu.scale(1.0 / mu.packing_intensity())  # the root's unit mass makes it positive
 
 

@@ -174,31 +174,32 @@ def normalized_testing_value(I: DyadicInterval, K: DyadicInterval) -> float:
 
 
 def _quarter_paths(mu: DiscreteMeasure, node):
-    """The (interval, k, index, subtree mass, path term) entries of the four
-    quarters of node = (A, k, j, mass, path), A being node (2k, j); masses
+    """The (k, index, subtree mass, path term) entries of the four quarters
+    of node = (k, j, mass, path), node (2k, j) below the measure root; masses
     are numerators over mu.den.
 
     A node's path term is lim times the part of its testing sum that comes
-    from masses outside it.  A quarter's term is A's own plus the masses of
-    A itself, of the far half of A and of the quarter's sibling, each times
-    its closed-form weight at A's level a (acc(a) = (2**a - 2**r) / 3).
+    from masses outside it.  A quarter's term is the node's term plus the
+    masses of the node itself, of its far half and of the quarter's sibling,
+    each times its closed-form weight at the node's level a (acc(a) =
+    (2**a - 2**r) / 3).
     """
-    A, k, j, _, path = node
+    k, j, _, path = node
     below = mu.sums[k + 1] if k + 1 < len(mu.sums) else {}
-    step = 2.0 ** A.level
-    acc = (step - 2.0 ** A.root_level) / 3
+    step = 2.0 ** (mu.root.level + 2 * k)
+    acc = (step - 2.0 ** mu.root.root_level) / 3
     s = [below.get(4 * j + q, 0) for q in range(4)]
     path += mu.own.get((2 * k, j), 0) / mu.den * acc * acc
     far, near = acc * acc + step * step, (acc - step) ** 2
     return [
-        (Q, k + 1, 4 * j + q, s[q],
+        (k + 1, 4 * j + q, s[q],
          path + (s[q ^ 2] + s[q ^ 3]) / mu.den * far + s[q ^ 1] / mu.den * near)
-        for q, Q in enumerate(A.grandchildren())
+        for q in range(4)
     ]
 
 
-def _testing_value(I: DyadicInterval, mass: float, path: float) -> float:
-    lim = 2.0 ** I.level / 3
+def _testing_value(level: int, mass: float, path: float) -> float:
+    lim = 2.0 ** level / 3
     return lim * mass + path / lim
 
 
@@ -214,10 +215,10 @@ def testing_sum(mu: DiscreteMeasure, I: DyadicInterval) -> float:
     root = mu.root
     if not I.is_four_adic or not root.contains(I):
         raise ValueError(f"{I.id} is not a 4-adic node below the measure root {root.id}")
-    node = (root, 0, 0, mu.sums[0].get(0, 0), 0.0)
+    node = (0, 0, mu.sums[0].get(0, 0), 0.0)
     for a in range(root.level, I.level, 2):
         node = _quarter_paths(mu, node)[(I.index >> (I.level - a - 2)) & 3]
-    return _testing_value(I, node[3] / mu.den, node[4])
+    return _testing_value(I.level, node[2] / mu.den, node[3])
 
 
 class TestingReport(NamedTuple):
@@ -253,8 +254,9 @@ class TestingScan(NamedTuple):
 def testing_scan(mu: DiscreteMeasure) -> TestingScan:
     """Kernel tests and packing slacks of all 4-adic nodes in one pass.
 
-    Goes down the tree level by level, so each node extends its parent's
-    path term once.  Ties go to the first node in order level by level,
+    Goes down the tree level by level on (k, j) rows, so each node extends
+    its parent's path term once, and builds intervals only for the two
+    reported nodes.  Ties go to the first node in order level by level,
     index ascending; a NaN wins its reduction and sticks, so it can never
     hide behind a finite value.  The scan is kept on the measure, like its
     packing and balance.
@@ -264,19 +266,21 @@ def testing_scan(mu: DiscreteMeasure) -> TestingScan:
     worst_t, worst_s = -math.inf, math.inf
     node_t = node_s = None
     n = 0
-    level = [(mu.root, 0, 0, mu.sums[0].get(0, 0), 0.0)]
-    for k in range(0, mu.depth + 1, 2):
+    nodes = [(0, 0, mu.sums[0].get(0, 0), 0.0)]
+    for k in range(mu.depth // 2 + 1):
         if k:
-            level = [q for node in level for q in _quarter_paths(mu, node)]
-        for I, _, _, mass, path in level:
-            t = _testing_value(I, mass / mu.den, path)
-            rep = _packing_report(mu.float_density(mass, I.level), t)
+            nodes = [q for node in nodes for q in _quarter_paths(mu, node)]
+        level = mu.root.level + 2 * k
+        for _, j, mass, path in nodes:
+            t = _testing_value(level, mass / mu.den, path)
+            rep = _packing_report(mu.float_density(mass, level), t)
             if worst_t == worst_t and not rep.testing_sum <= worst_t:
-                worst_t, node_t = rep.testing_sum, I
+                worst_t, node_t = rep.testing_sum, (2 * k, j)
             if worst_s == worst_s and not rep.slack >= worst_s:
-                worst_s, node_s = rep.slack, I
-        n += len(level)
-    scan = mu._cache["testing"] = TestingScan(worst_t, node_t, worst_s, node_s, n)
+                worst_s, node_s = rep.slack, (2 * k, j)
+        n += len(nodes)
+    at = mu.root.descendant
+    scan = mu._cache["testing"] = TestingScan(worst_t, at(*node_t), worst_s, at(*node_s), n)
     return scan
 
 

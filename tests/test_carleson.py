@@ -24,6 +24,7 @@ from dyuch.carleson import (
 )
 from dyuch.dyadic import DyadicInterval, unit_root, window_root
 from dyuch.martingale import DyadicAnalytic, random_analytic
+from interval_masses import measure_of
 
 E = math.e
 
@@ -50,37 +51,38 @@ def random_support_measure(rng, depth):
         for j in range(1 << r):
             if rng.random() < 0.4:
                 masses[unit_root().descendant(r, j)] = Fraction(rng.randrange(0, 12), 16)
-    return DiscreteMeasure(masses, depth=depth)
+    return measure_of(masses, depth=depth)
 
 
 class TestDiscreteMeasure:
     def test_validation(self):
         root = unit_root()
-        with pytest.raises(ValueError):
-            DiscreteMeasure({DyadicInterval(1, 0): 1})
-        with pytest.raises(ValueError):
-            DiscreteMeasure({root: -1})
-        with pytest.raises(ValueError):
-            DiscreteMeasure({root: 1}, depth=3)
-        with pytest.raises(ValueError):
-            DiscreteMeasure({DyadicInterval(4, 0): 1}, depth=2)
-        with pytest.raises(ValueError):
-            DiscreteMeasure({"L0N0": 1})
-        with pytest.raises(ValueError):
-            DiscreteMeasure({root: 1}, root=DyadicInterval(1, 0))
-        with pytest.raises(ValueError):
-            DiscreteMeasure({DyadicInterval(2, 0): 1}, root=DyadicInterval(2, 1))
+        with pytest.raises(ValueError, match="is negative"):
+            DiscreteMeasure(root, None, [(0, 0)], [-1])
+        with pytest.raises(ValueError, match="cannot hold"):
+            DiscreteMeasure(root, 3, [(0, 0)], [1])
+        with pytest.raises(ValueError, match="cannot hold"):
+            DiscreteMeasure(root, 2, [(4, 0)], [1])
+        with pytest.raises(ValueError, match="^measure root must be 4-adic$"):
+            DiscreteMeasure(DyadicInterval(1, 0), None, [(0, 0)], [1])
+
+    @pytest.mark.parametrize("node", [(1, 0), (3, 2), (-2, 0), (0, -1), (2, -1), (0, 1), (2, 4)])
+    def test_rejects_nodes_off_the_rows(self, node):
+        # odd r, negative r, j < 0 and j >= 2**r, checked on a zero mass too
+        for root in (unit_root(), DyadicInterval(2, 1)):
+            with pytest.raises(ValueError, match=r"is not a 4-adic node below the root$"):
+                DiscreteMeasure(root, None, [(0, 0), node], [1, 0])
 
     def test_zeros_dropped_and_modes(self):
         root = unit_root()
-        mu = DiscreteMeasure({root: Fraction(1, 2), DyadicInterval(2, 0): 0})
+        mu = measure_of({root: Fraction(1, 2), DyadicInterval(2, 0): 0})
         assert len(mu) == 1 and mu.exact
         assert mu.depth == 0
-        fl = DiscreteMeasure({root: 0.5})
+        fl = measure_of({root: 0.5})
         assert not fl.exact and isinstance(fl.mass(root), float)
 
     def test_totals(self):
-        mu = DiscreteMeasure(
+        mu = measure_of(
             {unit_root(): Fraction(1, 2), DyadicInterval(2, 3): Fraction(1, 4)}
         )
         assert mu.total_mass() == Fraction(3, 4)
@@ -97,12 +99,12 @@ class TestDiscreteMeasure:
                     assert mu.subtree_mass(I) == brute_subtree_mass(mu, I)
 
     def test_subtree_mass_above_the_root(self):
-        mu = DiscreteMeasure({DyadicInterval(4, 5): 1}, DyadicInterval(2, 1))
+        mu = measure_of({DyadicInterval(4, 5): 1}, DyadicInterval(2, 1))
         assert mu.subtree_mass(DyadicInterval(0, 0)) == mu.total_mass() == 1
         assert mu.subtree_mass(DyadicInterval(2, 1)) == 1
         assert mu.subtree_mass(DyadicInterval(4, 5)) == 1
         # a node above the root level that does not contain the root
-        deep = DiscreteMeasure({DyadicInterval(6, 21): 2}, DyadicInterval(4, 5))
+        deep = measure_of({DyadicInterval(6, 21): 2}, DyadicInterval(4, 5))
         assert deep.subtree_mass(DyadicInterval(2, 0)) == 0
         assert deep.subtree_mass(DyadicInterval(2, 1)) == 2
         assert deep.subtree_mass(DyadicInterval(4, 4)) == 0
@@ -122,7 +124,7 @@ class TestDiscreteMeasure:
             assert got == want
 
     def test_balance_residual_example(self):
-        mu = DiscreteMeasure({DyadicInterval(2, 0): 1})
+        mu = measure_of({DyadicInterval(2, 0): 1})
         assert mu.balance_residual() == Fraction(1, 2)
         assert not mu.is_balanced()
 
@@ -139,8 +141,8 @@ class TestDiscreteMeasure:
             assert mu.balance_residual() == want
 
     def test_packing_examples(self):
-        assert DiscreteMeasure({unit_root(): 1}).packing_intensity() == 1
-        deep = DiscreteMeasure({DyadicInterval(2, 1): 1})
+        assert measure_of({unit_root(): 1}).packing_intensity() == 1
+        deep = measure_of({DyadicInterval(2, 1): 1})
         assert deep.packing_intensity() == 4
 
     def test_packing_brute_force(self):
@@ -154,7 +156,7 @@ class TestDiscreteMeasure:
             assert mu.packing_intensity() == want
 
     def test_scale(self):
-        mu = DiscreteMeasure({unit_root(): Fraction(1, 2)})
+        mu = measure_of({unit_root(): Fraction(1, 2)})
         assert mu.scale(Fraction(1, 2)).total_mass() == Fraction(1, 4)
         assert mu.scale(2).packing_intensity() == 1
 
@@ -201,7 +203,7 @@ class TestSubtreeSums:
 
 class TestMeasureJson:
     def test_roundtrip(self):
-        mu = DiscreteMeasure(
+        mu = measure_of(
             {unit_root(): Fraction(1, 2), DyadicInterval(4, 7): Fraction(3, 16)},
             depth=4,
         )
@@ -214,7 +216,7 @@ class TestMeasureJson:
 
     def test_window_roundtrip(self):
         root = window_root(1)
-        mu = DiscreteMeasure(
+        mu = measure_of(
             {root: 1, DyadicInterval(0, 2, "real_line", 1): 2}, root=root
         )
         obj = measure_to_json(mu)
@@ -233,13 +235,13 @@ class TestMeasureJson:
 
 class TestSupermartingalePairing:
     def test_point_mass_pairing(self):
-        mu = DiscreteMeasure({unit_root(): Fraction(1, 2)}, depth=2)
+        mu = measure_of({unit_root(): Fraction(1, 2)}, depth=2)
         rows = pair_supermartingale(mu, SUPERMARTINGALE_NONNEG)
         assert rows == [[Fraction(1, 2)], [0] * 4]
         assert len(rows) == mu.depth // 2 + 1  # nothing below the depth
 
     def test_signs(self):
-        mu = DiscreteMeasure({unit_root(): Fraction(1, 2)}, depth=2)
+        mu = measure_of({unit_root(): Fraction(1, 2)}, depth=2)
         up = pair_supermartingale(mu, SUPERMARTINGALE_NONNEG)
         dn = pair_supermartingale(mu, SUBMARTINGALE_NONPOS)
         assert dn == [[-v for v in row] for row in up]
@@ -248,12 +250,12 @@ class TestSupermartingalePairing:
         assert measure_from_supermartingale(dn, SUBMARTINGALE_NONPOS).masses == mu.masses
 
     def test_requires_balanced(self):
-        lop = DiscreteMeasure({DyadicInterval(2, 0): 1})
+        lop = measure_of({DyadicInterval(2, 0): 1})
         with pytest.raises(ValueError, match="balanced"):
             pair_supermartingale(lop, SUPERMARTINGALE_NONNEG)
         with pytest.raises(ValueError, match="sign"):
             pair_supermartingale(
-                DiscreteMeasure({unit_root(): 1}), "upward"
+                measure_of({unit_root(): 1}), "upward"
             )
         with pytest.raises(ValueError, match="sign"):
             measure_from_supermartingale([[1]], "upward")
@@ -324,6 +326,15 @@ class TestSupermartingalePairing:
         assert not mu.exact and all(type(v) is float for row in again for v in row)
         assert again == [[1.0], [0.25] * 4]
 
+    def test_rows_without_mass_keep_their_mode(self):
+        # every node reaches the constructor, zero masses too, so the rows set the mode
+        rows = [[0.0], [0.0] * 4]
+        mu = measure_from_supermartingale(rows, SUPERMARTINGALE_NONNEG)
+        assert not mu.exact and len(mu) == 0
+        again = pair_supermartingale(mu, SUPERMARTINGALE_NONNEG)
+        assert again == rows and all(type(v) is float for row in again for v in row)
+        assert measure_from_supermartingale([[0], [0] * 4], SUPERMARTINGALE_NONNEG).exact
+
     def test_negative_implied_mass(self):
         # the drift check is the implied mass check scaled by |I|: one check
         drifting = [[Fraction(0)], [Fraction(1)] * 4]
@@ -348,7 +359,7 @@ class TestEmbedding:
 
     def test_slack_constant_function(self):
         f = DyadicAnalytic.from_leaves([1] * 4, [0] * 4)
-        mu = DiscreteMeasure({unit_root(): 1}, depth=2)
+        mu = measure_of({unit_root(): 1}, depth=2)
         assert embedding_sum(f, mu) == 1
         assert embedding_slack(f, mu) == pytest.approx(E - 1, abs=1e-12)
         assert embedding_sum(f, mu) == mu.packing_intensity() * f.norm2()
@@ -366,7 +377,7 @@ class TestEmbedding:
         deep = random_balanced_measure(random.Random(38), 4)
         with pytest.raises(ValueError):
             embedding_sum(f, deep)
-        other = DiscreteMeasure({window_root(1): 1}, root=window_root(1))
+        other = measure_of({window_root(1): 1}, root=window_root(1))
         with pytest.raises(ValueError):
             embedding_sum(f, other)
 
@@ -375,14 +386,14 @@ class TestWeightedSlack:
     def test_point_mass_closed_form(self):
         f = DyadicAnalytic.from_leaves([1] * 4, [0] * 4)
         for m in (0.25, 0.5, 1.0, 2.0):
-            mu = DiscreteMeasure({unit_root(): Fraction(m)}, depth=2)
+            mu = measure_of({unit_root(): Fraction(m)}, depth=2)
             want = 1 - m * math.exp(-m)
             assert weighted_embedding_slack(f, mu) == pytest.approx(want, abs=1e-12)
 
     def test_no_packing_cap_needed(self):
         # intensity far above 1 is fine for the weighted form
         f = DyadicAnalytic.from_leaves([1] * 4, [0] * 4)
-        mu = DiscreteMeasure({unit_root(): 5}, depth=2)
+        mu = measure_of({unit_root(): 5}, depth=2)
         assert weighted_embedding_slack(f, mu) >= 0
 
     def test_nonnegative_randomized(self):
@@ -399,7 +410,7 @@ class TestTelescoping:
     def test_point_mass_terms(self):
         m = 0.75
         f = DyadicAnalytic.from_leaves([1] * 4, [0] * 4)
-        mu = DiscreteMeasure({unit_root(): Fraction(3, 4)}, depth=2)
+        mu = measure_of({unit_root(): Fraction(3, 4)}, depth=2)
         deco = telescoped_weighted_slack(f, mu)
         assert deco.slack == pytest.approx(1 - m * math.exp(-m), abs=1e-12)
         assert deco.node_terms[0, 0] == pytest.approx(
@@ -421,13 +432,13 @@ class TestTelescoping:
 
     def test_depth_mismatch(self):
         f = random_analytic(random.Random(41), 4)
-        mu = DiscreteMeasure({unit_root(): Fraction(1, 2)}, depth=2)
+        mu = measure_of({unit_root(): Fraction(1, 2)}, depth=2)
         with pytest.raises(ValueError):
             telescoped_weighted_slack(f, mu)
 
     def test_requires_balanced(self):
         f = random_analytic(random.Random(42), 2)
-        lop = DiscreteMeasure({DyadicInterval(2, 0): 1})
+        lop = measure_of({DyadicInterval(2, 0): 1})
         with pytest.raises(ValueError):
             telescoped_weighted_slack(f, lop)
 
@@ -445,7 +456,7 @@ class TestBellmanChain:
 
     def test_overpacked_is_rescaled(self):
         f = random_analytic(random.Random(44), 2)
-        mu = DiscreteMeasure({unit_root(): 4}, depth=2)
+        mu = measure_of({unit_root(): 4}, depth=2)
         gaps = bellman_chain_slacks(f, mu)
         assert min(gaps.values()) >= -1e-9
 
@@ -505,7 +516,7 @@ class TestRandomBalanced:
 
     @staticmethod
     def pinned_float_outputs(mu):
-        muf = DiscreteMeasure({I: float(m) for I, m in mu.masses.items()}, mu.root, mu.depth)
+        muf = measure_of({I: float(m) for I, m in mu.masses.items()}, mu.root, mu.depth)
         state = []
         for m in (mu, muf):
             for sign in (SUPERMARTINGALE_NONNEG, SUBMARTINGALE_NONPOS):
@@ -535,19 +546,19 @@ class TestFlatMeasureGuards:
         # inf - inf at the root used to read as balance 0, so this passed as balanced
         masses = {DyadicInterval(2, j): 1e308 for j in range(4)}
         with pytest.raises(ValueError, match="float range"):
-            DiscreteMeasure(masses, depth=2)
+            measure_of(masses, depth=2)
         obj = {"depth": 2, "masses": {f"L2N{j}": 1e308 for j in range(4)}}
         with pytest.raises(ValueError, match="float range"):
             measure_from_json(obj)
 
     def test_large_finite_total_is_kept(self):
-        mu = DiscreteMeasure({DyadicInterval(2, j): 4e307 for j in range(4)}, depth=2)
+        mu = measure_of({DyadicInterval(2, j): 4e307 for j in range(4)}, depth=2)
         assert mu.total_mass() == 1.6e308
         assert mu.balance_residual() == 0.0 and mu.is_balanced()
         assert mu.packing_intensity() == 1.6e308  # 4e307 / (1/4) at each quarter
 
     def test_scale_into_overflow_is_rejected(self):
-        mu = DiscreteMeasure({DyadicInterval(2, j): 1e300 for j in range(4)}, depth=2)
+        mu = measure_of({DyadicInterval(2, j): 1e300 for j in range(4)}, depth=2)
         with pytest.raises(ValueError):
             mu.scale(1e10)
 

@@ -276,7 +276,8 @@ def test_certificate_digests_on_the_exact_verify_stream():
 
 def test_certificate_builds_no_interval_per_node(monkeypatch):
     # the telescoping and chain results are keyed by (r, j): no DyadicInterval
-    # is built for any of a depth-8 pair's 85 internal nodes and 256 leaves
+    # is built for any of a depth-8 pair's 85 internal nodes and 256 leaves,
+    # nor by the kernel's testing sums
     rng = random.Random(8)
     f, mu = random_analytic(rng, 8), random_balanced_measure(rng, 8)
     built = []
@@ -293,3 +294,11 @@ def test_certificate_builds_no_interval_per_node(monkeypatch):
     assert list(gaps) == list(deco.node_terms) == [(r, j) for r in (0, 2, 4, 6)
                                                    for j in range(1 << r)]
     assert built == []
+    # the kernel scan walks (k, j) rows: it builds its two reported nodes only
+    scan = kernel.testing_scan(mu)
+    assert scan.nodes_checked == 1 + 4 + 16 + 64 + 256
+    assert built == [scan.worst_testing_node.id, scan.worst_packing_node.id]
+    I = DyadicInterval(8, 77)
+    del built[:]
+    total = kernel.testing_sum(mu, I)
+    assert built == [] and total == kernel.testing_to_packing(mu, I).testing_sum

@@ -41,7 +41,6 @@ class TestInterval:
     def test_geometry(self):
         I = DyadicInterval(3, 5)
         assert I.length == Fraction(1, 8)
-        assert I.parity == 1
         assert not I.is_four_adic
         assert DyadicInterval(2, 1).is_four_adic
         assert I.id == "L3N5"
@@ -73,14 +72,12 @@ class TestInterval:
         lo, hi = I.halves()
         assert (lo.level, lo.index) == (3, 6)
         assert (hi.level, hi.index) == (3, 7)
-        gc = I.grandchildren()
+        gc = [I.descendant(2, q) for q in range(4)]
         assert [g.index for g in gc] == [12, 13, 14, 15]
         assert all(g.level == 4 for g in gc)
         # left pair under the left half, right pair under the right
         assert lo.contains(gc[0]) and lo.contains(gc[1])
         assert hi.contains(gc[2]) and hi.contains(gc[3])
-        with pytest.raises(ValueError):
-            lo.grandchildren()
 
     def test_parent_sibling_sigma(self):
         I = DyadicInterval(3, 5)

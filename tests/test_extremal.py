@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dyuch.carleson import DiscreteMeasure, embedding_sum
+from dyuch.carleson import embedding_sum
 from dyuch.dyadic import DyadicInterval, unit_root
 from dyuch.extremal import (
     MAX_SEARCH_BUDGET,
@@ -27,6 +27,7 @@ from dyuch.extremal import (
     search,
 )
 from dyuch.martingale import DyadicAnalytic
+from interval_masses import measure_of
 
 E = math.e
 
@@ -67,33 +68,33 @@ class TestCompetitor:
 class TestConfiguration:
     def test_rejects_unbalanced(self):
         f = DyadicAnalytic.from_leaves([1] * 4, [0] * 4)
-        lop = DiscreteMeasure({DyadicInterval(2, 0): Fraction(1, 4)})
+        lop = measure_of({DyadicInterval(2, 0): Fraction(1, 4)})
         with pytest.raises(ValueError, match="balanced"):
             Configuration.build(f, lop)
 
     def test_rejects_overpacked(self):
         f = DyadicAnalytic.from_leaves([1] * 4, [0] * 4)
-        heavy = DiscreteMeasure({unit_root(): 2}, depth=2)
+        heavy = measure_of({unit_root(): 2}, depth=2)
         with pytest.raises(ValueError, match="packing"):
             Configuration.build(f, heavy)
 
     def test_rejects_zero_pair(self):
         f = DyadicAnalytic.from_leaves([0] * 4, [0] * 4)
-        mu = DiscreteMeasure({unit_root(): 1}, depth=2)
+        mu = measure_of({unit_root(): 1}, depth=2)
         with pytest.raises(ValueError, match="zero pair"):
             Configuration.build(f, mu)
 
     def test_rejects_overflowing_pair(self):
         # norm2 and the embedding sum overflow to inf, so the slack and ratio are NaN
         f = DyadicAnalytic.from_leaves([1.5e154] * 4, [0.0] * 4)
-        mu = DiscreteMeasure({unit_root(): 1.0}, depth=2)
+        mu = measure_of({unit_root(): 1.0}, depth=2)
         assert float(f.norm2()) == math.inf
         with pytest.raises(ValueError, match="slack nan"):
             Configuration.build(f, mu)
 
     def test_accepts_admissible(self):
         f = DyadicAnalytic.from_leaves([1] * 4, [0] * 4)
-        mu = DiscreteMeasure({unit_root(): Fraction(1, 2)}, depth=2)
+        mu = measure_of({unit_root(): Fraction(1, 2)}, depth=2)
         cfg = Configuration.build(f, mu)
         assert cfg.ratio == pytest.approx(0.5, abs=1e-12)
 

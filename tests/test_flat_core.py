@@ -15,7 +15,6 @@ import pytest
 
 from dyuch import bellman
 from dyuch.carleson import (
-    DiscreteMeasure,
     bellman_chain_slacks,
     embedding_slack,
     embedding_sum,
@@ -25,6 +24,7 @@ from dyuch.carleson import (
 )
 from dyuch.dyadic import PiecewiseConstant, dyadic_length, unit_root, window_root
 from dyuch.martingale import DyadicAnalytic, random_analytic
+from interval_masses import measure_of
 
 ROOTS = {"unit": unit_root(), "window1": window_root(1), "window2": window_root(2)}
 
@@ -89,7 +89,7 @@ def ref_sums(mu):
 
 
 def ref_halves(sums, I, zero):
-    ym, yp, xm, xp = I.grandchildren()
+    ym, yp, xm, xp = (I.descendant(2, q) for q in range(4))
     return sums.get(ym, zero) + sums.get(yp, zero), sums.get(xm, zero) + sums.get(xp, zero)
 
 
@@ -144,7 +144,7 @@ def ref_telescoped(p, mu):
         for j in range(1 << r):
             I = p.root.descendant(r, j)
             dx, dy = p.increments(I)
-            ym, yp, xm, xp = I.grandchildren()
+            ym, yp, xm, xp = (I.descendant(2, q) for q in range(4))
             u, v = p.average(I)
             gap = bellman.laplacian_step_gap(
                 m_at(I), float(mu.masses.get(I, mu.zero) / I.length),
@@ -177,7 +177,7 @@ def ref_chain(p, mu):
     for r in range(0, p.depth - 1, 2):
         for j in range(1 << r):
             I = p.root.descendant(r, j)
-            ym, yp, xm, xp = I.grandchildren()
+            ym, yp, xm, xp = (I.descendant(2, q) for q in range(4))
             dx, dy = p.increments(I)
             u, v = p.average(I)
             gaps[I] = bellman.dynamics_gap(
@@ -199,7 +199,7 @@ def as_float_pair(f):
 
 
 def as_float_measure(mu):
-    return DiscreteMeasure({I: float(m) for I, m in mu.masses.items()}, mu.root, mu.depth)
+    return measure_of({I: float(m) for I, m in mu.masses.items()}, mu.root, mu.depth)
 
 
 def cases():
@@ -277,7 +277,7 @@ def test_reference_sees_a_changed_core():
     I = next(J for J in mu.masses if J.level == 2)
     masses = dict(mu.masses)
     masses[I] += Fraction(1, 2)
-    nu = DiscreteMeasure(masses, mu.root, mu.depth)
+    nu = measure_of(masses, mu.root, mu.depth)
     assert nu.balance_residual() == ref_balance(nu) != mu.balance_residual()
     assert nu.packing_intensity() == ref_packing(nu) != mu.packing_intensity()
     assert embedding_sum(f, nu) == ref_embedding_sum(RefPair(f), nu, nu.zero)

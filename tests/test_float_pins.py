@@ -18,7 +18,6 @@ from dyuch import kernel
 from dyuch.carleson import (
     SUBMARTINGALE_NONPOS,
     SUPERMARTINGALE_NONNEG,
-    DiscreteMeasure,
     bellman_chain_slacks,
     embedding_sum,
     pair_supermartingale,
@@ -34,6 +33,7 @@ from dyuch.martingale import (
     random_analytic,
     s0,
 )
+from interval_masses import measure_of
 
 ROOTS = {"unit": unit_root(), "window": window_root(1)}
 
@@ -55,8 +55,7 @@ def inputs(kind, depth, root):
     rng = random.Random(f"{kind}-{depth}")
     f = random_analytic(rng, depth, root)
     mu = random_balanced_measure(rng, depth, root)
-    over_pi = DiscreteMeasure({I: float(m) / math.pi for I, m in mu.masses.items()},
-                              root, depth)
+    over_pi = measure_of({I: float(m) / math.pi for I, m in mu.masses.items()}, root, depth)
     if kind == "third":  # float leaves against the exact measure
         return _scaled_pair(f, 1 / 3), mu
     if kind == "pi":

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dyuch.carleson import DiscreteMeasure, embedding_sum, random_balanced_measure
+from dyuch.carleson import embedding_sum, random_balanced_measure
 from dyuch.dyadic import (
     REAL_LINE,
     DyadicInterval,
@@ -27,6 +27,7 @@ from dyuch.martingale import (
     random_analytic,
     random_sliced,
 )
+from interval_masses import measure_of
 
 E = math.e
 INV_2RT2 = 1.0 / (2.0 * math.sqrt(2.0))
@@ -47,7 +48,7 @@ def sparse_measure(rng, root, depth, support=40):
     """Unbalanced exact measure on about `support` random 4-adic nodes."""
     nodes = list(four_adic_nodes(root, depth))
     picked = rng.sample(nodes, min(support, len(nodes)))
-    return DiscreteMeasure(
+    return measure_of(
         {I: Fraction(rng.randrange(1, 64), 16) for I in picked}, root, depth
     )
 
@@ -224,7 +225,7 @@ class TestTestingValues:
 
 class TestTestingConstant:
     def test_point_mass_frozen(self):
-        mu = DiscreteMeasure({unit_root(): 3}, depth=2)
+        mu = measure_of({unit_root(): 3}, depth=2)
         assert kern.testing_sum(mu, unit_root()) == pytest.approx(1.0, abs=1e-15)
         assert kern.testing_constant(mu) == 1.0
 
@@ -238,7 +239,7 @@ class TestTestingConstant:
                         masses[unit_root().descendant(r, j)] = Fraction(
                             rng.randrange(0, 12), 16
                         )
-            mu = DiscreteMeasure(masses, depth=4)
+            mu = measure_of(masses, depth=4)
             for I in four_adic_nodes(mu.root, mu.depth):
                 rep = kern.testing_to_packing(mu, I)
                 assert rep.testing_sum >= 0.0
@@ -246,7 +247,7 @@ class TestTestingConstant:
                 assert rep.slack >= -1e-9
 
     def test_point_mass_report(self):
-        mu = DiscreteMeasure({unit_root(): 3}, depth=2)
+        mu = measure_of({unit_root(): 3}, depth=2)
         rep = kern.testing_to_packing(mu, unit_root())
         assert rep.testing_sum == pytest.approx(1.0, abs=1e-15)
         assert rep.subtree_packing == 3.0
@@ -254,7 +255,7 @@ class TestTestingConstant:
 
     def test_embedding_slack_frozen(self):
         f = DyadicAnalytic.from_leaves([1] * 4, [0] * 4)
-        mu = DiscreteMeasure({unit_root(): 3}, depth=2)
+        mu = measure_of({unit_root(): 3}, depth=2)
         slack = kern.testing_embedding_slack(f, mu)
         assert slack == pytest.approx(3 * E - 3, abs=1e-12)
         assert slack == pytest.approx(5.154845485377136, abs=1e-12)
@@ -292,10 +293,10 @@ class TestClosedForm:
     def test_matches_pairwise_float_masses(self):
         rng = random.Random(71)
         masses = {I: rng.random() for I in four_adic_nodes(unit_root(), 4)}
-        assert_matches_pairwise(DiscreteMeasure(masses, depth=4))
+        assert_matches_pairwise(measure_of(masses, depth=4))
 
     def test_rejects_nodes_off_the_measure_tree(self):
-        mu = DiscreteMeasure({DyadicInterval(4, 5): 1}, DyadicInterval(2, 1), 2)
+        mu = measure_of({DyadicInterval(4, 5): 1}, DyadicInterval(2, 1), 2)
         with pytest.raises(ValueError, match="below the measure root"):
             kern.testing_sum(mu, unit_root())
         with pytest.raises(ValueError, match="below the measure root"):
@@ -328,7 +329,7 @@ class TestTestingScan:
 
     def test_ties_go_to_first_node(self):
         # every leaf-level node carries the same mass, so the leaves tie
-        mu = DiscreteMeasure(
+        mu = measure_of(
             {I: 1 for I in four_adic_nodes(unit_root(), 2) if I.level == 2}, depth=2
         )
         scan = kern.testing_scan(mu)
@@ -338,23 +339,24 @@ class TestTestingScan:
 
     def test_overflowing_slack_is_nan_and_sticks(self):
         # 3 * inf - inf at L2N0; the later nodes have finite slacks
-        mu = DiscreteMeasure({DyadicInterval(2, 0): 1e308}, depth=2)
+        mu = measure_of({DyadicInterval(2, 0): 1e308}, depth=2)
         scan = kern.testing_scan(mu)
         assert math.isnan(scan.min_packing_slack)
         assert scan.worst_packing_node == DyadicInterval(2, 0)
 
     def test_nan_testing_sum_sticks(self, monkeypatch):
-        mu = DiscreteMeasure({I: 1 for I in four_adic_nodes(unit_root(), 2)}, depth=2)
-        real = kern._testing_value
-        bad = DyadicInterval(2, 1)
+        mu = measure_of({I: 1 for I in four_adic_nodes(unit_root(), 2)}, depth=2)
+        real = kern._quarter_paths
 
-        def poisoned(I, mass, path):
-            return math.nan if I == bad else real(I, mass, path)
+        def poisoned(mu, node):
+            # a NaN path term at level k = 1, index 1: node L2N1
+            return [(k, j, mass, math.nan if (k, j) == (1, 1) else path)
+                    for k, j, mass, path in real(mu, node)]
 
-        monkeypatch.setattr(kern, "_testing_value", poisoned)
+        monkeypatch.setattr(kern, "_quarter_paths", poisoned)
         scan = kern.testing_scan(mu)
         assert math.isnan(scan.testing_constant)
-        assert scan.worst_testing_node == bad
+        assert scan.worst_testing_node == DyadicInterval(2, 1)
 
     def test_scan_is_kept_on_the_measure(self, monkeypatch):
         # check-3e scans once, then reads the constant again for the embedding slack

@@ -102,7 +102,7 @@ class TestSlicedMartingale:
                 I = DyadicInterval(lev, idx)
                 w = u.average(I)
                 dx, dy = u.increments(I)
-                gc = I.grandchildren()
+                gc = [I.descendant(2, q) for q in range(4)]
                 got = [u.average(g) for g in gc]
                 assert got == [w - dy, w + dy, w - dx, w + dx]
 

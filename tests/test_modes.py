@@ -11,7 +11,7 @@ import random
 import pytest
 
 from dyuch import kernel
-from dyuch.carleson import DiscreteMeasure, embedding_sum, random_balanced_measure
+from dyuch.carleson import embedding_sum, random_balanced_measure
 from dyuch.dyadic import (
     PiecewiseConstant,
     haar_coefficient,
@@ -25,6 +25,7 @@ from dyuch.martingale import (
     random_analytic,
     s0,
 )
+from interval_masses import measure_of
 
 
 def _haar(f, mu):
@@ -52,7 +53,7 @@ QUANTITIES = {
     "packing": lambda f, mu: [mu.packing_intensity(), mu.total_mass()],
     "balance": lambda f, mu: [
         mu.balance_residual(),
-        DiscreteMeasure(dict(list(mu.masses.items())[:-1]), mu.root, mu.depth).balance_residual(),
+        measure_of(dict(list(mu.masses.items())[:-1]), mu.root, mu.depth).balance_residual(),
     ],
     "embedding_sum": lambda f, mu: [embedding_sum(f, mu)],
     "s0": lambda f, mu: [*s0(f.u).leaves, *s0(f.v).leaves],
@@ -77,7 +78,7 @@ def _float_copy(f, mu):
         PiecewiseConstant([float(x) for x in f.v.leaves], f.root),
         validate=False,
     )
-    nu = DiscreteMeasure({I: float(m) for I, m in mu.masses.items()}, mu.root, mu.depth)
+    nu = measure_of({I: float(m) for I, m in mu.masses.items()}, mu.root, mu.depth)
     return g, nu
 
 

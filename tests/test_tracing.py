@@ -10,7 +10,7 @@ import random
 from pathlib import Path
 
 import dyuch
-from dyuch import carleson, kernel
+from dyuch import carleson, extremal, kernel
 from dyuch.martingale import random_analytic
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -50,3 +50,25 @@ def test_chain_steps_are_traced():
         tracer.uninstall()
     steps = [span for span in tracer.spans if span[0] == "bellman.step_gap"]
     assert len(steps) == len(gaps) == 1 + 4 + 16 + 64
+
+
+def test_every_measure_build_is_traced():
+    # each measure is built through DiscreteMeasure.__init__, the method the
+    # tracer wraps as carleson.measure_build: the parser, the generator, the search
+    rng = random.Random(3)
+    calls = {
+        "measure_from_json": lambda: carleson.measure_from_json(
+            {"base": "unit", "masses": {"L0N0": 1, "L2N3": 2}}),
+        "random_balanced_measure": lambda: carleson.random_balanced_measure(rng, 4),
+        "search": lambda: extremal.search(4, budget=50, seed=1),
+    }
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        for name, call in calls.items():
+            before = len(tracer.spans)
+            call()
+            builds = [span for span in tracer.spans[before:] if span[0] == "carleson.measure_build"]
+            assert builds, name
+    finally:
+        tracer.uninstall()
