@@ -20,7 +20,6 @@ if TYPE_CHECKING:  # numpy is imported where the PSD form needs it, not on impor
     import numpy as np
 
 E = math.e
-PSD_TOL = 1e-9
 STEP_TOL = 1e-9  # domain and constraint slack of one step of the dynamics
 PSD_SLICE = 1 << 14  # samples drawn and checked at a time, so only one slice is alive
 # window of _check_slice's LAPACK candidates.  LAPACK's least eigenvalue of a sliced form
@@ -34,7 +33,7 @@ PSD_EIG_WINDOW = 2e-12
 # cap on verify_sliced_psd's draws, which bounds its time: at the cap a run takes about
 # 12 s on a 2-vCPU VM; it draws one slice at a time, so it peaks near 41 MB at any size
 MAX_PSD_SAMPLES = 10_000_000
-MAX_SCAN_POINTS = 1_000_000  # cap on scan_unsliced's grid, which it holds as a list
+MAX_SCAN_POINTS = 1_000_000  # cap on scan_unsliced's grid, which bounds its time
 
 
 def bellman_value(F, r, i, M) -> float:
@@ -230,13 +229,11 @@ class PsdReport:
     max_third_minor_error: float
     max_det_error: float
     closed_form_failures: int
-    ok: bool
 
 
 def verify_sliced_psd(
     samples: int = 100_000,
     seed: int = 0,
-    tolerance: float = PSD_TOL,
     boundary: bool = True,
 ) -> PsdReport:
     """Stress-test the sliced concavity form over the certificate domain.
@@ -249,7 +246,8 @@ def verify_sliced_psd(
     slice of PSD_SLICE at a time, the same draws as all at once from
     default_rng(seed), so memory does not grow with `samples`; the edges come
     last, in one slice of their own.  A NaN anywhere makes its minimum or
-    maximum NaN.  Every slice is checked in the calling process.
+    maximum NaN.  Every slice is checked in the calling process.  The report
+    carries the measurements only; the caller gates them.
     """
     if not (0 <= samples <= MAX_PSD_SAMPLES and (samples or boundary)):
         raise ValueError(f"--samples must lie in 0..{MAX_PSD_SAMPLES} and leave a sample"
@@ -279,7 +277,7 @@ def verify_sliced_psd(
             yield np.concatenate([gm, gm]), np.concatenate([zero, gt]), np.concatenate([gt, zero])
 
     expected = samples + (2 * gm.size if boundary else 0)
-    return _fold([_check_slice(*s) for s in slices()], expected, tolerance)
+    return _fold([_check_slice(*s) for s in slices()], expected)
 
 
 def _check_slice(m, d1, d2) -> list:
@@ -321,7 +319,7 @@ def _check_slice(m, d1, d2) -> list:
             float(third_err.max()), float(det_err.max()), int(failures)]
 
 
-def _fold(rows, expected: int, tolerance: float) -> PsdReport:
+def _fold(rows, expected: int) -> PsdReport:
     """One report from the slices' fold rows; a NaN in any row sticks.
 
     Raises RuntimeError unless the rows cover exactly `expected` samples,
@@ -333,16 +331,13 @@ def _fold(rows, expected: int, tolerance: float) -> PsdReport:
     checked = int(folds[:, 0].sum())
     if checked != expected:
         raise RuntimeError(f"verify_sliced_psd checked {checked} samples, expected {expected}")
-    min_minor, min_eig = float(folds[:, 1:5].min()), float(folds[:, 5].min())
-    failures = int(folds[:, 8].sum())
     return PsdReport(
         samples=checked,
-        min_minor=min_minor,
-        min_eigenvalue=min_eig,
+        min_minor=float(folds[:, 1:5].min()),
+        min_eigenvalue=float(folds[:, 5].min()),
         max_third_minor_error=float(folds[:, 6].max()),
         max_det_error=float(folds[:, 7].max()),
-        closed_form_failures=failures,
-        ok=min_minor >= -tolerance and min_eig >= -tolerance and failures == 0,
+        closed_form_failures=int(folds[:, 8].sum()),
     )
 
 
@@ -360,8 +355,9 @@ def scan_unsliced(
     (no witnesses exist there), "d1-zero" pins the first spread (the known
     witnesses live there), "sweep" varies all three.  The grid needs a finite
     step > 0 and a finite max_sum >= 0 giving at most MAX_SCAN_POINTS
-    points, counted before the grid is built, and threshold must be finite,
-    so a scan never passes without checking.  Returns the witness list
+    points, counted from its per-tilt rows before any is walked, and
+    threshold must be finite, so a scan never passes without checking.  The
+    grid is walked lazily, one point at a time.  Returns the witness list
     sorted by minor value, most negative first, and a summary table.
     """
     explicit = triples is not None
@@ -375,24 +371,19 @@ def scan_unsliced(
         if not 0 <= max_sum < math.inf:
             raise ValueError(f"max_sum must be finite and >= 0, got {max_sum!r}")
         steps = int(round(max_sum / step))
-        n = steps + 1
-        points = {"sweep": n * (n + 1) * (2 * n + 1) // 6, "d-zero": n * n,
-                  "d1-zero": n * (n + 1) // 2}[region]
-        if points > MAX_SCAN_POINTS:
-            raise ValueError(f"step {step!r} and max_sum {max_sum!r} give {points} grid"
-                             f" points, over the cap of {MAX_SCAN_POINTS}")
-        triples = []
-        for a in range(steps + 1):
-            d = a * step
-            if region == "d-zero" and d != 0.0:
-                break
-            room = steps - a
-            for b in range(room + 1):
-                d1 = b * step
-                if region == "d1-zero" and d1 != 0.0:
-                    break
-                for c in range(room + 1):
-                    triples.append((d, d1, c * step))
+        # per tilt a: (a, spreads d1 walked, spreads d2 walked), with d + d1, d + d2 <= max_sum;
+        # counted row by row, so a grid over the cap is rejected as soon as its count passes it
+        rows, points = [], 0
+        for a in range(1 if region == "d-zero" else steps + 1):
+            nc = steps - a + 1
+            nb = 1 if region == "d1-zero" else nc
+            rows.append((a, nb, nc))
+            points += nb * nc
+            if points > MAX_SCAN_POINTS:
+                raise ValueError(f"step {step!r} and max_sum {max_sum!r} give {points} grid"
+                                 f" points or more, over the cap of {MAX_SCAN_POINTS}")
+        triples = ((a * step, b * step, c * step)
+                   for a, nb, nc in rows for b in range(nb) for c in range(nc))
     witnesses = []
     checked = 0
     best = None

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dyadic import (
-    DEFAULT_TOL,
+    MAX_FLOAT_LEVEL,
     DyadicInterval,
     as_numerators,
     json_number,
     left_sum,
+    mode_tol,
     nan_min,
     node_from_id,
     ratio,
@@ -68,8 +69,9 @@ class DiscreteMeasure:
     Packing, balance and float densities are computed once.  Built from
     rows: node (r, j), with r even and 0 <= j < 2**r, carries mass
     values[t] / den; depth defaults to the deepest positive mass.  Zero
-    masses are dropped; masses whose total overflows a float are rejected,
-    so every sum is finite.
+    masses are dropped.  Masses whose total overflows a float are rejected,
+    so every sum is finite, and so is a depth whose bottom level l makes
+    2.0 ** l overflow, since per-level lengths are floats.
     """
 
     __slots__ = ("own", "sums", "den", "root", "depth", "exact", "zero", "_masses", "_cache")
@@ -96,6 +98,9 @@ class DiscreteMeasure:
             raise ValueError(f"depth {depth} cannot hold support down to {max_rel}")
         if check_depth is not None:
             check_depth(depth)
+        if root.level + depth > MAX_FLOAT_LEVEL:
+            raise ValueError(f"depth {depth} reaches level {root.level + depth},"
+                             " where 2.0 ** level is no float")
         sums = _subtree_sums(own.items(), depth)
         if not sums[0].get(0, 0) < math.inf:
             raise ValueError("the masses add up past the float range")
@@ -173,8 +178,13 @@ class DiscreteMeasure:
             return max((abs(right - left) for left, right in halves), default=0)
         return self._worst("balance", level_max, -1)
 
-    def is_balanced(self) -> bool:
-        return self.balance_residual() <= DEFAULT_TOL
+    def require_balanced(self) -> None:
+        """The balance rule: raise ValueError unless the residual is within
+        the mode's structural slack (none when exact); a NaN fails."""
+        res = self.balance_residual()
+        if not res <= mode_tol(self.exact):
+            raise ValueError(f"measure is not balanced (residual {float(res):.6g}); this check"
+                             " needs equal half masses")
 
     def packing_intensity(self):
         """Largest normalized subtree mass S(I)/|I| over the support closure."""
@@ -233,10 +243,7 @@ def _flip(sign: str) -> int:
 def pair_supermartingale(mu: DiscreteMeasure, sign: str) -> list:
     """Process paired with a balanced measure, as rows: rows[k][j] is
     +-S(I)/|I| at node (2k, j), in the measure's mode."""
-    if not mu.is_balanced():
-        res = float(mu.balance_residual())
-        raise ValueError(f"measure is not balanced (residual {res:.6g}); the pairing needs"
-                         " equal half masses")
+    mu.require_balanced()
     flip, top = _flip(sign), mu.root.level
     return [[flip * mu._value(sums.get(j, 0), top + 2 * k) for j in range(1 << 2 * k)]
             for k, sums in enumerate(mu.sums)]
@@ -254,7 +261,7 @@ def measure_from_supermartingale(rows, sign: str, root: DyadicInterval | None = 
     the pair sums below a node agree, as balance makes them; and the drift
     is one-sided (nonincreasing means for the nonnegative branch,
     nondecreasing for the nonpositive one), which is the implied mass being
-    nonnegative.  Float values get DEFAULT_TOL of slack, exact values none.
+    nonnegative.  Values get their mode's slack, mode_tol.
     """
     flip = _flip(sign)
     root = root if root is not None else unit_root()
@@ -262,7 +269,7 @@ def measure_from_supermartingale(rows, sign: str, root: DyadicInterval | None = 
     if not rows or sizes != [1 << 2 * k for k in range(len(rows))]:
         raise ValueError(f"rows must hold 1, 4, 16, ... values, one per 4-adic node; got {sizes}")
     nums, den, exact = as_numerators([v for row in rows for v in row], "value")
-    tol = 0 if exact else DEFAULT_TOL
+    tol = mode_tol(exact)
     flat, at = iter(nums), root.descendant
     vals = [[flip * next(flat) for _ in row] for row in rows]
     nodes, masses = [], []
@@ -402,8 +409,7 @@ def telescoped_weighted_slack(f: DyadicAnalytic,
     if mu.depth != f.depth:
         raise ValueError(f"telescoping needs matching depths, got measure {mu.depth}"
                          f" and function {f.depth}")
-    if not mu.is_balanced():
-        raise ValueError("telescoping needs a balanced measure")
+    mu.require_balanced()
 
     node_terms = {}
     for r, j, m, own, kids, u, v, dx, dy in _steps(f, mu):
@@ -435,8 +441,7 @@ def bellman_chain_slacks(f: DyadicAnalytic, mu: DiscreteMeasure) -> dict:
     embedding bound with constant e for this pair.
     """
     _require_compatible(f, mu)
-    if not mu.is_balanced():
-        raise ValueError("the chain needs a balanced measure")
+    mu.require_balanced()
     packing = mu.packing_intensity()
     scaled = mu.scale(1 / packing) if packing > 1 else mu
     sums, den = f.moment_sums()

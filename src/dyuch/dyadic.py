@@ -13,13 +13,15 @@ tree, both as doubles.
 The number policy lives here for every module: as_numerators decides a
 tree's or measure's mode (all int/Fraction data is exact and kept as int
 numerators over one denominator, anything else is finite floats), ratio
-turns a numerator back into a value, zero and level_step give each mode's
-zero and pyramid step, and json_number, root_to_json and root_from_json are
-the one JSON codec for trees and measures.
+turns a numerator back into a value, zero, mode_tol and level_step give
+each mode's zero, structural slack and pyramid step, and json_number,
+root_to_json and root_from_json are the one JSON codec for trees and
+measures.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,6 +29,7 @@ UNIT = "unit"
 REAL_LINE = "real_line"
 
 DEFAULT_TOL = 1e-12
+MAX_FLOAT_LEVEL = sys.float_info.max_exp - 1  # the deepest level l whose 2.0 ** l is a float
 
 
 def is_exact(value) -> bool:
@@ -77,6 +80,11 @@ def ratio(num, den, exact: bool):
 def zero(exact: bool):
     """The zero of a numeric mode: Fraction(0) when exact, else 0.0."""
     return Fraction(0) if exact else 0.0
+
+
+def mode_tol(exact: bool):
+    """The structural slack of a numeric mode: none when exact, else DEFAULT_TOL."""
+    return 0 if exact else DEFAULT_TOL
 
 
 def level_step(exact: bool):

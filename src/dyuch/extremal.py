@@ -11,14 +11,12 @@ import math
 import random
 from dataclasses import dataclass
 
-from .dyadic import _sum_pyramid, as_numerators, unit_root
+from .dyadic import DEFAULT_TOL, _sum_pyramid, as_numerators, unit_root
 from .martingale import DyadicAnalytic, _rotated_leaves, _sliced_from_increments, _sliced_leaves, s0
 from .carleson import DiscreteMeasure, _split_masses, _subtree_sums, embedding_slack, embedding_sum
 
 E = math.e
 
-BALANCE_TOL = 1e-12
-INTENSITY_TOL = 1e-12
 SLACK_TOL = 1e-9
 MAX_SEARCH_BUDGET = 100_000  # cap on search's budget and restarts, the knobs that set its work
 
@@ -38,11 +36,9 @@ class Configuration:
 
     @classmethod
     def build(cls, f: DyadicAnalytic, mu: DiscreteMeasure) -> "Configuration":
-        bal = float(mu.balance_residual())
-        if not bal <= BALANCE_TOL:
-            raise ValueError(f"measure is not balanced (residual {bal:.3g})")
+        mu.require_balanced()
         packing = float(mu.packing_intensity())
-        if not packing <= 1.0 + INTENSITY_TOL:
+        if not packing <= 1.0 + DEFAULT_TOL:
             raise ValueError(f"packing intensity {packing:.6g} exceeds the unit cap")
         norm2 = float(f.norm2())
         if not norm2 > 0.0:
@@ -51,7 +47,7 @@ class Configuration:
         if not slack >= -SLACK_TOL:
             raise ValueError(f"embedding bound violated (slack {slack:.3g})")
         ratio = float(embedding_sum(f, mu)) / norm2
-        if not ratio <= E + INTENSITY_TOL:
+        if not ratio <= E + DEFAULT_TOL:
             raise ValueError(f"ratio {ratio:.6g} exceeds e; configuration is invalid")
         return cls(f, mu, ratio)
 

@@ -15,11 +15,11 @@ import math
 from fractions import Fraction
 
 from .dyadic import (
-    DEFAULT_TOL,
     DyadicInterval,
     PiecewiseConstant,
     left_sum,
     level_step,
+    mode_tol,
     ratio,
     tree_from_json,
     tree_to_json,
@@ -45,7 +45,8 @@ def _half_gaps(pc: PiecewiseConstant):
             yield k, j, abs(row[2 * j + 1] - row[2 * j]), den
 
 
-def _first_violation(pc: PiecewiseConstant, tol):
+def _first_violation(pc: PiecewiseConstant):
+    tol = mode_tol(pc.exact)
     for k, j, diff, den in _half_gaps(pc):
         if diff > tol * den:
             return pc.root.descendant(k, j), ratio(diff, den, pc.exact)
@@ -68,9 +69,9 @@ class SlicedMartingale(PiecewiseConstant):
 
     __slots__ = ()
 
-    def __init__(self, pc: PiecewiseConstant, validate: bool = True, tol=DEFAULT_TOL):
+    def __init__(self, pc: PiecewiseConstant, validate: bool = True):
         if validate:
-            hit = _first_violation(pc, tol if not pc.exact else 0)
+            hit = _first_violation(pc)
             if hit is not None:
                 raise SlicingViolation(*hit)
         for name in PiecewiseConstant.__slots__:
@@ -185,7 +186,7 @@ class DyadicAnalytic:
         u._require_same_grid(v)
         if validate:
             bad = cr_residual(u, v)
-            if bad > (0 if (u.exact and v.exact) else DEFAULT_TOL):
+            if bad > mode_tol(u.exact and v.exact):
                 bad = float(bad)
                 raise ValueError(f"pair is not conjugate: Cauchy-Riemann residual {bad:.6g}")
         self.u, self.v, self._moments = u, v, None

@@ -12,7 +12,6 @@ import pytest
 
 from dyuch import bellman
 from dyuch.bellman import (
-    PSD_TOL,
     bellman_value,
     concavity_form_matrix,
     derivative_gap,
@@ -376,10 +375,15 @@ class TestLaplacianStep:
             assert gap >= -1e-12
 
 
+def _passes(rep, tol=1e-9):
+    """verify-bellman's three PSD gates at its default --tolerance."""
+    return rep.min_minor >= -tol and rep.min_eigenvalue >= -tol and rep.closed_form_failures == 0
+
+
 class TestPsdStress:
     def test_small_run_clean(self):
         rep = verify_sliced_psd(samples=2000, seed=1)
-        assert rep.ok
+        assert _passes(rep)
         assert rep.samples == 2000 + 2 * 21 * 21
         assert rep.min_minor >= -1e-9
         assert rep.min_eigenvalue >= -1e-9
@@ -392,7 +396,7 @@ class TestPsdStress:
 
     def test_no_boundary(self):
         rep = verify_sliced_psd(samples=500, seed=4, boundary=False)
-        assert rep.samples == 500 and rep.ok
+        assert rep.samples == 500 and _passes(rep)
 
 
 def _draws(samples, seed):
@@ -444,7 +448,7 @@ class TestPsdSlices:
         got = (rep.samples, rep.min_minor, rep.min_eigenvalue, rep.max_third_minor_error,
                rep.max_det_error)
         assert got == _one_pass(20_000, 5, boundary)
-        assert rep.ok and rep.closed_form_failures == 0
+        assert _passes(rep) and rep.closed_form_failures == 0
 
     @pytest.mark.parametrize("samples", [1, bellman.PSD_SLICE - 1, bellman.PSD_SLICE,
                                          bellman.PSD_SLICE + 1, 3 * bellman.PSD_SLICE + 7])
@@ -500,20 +504,21 @@ class TestPsdSlices:
         monkeypatch.setattr(np.linalg, "det", poisoned)
         rep = verify_sliced_psd(samples=3000, seed=1, boundary=False)
         assert len(calls) == 3
-        assert math.isnan(rep.min_minor) and rep.closed_form_failures == 1 and not rep.ok
+        assert math.isnan(rep.min_minor) and rep.closed_form_failures == 1 and not _passes(rep)
 
     def test_script_without_main_guard(self, tmp_path):
         # a script run as a file, whatever the number of CPUs, checks in one process
         script = tmp_path / "unguarded.py"
         script.write_text("from dyuch import bellman\n"
                           "rep = bellman.verify_sliced_psd(600_000, seed=1)\n"
-                          "print(rep.ok, repr(rep.min_minor))\n")
+                          "print(rep.min_minor >= -1e-9 and rep.min_eigenvalue >= -1e-9"
+                          " and rep.closed_form_failures == 0, repr(rep.min_minor))\n")
         env = dict(os.environ, PYTHONPATH=str(Path(bellman.__file__).resolve().parents[1]))
         child = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                                capture_output=True, text=True, timeout=300)
         assert child.returncode == 0, child.stderr
         rep = verify_sliced_psd(600_000, seed=1)
-        assert child.stdout == f"{rep.ok} {rep.min_minor!r}\n"
+        assert child.stdout == f"{_passes(rep)} {rep.min_minor!r}\n"
 
     def test_nan_closed_form_counts_as_failure(self, monkeypatch):
         real = bellman.det_closed_form
@@ -526,7 +531,7 @@ class TestPsdSlices:
         monkeypatch.setattr(bellman, "PSD_SLICE", 1000)
         monkeypatch.setattr(bellman, "det_closed_form", poisoned)
         rep = verify_sliced_psd(samples=3000, seed=1, boundary=False)
-        assert rep.closed_form_failures == 3 and not rep.ok
+        assert rep.closed_form_failures == 3 and not _passes(rep)
 
 
 def _outcome(check, m, d1, d2):
@@ -654,31 +659,31 @@ class TestPsdFold:
               5: "min_eigenvalue", 6: "max_third_minor_error", 7: "max_det_error"}
 
     def test_clean_rows_fold(self):
-        rep = bellman._fold(self.ROWS, 2882, PSD_TOL)
+        rep = bellman._fold(self.ROWS, 2882)
         assert (rep.samples, rep.min_minor, rep.min_eigenvalue) == (2882, 0.0, 0.0)
         assert (rep.max_third_minor_error, rep.max_det_error) == (3e-15, 2e-15)
-        assert rep.closed_form_failures == 0 and rep.ok
+        assert rep.closed_form_failures == 0 and _passes(rep)
 
     @pytest.mark.parametrize("row", range(3))
     @pytest.mark.parametrize("column", sorted(FIELDS))
     def test_nan_in_any_row_and_column_sticks(self, row, column):
         rows = [list(r) for r in self.ROWS]
         rows[row][column] = math.nan
-        rep = bellman._fold(rows, 2882, PSD_TOL)
+        rep = bellman._fold(rows, 2882)
         assert math.isnan(getattr(rep, self.FIELDS[column]))
         if column <= 5:
-            assert not rep.ok
+            assert not _passes(rep)
 
     @pytest.mark.parametrize("expected", [2881, 2883, 2000])
     def test_sample_count_must_match_draws_plus_grid(self, expected):
         with pytest.raises(RuntimeError, match="checked 2882 samples"):
-            bellman._fold(self.ROWS, expected, PSD_TOL)
+            bellman._fold(self.ROWS, expected)
 
     def test_failures_add_up(self):
         rows = [list(r) for r in self.ROWS]
         rows[0][8], rows[2][8] = 2, 1
-        rep = bellman._fold(rows, 2882, PSD_TOL)
-        assert rep.closed_form_failures == 3 and not rep.ok
+        rep = bellman._fold(rows, 2882)
+        assert rep.closed_form_failures == 3 and not _passes(rep)
 
     def test_samples_over_the_cap_raise_before_drawing(self):
         tracemalloc.start()
@@ -750,6 +755,18 @@ class TestScan:
         monkeypatch.setattr(bellman, "MAX_SCAN_POINTS", summary["checked"] - 1)
         with pytest.raises(ValueError, match=f"give {summary['checked']} grid points"):
             scan_unsliced(region=region, step=step, max_sum=max_sum)
+
+    def test_grid_is_walked_lazily(self):
+        # 40,401 points on the zero-tilt slice, which has no witnesses; a list of
+        # the grid's triples would hold about 4 MB
+        tracemalloc.start()
+        try:
+            _, summary = scan_unsliced(region="d-zero", step=0.5 / 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary["checked"] == 201 * 201 and summary["witnesses"] == 0
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("region", ["sweep", "d-zero", "d1-zero"])
     def test_grid_over_the_cap_raises_before_building(self, region):

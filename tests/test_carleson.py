@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from dyuch.carleson import (
     weighted_embedding_slack,
 )
 from dyuch.dyadic import DyadicInterval, unit_root, window_root
+from dyuch.extremal import Configuration
 from dyuch.martingale import DyadicAnalytic, random_analytic
 from interval_masses import measure_of
 
@@ -126,7 +128,8 @@ class TestDiscreteMeasure:
     def test_balance_residual_example(self):
         mu = measure_of({DyadicInterval(2, 0): 1})
         assert mu.balance_residual() == Fraction(1, 2)
-        assert not mu.is_balanced()
+        with pytest.raises(ValueError, match=r"not balanced \(residual 0\.5\)"):
+            mu.require_balanced()
 
     def test_balance_residual_brute_force(self):
         rng = random.Random(32)
@@ -484,7 +487,7 @@ class TestRandomBalanced:
     def test_window_root(self):
         mu = random_balanced_measure(random.Random(48), 2, window_root(1))
         assert mu.root == window_root(1)
-        assert mu.is_balanced()
+        mu.require_balanced()
 
     # sha256 prefixes of repr([(I.id, m) for I, m in mu.masses.items()]) for
     # random_balanced_measure(Random(500 + depth), depth, root); the masses
@@ -541,6 +544,42 @@ class TestRandomBalanced:
         assert digest[:16] == self.PINNED_FLOAT[(depth, name)]
 
 
+class TestBalanceRule:
+    """require_balanced is the one balance rule: no slack for exact masses,
+    DEFAULT_TOL for floats, and every caller that needs balance applies it."""
+
+    @staticmethod
+    def tilted(eps):
+        # halves 1/2 + eps and 1/2 - eps below the root: balance residual eps
+        q = Fraction(1, 4) if isinstance(eps, Fraction) else 0.25
+        return DiscreteMeasure(unit_root(), 2, [(2, j) for j in range(4)], [q + eps, q, q - eps, q])
+
+    def test_exact_residual_below_the_float_slack_is_rejected(self):
+        mu = self.tilted(Fraction(1, 10**13))
+        assert mu.balance_residual() == Fraction(1, 10**13)
+        with pytest.raises(ValueError, match=r"not balanced \(residual 1e-13\)"):
+            mu.require_balanced()
+
+    @pytest.mark.parametrize("check", [
+        lambda f, mu: pair_supermartingale(mu, SUPERMARTINGALE_NONNEG),
+        telescoped_weighted_slack,
+        bellman_chain_slacks,
+        Configuration.build,
+    ], ids=["pairing", "telescoping", "chain", "configuration"])
+    def test_every_caller_rejects_the_exact_tilt(self, check):
+        f = random_analytic(random.Random(2), 2)
+        with pytest.raises(ValueError, match="measure is not balanced .* equal half masses"):
+            check(f, self.tilted(Fraction(1, 10**13)))
+
+    def test_float_residual_within_the_slack_passes(self):
+        mu = self.tilted(1e-13)
+        assert 0 < mu.balance_residual() <= 1e-12
+        mu.require_balanced()
+        assert len(pair_supermartingale(mu, SUPERMARTINGALE_NONNEG)) == 2
+        with pytest.raises(ValueError, match="not balanced"):
+            self.tilted(2e-12).require_balanced()
+
+
 class TestFlatMeasureGuards:
     def test_overflowing_total_is_rejected(self):
         # inf - inf at the root used to read as balance 0, so this passed as balanced
@@ -554,8 +593,30 @@ class TestFlatMeasureGuards:
     def test_large_finite_total_is_kept(self):
         mu = measure_of({DyadicInterval(2, j): 4e307 for j in range(4)}, depth=2)
         assert mu.total_mass() == 1.6e308
-        assert mu.balance_residual() == 0.0 and mu.is_balanced()
+        assert mu.balance_residual() == 0.0
+        mu.require_balanced()
         assert mu.packing_intensity() == 1.6e308  # 4e307 / (1/4) at each quarter
+
+    @pytest.mark.parametrize("build", [
+        lambda: measure_from_json({"masses": {"L20000N0": 1}}),
+        lambda: DiscreteMeasure(unit_root(), 10**8, [], []),
+    ], ids=["deep-mass", "declared-depth"])
+    def test_depth_past_the_float_range_is_rejected_before_its_rows(self, build):
+        # 2.0 ** level overflows from level 1024 on; the level rows are never built
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="where 2.0 \\*\\* level is no float"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_deepest_float_level_is_kept(self):
+        mu = DiscreteMeasure(window_root(1), 1024, [], [])
+        assert mu.depth == 1024 and mu.root.level + mu.depth == 1022
+        with pytest.raises(ValueError, match="reaches level 1024"):
+            DiscreteMeasure(unit_root(), 1024, [], [])
 
     def test_scale_into_overflow_is_rejected(self):
         mu = measure_of({DyadicInterval(2, j): 1e300 for j in range(4)}, depth=2)

@@ -277,6 +277,35 @@ class TestIncompatibleInputs:
                    "function and measure live on different roots")
 
 
+class TestOneBalanceRule:
+    """Every command that needs balance applies DiscreteMeasure.require_balanced:
+    a float residual of 4e-10 is past the float slack DEFAULT_TOL, whatever
+    --tolerance says, so all three commands reject it alike."""
+
+    COMMANDS = [["embed"], ["uchiyama-check"], ["check-3e"]]
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        box = tmp_path_factory.mktemp("balance")
+        pair, mu = box / "pair2.json", box / "mu2.json"
+        pair.write_text(json.dumps(analytic_to_json(random_analytic(random.Random(12), 2))))
+        eps = 4e-10
+        masses = [0.25 + eps, 0.25, 0.25 - eps, 0.25]
+        mu.write_text(json.dumps({"depth": 2, "masses": {f"L2N{j}": m
+                                                         for j, m in enumerate(masses)}}))
+        assert measure_from_json(json.loads(mu.read_text())).balance_residual() > 1e-10
+        return str(pair), str(mu)
+
+    @pytest.mark.parametrize("tolerance", [[], ["--tolerance", "1e-6"]], ids=["default", "1e-6"])
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0])
+    def test_float_residual_past_the_slack_is_usage_error(self, capsys, inputs, argv, tolerance):
+        pair, mu = inputs
+        code, out, err = run(capsys, *argv, "--function", pair, "--measure", mu, *tolerance)
+        assert code == 2
+        assert "result:" not in out
+        assert "measure is not balanced (residual 4e-10)" in err
+
+
 class TestConjugate:
     def test_emit_valid_pair(self, capsys, fixtures, tmp_path):
         emit = tmp_path / "pair_out.json"

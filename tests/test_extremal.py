@@ -126,7 +126,7 @@ class TestSearch:
 
     def test_result_is_admissible(self):
         cfg = search(4, budget=80, seed=7, restarts=2)
-        assert cfg.mu.is_balanced()
+        cfg.mu.require_balanced()
         assert float(cfg.mu.packing_intensity()) <= 1.0 + 1e-12
         assert cfg.ratio <= E + 1e-9
 

@@ -65,10 +65,10 @@ class TestSlicing:
 
     def test_float_tolerance(self):
         leaves = [1.0, 3.0, 0.0, 4.0 + 1e-15]
-        u = SlicedMartingale.from_leaves(leaves)  # within default tolerance
+        u = SlicedMartingale.from_leaves(leaves)  # within DEFAULT_TOL
         assert u.depth == 2
-        with pytest.raises(SlicingViolation):
-            SlicedMartingale.from_leaves(leaves, tol=1e-17)
+        with pytest.raises(SlicingViolation):  # half averages 5e-12 apart
+            SlicedMartingale.from_leaves([1.0, 3.0, 0.0, 4.0 + 1e-11])
 
 
 class TestSlicedMartingale:
