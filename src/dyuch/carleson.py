@@ -131,31 +131,20 @@ class DiscreteMeasure:
     def __len__(self):
         return len(self.own)
 
-    def _node(self, I: DyadicInterval):
-        # (r, j) of I below the root, or None when I is not at or below it
-        root = self.root
-        r = I.level - root.level
-        if r < 0 or (I.base, I.ancestor_levels) != (root.base, root.ancestor_levels):
-            return None
-        j = I.index - (root.index << r)
-        return (r, j) if j >= 0 and not j >> r else None
-
-    def mass(self, I: DyadicInterval):
-        return self._value(self.own.get(self._node(I), 0))
-
-    def total_mass(self):
-        return self._value(self.sums[0].get(0, 0))
-
     def subtree_mass(self, I: DyadicInterval):
-        """Total mass on 4-adic nodes inside I (I itself included)."""
+        """Total mass on 4-adic nodes inside I (I itself included); I must
+        lie in the measure's tree."""
         if not I.is_four_adic:
             raise ValueError(f"{I.id} is not 4-adic")
-        node = self._node(I)
-        if node is None:
-            above = I.level < self.root.level and I.contains(self.root)
-            return self.total_mass() if above else self.zero
-        r, j = node
-        return self._value(self.sums[r // 2].get(j, 0) if r <= self.depth else 0)
+        root = self.root
+        root._same_tree(I)
+        r = I.level - root.level
+        if r < 0:
+            return self._value(self.sums[0].get(0, 0)) if I.contains(root) else self.zero
+        j = I.index - (root.index << r)
+        if j < 0 or j >> r or r > self.depth:
+            return self.zero
+        return self._value(self.sums[r // 2].get(j, 0))
 
     def _halves(self, k, j):
         # subtree masses strictly inside the left and right halves of node (2k, j)

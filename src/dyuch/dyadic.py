@@ -203,11 +203,6 @@ class DyadicInterval:
             self._make(self.level + 1, 2 * self.index + 1),
         )
 
-    def parent(self) -> "DyadicInterval":
-        if self.is_root:
-            raise ValueError(f"{self.id} is the tree root and has no parent")
-        return self._make(self.level - 1, self.index // 2)
-
     def sibling(self) -> "DyadicInterval":
         if self.is_root:
             raise ValueError(f"{self.id} is the tree root and has no sibling")
@@ -276,18 +271,10 @@ def haar_inner_indicator(I: DyadicInterval, J: DyadicInterval) -> float:
     Equals +-|J|**-1/2 when J strictly contains I (positive exactly when I
     sits in the right half of J) and 0 otherwise, h_J having mean zero.
     """
-    sign = haar_sign_on(I, J)
-    if sign == 0:
-        return 0.0
-    return sign * math.sqrt(2.0 ** J.level)
-
-
-def haar_sign_on(I: DyadicInterval, J: DyadicInterval) -> int:
-    """Sign of h_J on I (+1, -1) when J strictly contains I, else 0."""
     if not J.contains(I) or J == I:
-        return 0
-    anc = I.ancestor_at(J.level + 1)
-    return 1 if anc.index & 1 else -1
+        return 0.0
+    sign = 1 if I.ancestor_at(J.level + 1).index & 1 else -1
+    return sign * math.sqrt(2.0 ** J.level)
 
 
 class PiecewiseConstant:

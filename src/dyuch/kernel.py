@@ -228,17 +228,14 @@ class TestingReport(NamedTuple):
     slack: float
 
 
-def _packing_report(packing: float, t: float) -> TestingReport:
-    return TestingReport(t, packing, 3.0 * t, 3.0 * t - packing)
-
-
 def testing_to_packing(mu: DiscreteMeasure, I: DyadicInterval) -> TestingReport:
     """Packing control at one node: S(I)/|I| is at most three kernel tests.
 
     The kernel of I is flat at height 1/(3|I|) on its own subtree, so the
     subtree mass alone already contributes a third of the packing ratio.
     """
-    return _packing_report(float(mu.subtree_mass(I) / I.length), testing_sum(mu, I))
+    packing, t = float(mu.subtree_mass(I) / I.length), testing_sum(mu, I)
+    return TestingReport(t, packing, 3.0 * t, 3.0 * t - packing)
 
 
 class TestingScan(NamedTuple):
@@ -273,11 +270,11 @@ def testing_scan(mu: DiscreteMeasure) -> TestingScan:
         level = mu.root.level + 2 * k
         for _, j, mass, path in nodes:
             t = _testing_value(level, mass / mu.den, path)
-            rep = _packing_report(mu.float_density(mass, level), t)
-            if worst_t == worst_t and not rep.testing_sum <= worst_t:
-                worst_t, node_t = rep.testing_sum, (2 * k, j)
-            if worst_s == worst_s and not rep.slack >= worst_s:
-                worst_s, node_s = rep.slack, (2 * k, j)
+            slack = 3.0 * t - mu.float_density(mass, level)
+            if worst_t == worst_t and not t <= worst_t:
+                worst_t, node_t = t, (2 * k, j)
+            if worst_s == worst_s and not slack >= worst_s:
+                worst_s, node_s = slack, (2 * k, j)
         n += len(nodes)
     at = mu.root.descendant
     scan = mu._cache["testing"] = TestingScan(worst_t, at(*node_t), worst_s, at(*node_s), n)

@@ -10,7 +10,6 @@ that precise.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -53,12 +52,6 @@ def _first_violation(pc: PiecewiseConstant):
     return None
 
 
-def slicing_residual(pc: PiecewiseConstant):
-    """Largest disagreement between half averages over all 4-adic nodes."""
-    gaps = (ratio(diff, den, pc.exact) for _, _, diff, den in _half_gaps(pc))
-    return max(itertools.chain([zero(pc.exact)], gaps))
-
-
 class SlicedMartingale(PiecewiseConstant):
     """Piecewise constant tree whose jumps avoid the odd generations.
 
@@ -86,17 +79,6 @@ class SlicedMartingale(PiecewiseConstant):
     norm2 = PiecewiseConstant.l2_norm2
     shifted = PiecewiseConstant.shift
     scaled = PiecewiseConstant.scale
-
-    def increments(self, I: DyadicInterval):
-        """Half jumps (dx, dy) of the two sibling pairs below a 4-adic node.
-
-        dx is half the step across the right half of I, dy across the left.
-        """
-        r, j = self.rel_position(I)
-        if r % 2 or r + 2 > self.depth:
-            raise ValueError(f"{I.id} has no grandchildren inside this tree")
-        rows, den = _jump_rows(self)
-        return tuple(ratio(d, den, self.exact) for d in rows[r // 2][j])
 
 
 def _jump_rows(pc: PiecewiseConstant):
@@ -213,12 +195,6 @@ class DyadicAnalytic:
     def norm2(self):
         """Integral of u**2 + v**2 over the tree root."""
         return self.u.l2_norm2() + self.v.l2_norm2()
-
-    def second_moment(self, I: DyadicInterval):
-        """Average of u**2 + v**2 over a tree interval."""
-        r, j = self.u.rel_position(I)
-        sums, den = self.moment_sums()
-        return ratio(sums[r][j], den << (self.depth - r), self.exact)
 
     def moment_sums(self):
         """(sums, den): sums[r][j] / den is the sum of u**2 + v**2 over the

@@ -38,7 +38,7 @@ def closure_nodes(mu):
             seen.add(I)
             if I == mu.root:
                 break
-            I = I.parent().parent()
+            I = I.ancestor_at(I.level - 2)
     return seen
 
 
@@ -81,14 +81,14 @@ class TestDiscreteMeasure:
         assert len(mu) == 1 and mu.exact
         assert mu.depth == 0
         fl = measure_of({root: 0.5})
-        assert not fl.exact and isinstance(fl.mass(root), float)
+        assert not fl.exact and isinstance(fl.masses.get(root, fl.zero), float)
 
     def test_totals(self):
         mu = measure_of(
             {unit_root(): Fraction(1, 2), DyadicInterval(2, 3): Fraction(1, 4)}
         )
-        assert mu.total_mass() == Fraction(3, 4)
-        assert mu.mass(DyadicInterval(2, 0)) == 0
+        assert mu.subtree_mass(mu.root) == Fraction(3, 4)
+        assert mu.masses.get(DyadicInterval(2, 0), mu.zero) == 0
         assert mu.depth == 2
 
     def test_subtree_mass_brute_force(self):
@@ -102,7 +102,7 @@ class TestDiscreteMeasure:
 
     def test_subtree_mass_above_the_root(self):
         mu = measure_of({DyadicInterval(4, 5): 1}, DyadicInterval(2, 1))
-        assert mu.subtree_mass(DyadicInterval(0, 0)) == mu.total_mass() == 1
+        assert mu.subtree_mass(DyadicInterval(0, 0)) == mu.subtree_mass(mu.root) == 1
         assert mu.subtree_mass(DyadicInterval(2, 1)) == 1
         assert mu.subtree_mass(DyadicInterval(4, 5)) == 1
         # a node above the root level that does not contain the root
@@ -110,6 +110,18 @@ class TestDiscreteMeasure:
         assert deep.subtree_mass(DyadicInterval(2, 0)) == 0
         assert deep.subtree_mass(DyadicInterval(2, 1)) == 2
         assert deep.subtree_mass(DyadicInterval(4, 4)) == 0
+
+    def test_subtree_mass_rejects_another_tree(self):
+        # the interval [0, 1) of the real-line window is not the unit root's
+        # tree, as PiecewiseConstant.average and the kernel tests also say
+        mu = measure_of({DyadicInterval(2, 1): 1}, depth=2)
+        with pytest.raises(ValueError, match="different trees"):
+            mu.subtree_mass(window_root(1).descendant(2, 0))
+        win = measure_of({window_root(1): 1}, window_root(1))
+        for I in (unit_root(), window_root(2)):
+            with pytest.raises(ValueError, match="different trees"):
+                win.subtree_mass(I)
+        assert mu.subtree_mass(unit_root()) == win.subtree_mass(window_root(1)) == 1
 
     def test_half_masses_brute_force(self):
         rng = random.Random(31)
@@ -160,7 +172,8 @@ class TestDiscreteMeasure:
 
     def test_scale(self):
         mu = measure_of({unit_root(): Fraction(1, 2)})
-        assert mu.scale(Fraction(1, 2)).total_mass() == Fraction(1, 4)
+        half = mu.scale(Fraction(1, 2))
+        assert half.subtree_mass(half.root) == Fraction(1, 4)
         assert mu.scale(2).packing_intensity() == 1
 
 
@@ -215,7 +228,7 @@ class TestMeasureJson:
         assert obj["masses"] == {"L0N0": 0.5, "L4N7": 0.1875}
         back = measure_from_json(obj)
         assert back.depth == 4
-        assert float(back.mass(DyadicInterval(4, 7))) == 0.1875
+        assert float(back.masses.get(DyadicInterval(4, 7), back.zero)) == 0.1875
 
     def test_window_roundtrip(self):
         root = window_root(1)
@@ -278,8 +291,8 @@ class TestSupermartingalePairing:
     def test_roundtrip_process_first(self):
         rows = [[Fraction(1)], [Fraction(1, 4)] * 4]
         mu = measure_from_supermartingale(rows, SUPERMARTINGALE_NONNEG)
-        assert mu.mass(unit_root()) == Fraction(3, 4)
-        assert mu.mass(DyadicInterval(2, 2)) == Fraction(1, 16)
+        assert mu.masses.get(unit_root(), mu.zero) == Fraction(3, 4)
+        assert mu.masses.get(DyadicInterval(2, 2), mu.zero) == Fraction(1, 16)
         again = pair_supermartingale(mu, SUPERMARTINGALE_NONNEG)
         assert again == rows
 
@@ -344,7 +357,8 @@ class TestSupermartingalePairing:
         with pytest.raises(ValueError, match="negative implied mass"):
             measure_from_supermartingale(drifting, SUPERMARTINGALE_NONNEG)
         within = [[0.25], [0.25 + 1e-14] * 4]  # float values get DEFAULT_TOL
-        assert measure_from_supermartingale(within, SUPERMARTINGALE_NONNEG).mass(unit_root()) == 0
+        nu = measure_from_supermartingale(within, SUPERMARTINGALE_NONNEG)
+        assert nu.masses.get(unit_root(), nu.zero) == 0
         with pytest.raises(ValueError, match="negative implied mass"):
             measure_from_supermartingale([[0.25], [0.25 + 1e-11] * 4],
                                          SUPERMARTINGALE_NONNEG)
@@ -592,7 +606,7 @@ class TestFlatMeasureGuards:
 
     def test_large_finite_total_is_kept(self):
         mu = measure_of({DyadicInterval(2, j): 4e307 for j in range(4)}, depth=2)
-        assert mu.total_mass() == 1.6e308
+        assert mu.subtree_mass(mu.root) == 1.6e308
         assert mu.balance_residual() == 0.0
         mu.require_balanced()
         assert mu.packing_intensity() == 1.6e308  # 4e307 / (1/4) at each quarter

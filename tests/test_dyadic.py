@@ -11,7 +11,6 @@ from dyuch.dyadic import (
     dyadic_length,
     haar_coefficient,
     haar_inner_indicator,
-    haar_sign_on,
     interval_from_id,
     left_sum,
     tree_from_json,
@@ -81,12 +80,12 @@ class TestInterval:
 
     def test_parent_sibling_sigma(self):
         I = DyadicInterval(3, 5)
-        assert I.parent() == DyadicInterval(2, 2)
+        assert I.ancestor_at(I.level - 1) == DyadicInterval(2, 2)
         assert I.sibling() == DyadicInterval(3, 4)
         assert I.sigma() == 1
         assert I.sibling().sigma() == -1
         root = unit_root()
-        for fn in (root.parent, root.sibling, root.sigma):
+        for fn in (lambda: root.ancestor_at(root.level - 1), root.sibling, root.sigma):
             with pytest.raises(ValueError):
                 fn()
 
@@ -230,7 +229,7 @@ class TestHaar:
         # I = [0, 1/4) sits in the left half of [0, 1/2): value -sqrt(2)
         I = DyadicInterval(2, 0)
         J = DyadicInterval(1, 0)
-        assert haar_sign_on(I, J) == -1
+        assert haar_inner_indicator(I, J) < 0
         assert haar_inner_indicator(I, J) == pytest.approx(-math.sqrt(2))
         # right half of the root carries +1
         assert haar_inner_indicator(DyadicInterval(1, 1), unit_root()) == 1.0

@@ -37,7 +37,7 @@ class TestCompetitor:
         cfg = competitor(3.0, 1.0, 0.0, 1.0)
         assert cfg.f.u.leaves == (0.0, 2.0, 0.0, 2.0)
         assert cfg.f.v.leaves == (-1.0, 1.0, 1.0, -1.0)
-        assert cfg.mu.mass(unit_root()) == 1.0
+        assert cfg.mu.masses.get(unit_root(), cfg.mu.zero) == 1.0
         assert cfg.ratio == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_ratio_formula(self):

@@ -22,7 +22,7 @@ from dyuch.carleson import (
     telescoped_weighted_slack,
     weighted_embedding_slack,
 )
-from dyuch.dyadic import PiecewiseConstant, dyadic_length, unit_root, window_root
+from dyuch.dyadic import PiecewiseConstant, dyadic_length, ratio, unit_root, window_root
 from dyuch.martingale import DyadicAnalytic, random_analytic
 from interval_masses import measure_of
 
@@ -84,7 +84,7 @@ def ref_sums(mu):
             sums[J] = sums.get(J, zero) + m
             if J == mu.root:
                 break
-            J = J.parent().parent()
+            J = J.ancestor_at(J.level - 2)
     return sums
 
 
@@ -258,7 +258,10 @@ def test_flat_core_matches_reference(depth, name):
                 - float(ref_embedding_sum(p, nu, nu.zero)),
             )
             nodes = [g.root.descendant(r, j) for r in range(depth + 1) for j in range(1 << r)]
-            assert same([g.second_moment(I) for I in nodes], [p.second_moment(I) for I in nodes])
+            sums, den = g.moment_sums()
+            moments = [ratio(s, den << (depth - r), g.exact)
+                       for r, row in enumerate(sums) for s in row]
+            assert same(moments, [p.second_moment(I) for I in nodes])
             if kind != "shallow":
                 deco = telescoped_weighted_slack(g, nu)
                 node_terms, root_term, leaf_terms = ref_telescoped(p, nu)

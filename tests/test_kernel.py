@@ -88,7 +88,7 @@ class TestKernelConstruction:
         for J in k.real_coeffs:
             assert J.contains(I)
         for J in k.imag_coeffs:
-            assert not J.contains(I) and J.parent().contains(I)
+            assert not J.contains(I) and J.ancestor_at(J.level - 1).contains(I)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="4-adic"):

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from dyuch.dyadic import DyadicInterval, PiecewiseConstant, unit_root, window_root
+from dyuch.dyadic import DyadicInterval, PiecewiseConstant, ratio, unit_root, window_root
 from dyuch.martingale import (
     DyadicAnalytic,
     SlicedMartingale,
     SlicingViolation,
+    _jump_rows,
     analytic_from_json,
     analytic_projection,
     analytic_to_json,
@@ -18,7 +19,6 @@ from dyuch.martingale import (
     random_analytic,
     random_sliced,
     s0,
-    slicing_residual,
 )
 
 
@@ -57,12 +57,6 @@ class TestSlicing:
         assert exc.value.interval == DyadicInterval(2, 0)
         assert exc.value.residual == 2
 
-    def test_residual_without_raising(self):
-        pc = PiecewiseConstant([0, 2, 1, 3])
-        assert slicing_residual(pc) == 1
-        ok = PiecewiseConstant([1, 3, 0, 4])
-        assert slicing_residual(ok) == 0
-
     def test_float_tolerance(self):
         leaves = [1.0, 3.0, 0.0, 4.0 + 1e-15]
         u = SlicedMartingale.from_leaves(leaves)  # within DEFAULT_TOL
@@ -88,20 +82,23 @@ class TestSlicedMartingale:
         assert repr(u) == "SlicedMartingale(depth=2, root=L0N0)"
 
     def test_increments(self):
-        u = SlicedMartingale.from_leaves([1, 3, 0, 4])
-        dx, dy = u.increments(unit_root())
-        assert (dx, dy) == (2, 1)
-        with pytest.raises(ValueError):
-            u.increments(DyadicInterval(1, 0))
+        leaves = [1, 3, 0, 4]
+        rows, den = _jump_rows(SlicedMartingale.from_leaves(leaves))
+        # dx is half the step across the right half, dy across the left
+        want = (Fraction(leaves[3] - leaves[2], 2), Fraction(leaves[1] - leaves[0], 2))
+        assert [[tuple(Fraction(d, den) for d in incs) for incs in row] for row in rows] == [[want]]
+        assert want == (2, 1)
 
     def test_increments_reconstruct_children(self):
         rng = random.Random(11)
         u = random_sliced(rng, 4)
-        for lev in (0, 2):
-            for idx in range(1 << lev):
-                I = DyadicInterval(lev, idx)
+        rows, den = _jump_rows(u)
+        assert [len(row) for row in rows] == [1, 4]
+        for k, row in enumerate(rows):
+            for idx, incs in enumerate(row):
+                I = DyadicInterval(2 * k, idx)
                 w = u.average(I)
-                dx, dy = u.increments(I)
+                dx, dy = (Fraction(d, den) for d in incs)
                 gc = [I.descendant(2, q) for q in range(4)]
                 got = [u.average(g) for g in gc]
                 assert got == [w - dy, w + dy, w - dx, w + dx]
@@ -208,14 +205,14 @@ class TestDyadicAnalytic:
         rng = random.Random(12)
         f = random_analytic(rng, 4)
         ul, vl = f.u.leaves, f.v.leaves
+        sums, den = f.moment_sums()
+        assert [len(row) for row in sums] == [1 << lev for lev in range(5)]
         for lev in (0, 2, 4):
             for idx in (0, (1 << lev) - 1):
-                I = DyadicInterval(lev, idx)
                 span = 4 - lev
                 lo, hi = idx << span, (idx + 1) << span
                 want = sum(ul[t] ** 2 + vl[t] ** 2 for t in range(lo, hi))
-                want = Fraction(want, hi - lo)
-                assert f.second_moment(I) == want
+                assert Fraction(sums[lev][idx], den) == want
 
 
 class TestProjection:
@@ -274,7 +271,7 @@ class TestRandomGenerators:
         for seed in range(5):
             u = random_sliced(random.Random(seed), 4)
             assert u.exact
-            assert slicing_residual(u) == 0
+            assert SlicedMartingale(u) == u  # exact: every half-average gap is 0
 
     def test_depth_validation(self):
         with pytest.raises(ValueError):
@@ -283,7 +280,7 @@ class TestRandomGenerators:
     @pytest.mark.parametrize("root", [unit_root(), window_root(1)], ids=["unit", "window"])
     @pytest.mark.parametrize("depth", [0, 2, 4, 6, 8])
     def test_increment_rows_round_trip(self, depth, root):
-        from dyuch.martingale import _jump_rows, _sliced_from_increments
+        from dyuch.martingale import _sliced_from_increments
 
         u = random_sliced(random.Random(300 + depth), depth, root) if depth else (
             SlicedMartingale.from_leaves([Fraction(3, 4)], root)
@@ -294,7 +291,8 @@ class TestRandomGenerators:
             for j, incs in enumerate(row):
                 assert all(type(d) is int for d in incs)
                 got = tuple(Fraction(d, den) for d in incs)
-                assert got == u.increments(root.descendant(2 * k, j))
+                a = [u.average(root.descendant(2 * k + 2, 4 * j + q)) for q in range(4)]
+                assert got == ((a[3] - a[2]) / 2, (a[1] - a[0]) / 2)
         assert _sliced_from_increments(u.root_average * den, rows, den, u.root) == u
         values = [[tuple(Fraction(d, den) for d in incs) for incs in row] for row in rows]
         assert _sliced_from_increments(u.root_average, values, 1, u.root) == u
@@ -330,8 +328,8 @@ class TestRandomGenerators:
         v = PiecewiseConstant([float(x) for x in f.v.leaves], root)
         g = DyadicAnalytic(u, v, validate=False)
         p = analytic_projection(u, PiecewiseConstant(v.leaves[::-1], root))
-        nodes = [root.descendant(r, j) for r in range(f.depth + 1) for j in range(1 << r)]
-        moments = [g.second_moment(I) for I in nodes]
+        sums, den = g.moment_sums()
+        moments = [ratio(s, den << (f.depth - r), False) for r, row in enumerate(sums) for s in row]
         writers = json.dumps(analytic_to_json(f)) + json.dumps(analytic_to_json(g))
         return (p.u.leaves, p.v.leaves, moments, writers)
 

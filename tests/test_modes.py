@@ -15,6 +15,7 @@ from dyuch.carleson import embedding_sum, random_balanced_measure
 from dyuch.dyadic import (
     PiecewiseConstant,
     haar_coefficient,
+    ratio,
     unit_root,
     window_root,
 )
@@ -44,13 +45,18 @@ def _nodes(root, depth):
     return [root.descendant(r, j) for r in range(depth + 1) for j in range(1 << r)]
 
 
+def _moments(f, mu):
+    sums, den = f.moment_sums()
+    return [ratio(s, den << (f.depth - r), f.exact) for r, row in enumerate(sums) for s in row]
+
+
 def _scan(f, mu):
     scan = kernel.testing_scan(mu)
     return [scan.testing_constant, scan.min_packing_slack, scan.nodes_checked]
 
 
 QUANTITIES = {
-    "packing": lambda f, mu: [mu.packing_intensity(), mu.total_mass()],
+    "packing": lambda f, mu: [mu.packing_intensity(), mu.subtree_mass(mu.root)],
     "balance": lambda f, mu: [
         mu.balance_residual(),
         measure_of(dict(list(mu.masses.items())[:-1]), mu.root, mu.depth).balance_residual(),
@@ -59,7 +65,7 @@ QUANTITIES = {
     "s0": lambda f, mu: [*s0(f.u).leaves, *s0(f.v).leaves],
     "cr_residual": lambda f, mu: [cr_residual(f.u, f.v), cr_residual(f.u, s0(f.v))],
     "projection": _projection,
-    "second_moment": lambda f, mu: [f.second_moment(I) for I in _nodes(f.root, f.depth)],
+    "second_moment": _moments,
     "haar": _haar,
     "testing_scan": _scan,
 }
