@@ -4,7 +4,9 @@ The certificate is the explicit function B(F, r, i, M) = e*F
 - exp(1 - M) * (r*r + i*i) on the domain F >= r*r + i*i, 0 <= M <= 1.
 Its size is pinned between 0 and e*F, and one step of the split dynamics
 (dynamics_gap, on plain floats, called once per node by the Bellman chain)
-always releases at least the mass harvested at the node.  The quadratic
+always releases at least the mass harvested at the node.  Its mass profile
+exp(1 - M) meets the size, decay and log-convexity requirements that
+profile_residuals checks for any candidate profile.  The quadratic
 form governing the concavity part is written out as an explicit 4x4 matrix
 whose minors have closed forms; verify_sliced_psd stress-tests positive
 semidefiniteness numerically at scale.
@@ -15,6 +17,8 @@ import csv
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from .dyadic import as_numerators
 
 if TYPE_CHECKING:  # numpy is imported where the PSD form needs it, not on import
     import numpy as np
@@ -55,6 +59,76 @@ def derivative_gap(r, i, M, mu) -> float:
     """
     mod2 = r * r + i * i
     return math.exp(1.0 - M) * mod2 * math.expm1(mu) - mu * mod2
+
+
+@dataclass
+class BoundProfile:
+    """Candidate bound profile in the mass variable on [0, 1].
+
+    grid must be increasing; values are the profile samples and constant the
+    claimed embedding constant the profile certifies.
+    """
+
+    grid: list
+    values: list
+    constant: float
+
+
+@dataclass
+class ProfileResiduals:
+    size: float
+    derivative: float
+    log_convexity: float
+
+    def max_residual(self) -> float:
+        return max(self.size, self.derivative, self.log_convexity)
+
+
+def exponential_profile(n: int = 201) -> BoundProfile:
+    """The sharp profile exp(1 - M) with its constant e."""
+    grid = [k / (n - 1) for k in range(n)]
+    return BoundProfile(grid, [math.exp(1.0 - m) for m in grid], E)
+
+
+def profile_residuals(profile: BoundProfile) -> ProfileResiduals:
+    """How far a profile is from the three certificate requirements.
+
+    Size: values stay within [0, constant].  Derivative: the profile decays
+    at least as fast as exp(-M), checked as monotonicity of v * exp(M) via
+    a running minimum.  Log-convexity: discrete midpoint convexity of log v
+    on consecutive triples.  All three vanish for the sharp profile.
+    """
+    grid, vals = profile.grid, profile.values
+    if len(grid) != len(vals) or len(grid) < 2:
+        raise ValueError("profile needs matching grids and at least two samples")
+    for what, xs in (("grid point", grid), ("value", vals), ("constant", [profile.constant])):
+        as_numerators(xs, f"profile {what}")  # raises on a non-finite or non-numeric entry
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("profile grid must be strictly increasing")
+
+    size = 0.0
+    for v in vals:
+        size = max(size, v - profile.constant, -v)
+
+    derivative = 0.0
+    running = math.inf
+    for m, v in zip(grid, vals):
+        w = v * math.exp(m)
+        if w - running > derivative:
+            derivative = w - running
+        running = min(running, w)
+
+    log_convexity = 0.0
+    if any(v <= 0.0 for v in vals):
+        log_convexity = math.inf
+    else:
+        logs = [math.log(v) for v in vals]
+        for k in range(1, len(vals) - 1):
+            t = (grid[k] - grid[k - 1]) / (grid[k + 1] - grid[k - 1])
+            bound = (1.0 - t) * logs[k - 1] + t * logs[k + 1]
+            log_convexity = max(log_convexity, logs[k] - bound)
+
+    return ProfileResiduals(size, derivative, log_convexity)
 
 
 def dynamics_gap(F, r, i, M, dxr, dyr, d1, d2, mu, F_parts) -> float:
@@ -176,10 +250,11 @@ def unsliced_third_minor(d: float, d1: float, d2: float) -> float:
     Factors as (sig - 4) * F; the second factor dips below zero off the
     d = 0 slice, so the tilted form admits genuine counterexamples.
     """
-    x1 = 2.0 * math.cosh(d1)
-    x2 = 2.0 * math.cosh(d2)
-    a = math.exp(-d)
-    b = math.exp(d)
+    return _tilted_minor(2.0 * math.cosh(d1), 2.0 * math.cosh(d2), math.exp(-d), math.exp(d))
+
+
+def _tilted_minor(x1: float, x2: float, a: float, b: float) -> float:
+    # unsliced_third_minor from x1 = 2 cosh(d1), x2 = 2 cosh(d2), a = exp(-d) and b = exp(d)
     sig = a * x1 + b * x2
     f = 2.0 * x1 * x2 - 4.0 * a * x1 - 4.0 * b * x2 + 4.0 * a * a + 4.0 * b * b
     return (sig - 4.0) * f
@@ -357,8 +432,9 @@ def scan_unsliced(
     step > 0 and a finite max_sum >= 0 giving at most MAX_SCAN_POINTS
     points, counted from its per-tilt rows before any is walked, and
     threshold must be finite, so a scan never passes without checking.  The
-    grid is walked lazily, one point at a time.  Returns the witness list
-    sorted by minor value, most negative first, and a summary table.
+    grid is walked lazily, one point at a time, with 2 cosh computed once per
+    spread and exp(-+d) once per tilt.  Returns the witness list sorted by
+    minor value, most negative first, and a summary table.
     """
     explicit = triples is not None
     if not math.isfinite(threshold):
@@ -370,7 +446,8 @@ def scan_unsliced(
             raise ValueError(f"step must be finite and > 0, got {step!r}")
         if not 0 <= max_sum < math.inf:
             raise ValueError(f"max_sum must be finite and >= 0, got {max_sum!r}")
-        steps = int(round(max_sum / step))
+        # the first row alone has steps + 1 points, so a larger ratio (inf too) is over the cap
+        steps = int(round(min(max_sum / step, MAX_SCAN_POINTS)))
         # per tilt a: (a, spreads d1 walked, spreads d2 walked), with d + d1, d + d2 <= max_sum;
         # counted row by row, so a grid over the cap is rejected as soon as its count passes it
         rows, points = [], 0
@@ -382,13 +459,23 @@ def scan_unsliced(
             if points > MAX_SCAN_POINTS:
                 raise ValueError(f"step {step!r} and max_sum {max_sum!r} give {points} grid"
                                  f" points or more, over the cap of {MAX_SCAN_POINTS}")
-        triples = ((a * step, b * step, c * step)
-                   for a, nb, nc in rows for b in range(nb) for c in range(nc))
+        spreads = [(k * step, 2.0 * math.cosh(k * step)) for k in range(steps + 1)]
+
+        def grid():
+            for a, nb, nc in rows:
+                d = a * step
+                ea, eb = math.exp(-d), math.exp(d)
+                for d1, x1 in spreads[:nb]:
+                    for d2, x2 in spreads[:nc]:
+                        yield d, d1, d2, _tilted_minor(x1, x2, ea, eb)
+
+        walk = grid()
+    else:
+        walk = ((d, d1, d2, unsliced_third_minor(d, d1, d2)) for d, d1, d2 in triples)
     witnesses = []
     checked = 0
     best = None
-    for d, d1, d2 in triples:
-        g = unsliced_third_minor(d, d1, d2)
+    for d, d1, d2, g in walk:
         checked += 1
         if best is None or g < best[3]:
             best = (d, d1, d2, g)

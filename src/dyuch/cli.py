@@ -4,7 +4,8 @@ Every subcommand prints a short human summary to stdout and can write the
 same content as a canonical JSON report with --out.  Exit codes: 0 when the
 checked property holds, 1 when a verified inequality fails, 2 for usage or
 input problems.  Reports are deterministic byte for byte for fixed inputs
-and seeds; nothing here reads the clock.
+and seeds; nothing here reads the clock.  Each command imports the layers it
+calls when it runs, so importing this module loads no layer and no numpy.
 """
 from __future__ import annotations
 
@@ -13,10 +14,6 @@ import json
 import math
 import os
 import sys
-
-from . import bellman, carleson, extremal, kernel as kernel_mod, martingale
-from .dyadic import interval_from_id, nan_min, tree_from_json
-from .martingale import analytic_from_json, analytic_to_json
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -76,13 +73,17 @@ def _load(path: str, parse, check_depth=True):
     return obj
 
 
-def _load_pair(path: str) -> martingale.DyadicAnalytic:
+def _load_pair(path: str):
+    from .martingale import analytic_from_json
+
     return _load(path, analytic_from_json)
 
 
-def _load_measure(path: str) -> carleson.DiscreteMeasure:
+def _load_measure(path: str):
+    from .carleson import measure_from_json
+
     # the cap is checked once the ids are parsed, before the measure's level rows are built
-    return _load(path, lambda obj: carleson.measure_from_json(obj, _check_depth), False)
+    return _load(path, lambda obj: measure_from_json(obj, _check_depth), False)
 
 
 def _dump(obj) -> str:
@@ -117,6 +118,9 @@ def _report(command: str, args, summary: dict, violations: list) -> dict:
 
 
 def _cmd_verify_bellman(args) -> dict:
+    from . import bellman
+    from .dyadic import nan_min
+
     violations = []
     psd = bellman.verify_sliced_psd(samples=args.samples, seed=args.seed,
                                     boundary=not args.no_boundary)
@@ -127,7 +131,7 @@ def _cmd_verify_bellman(args) -> dict:
     if psd.closed_form_failures:
         violations.append(f"{psd.closed_form_failures} closed-form comparisons out of gate")
 
-    res = extremal.profile_residuals(extremal.exponential_profile())
+    res = bellman.profile_residuals(bellman.exponential_profile())
     if not res.max_residual() <= args.tolerance:
         violations.append(f"profile residual {res.max_residual()!r}")
 
@@ -160,6 +164,8 @@ def _cmd_verify_bellman(args) -> dict:
 
 
 def _cmd_scan_unsliced(args) -> dict:
+    from . import bellman
+
     witnesses, scan = bellman.scan_unsliced(region=args.region, step=args.step,
                                             max_sum=args.max_sum, threshold=args.threshold)
     if args.csv:
@@ -181,6 +187,8 @@ def _cmd_scan_unsliced(args) -> dict:
 def _embedding_slacks(args, violations: list):
     """The pair and measure of --function and --measure, checked to fit and to be
     balanced, with their embedding and weighted slacks; gates both slacks."""
+    from . import carleson
+
     f = _load_pair(args.function)
     mu = _load_measure(args.measure)
     carleson._require_compatible(f, mu)
@@ -195,6 +203,8 @@ def _embedding_slacks(args, violations: list):
 
 
 def _cmd_embed(args) -> dict:
+    from . import carleson
+
     violations = []
     f, mu, slack, weighted = _embedding_slacks(args, violations)
     summary = {
@@ -210,6 +220,9 @@ def _cmd_embed(args) -> dict:
 
 
 def _cmd_uchiyama_check(args) -> dict:
+    from . import carleson
+    from .dyadic import nan_min
+
     violations = []
     f, mu, slack, weighted = _embedding_slacks(args, violations)
     summary = {
@@ -241,6 +254,9 @@ def _cmd_uchiyama_check(args) -> dict:
 
 
 def _cmd_conjugate(args) -> dict:
+    from . import martingale
+    from .dyadic import tree_from_json
+
     u_tree = _load(args.function, tree_from_json)
     imag = None if args.imag is None else _load(args.imag, tree_from_json, check_depth=False)
     # the projection keeps both means, so a float mean that overflows leaves no pair
@@ -256,7 +272,7 @@ def _cmd_conjugate(args) -> dict:
         else:
             pair = martingale.conjugate(u_tree)
         if args.emit:
-            _write_text(args.emit, _dump(analytic_to_json(pair)))
+            _write_text(args.emit, _dump(martingale.analytic_to_json(pair)))
         summary = {
             "depth": pair.depth,
             "norm2": float(pair.norm2()),
@@ -270,13 +286,16 @@ def _cmd_conjugate(args) -> dict:
 
 
 def _cmd_kernel(args) -> dict:
+    from . import kernel
+    from .dyadic import interval_from_id
+
     base = args.base
     anc = args.ancestors if base == "real_line" else 0
     I = interval_from_id(args.interval, base, anc)
     _check_depth(I.level - I.root_level)
     _check_window(anc)
-    k = kernel_mod.reproducing_kernel(I, args.height)
-    norms = kernel_mod.kernel_norm2(I, args.height)
+    k = kernel.reproducing_kernel(I, args.height)
+    norms = kernel.kernel_norm2(I, args.height)
     summary = {
         "interval": I.id,
         "height": args.height,
@@ -284,7 +303,7 @@ def _cmd_kernel(args) -> dict:
         "coefficients": 2 * len(k.real_coeffs),
         "norm2": float(norms.value),
         "norm2_limit": float(norms.limit),
-        "truncation_tail": float(kernel_mod.truncation_tail_bound(I, args.height)),
+        "truncation_tail": float(kernel.truncation_tail_bound(I, args.height)),
     }
     if args.evaluate:
         z = k.evaluate(interval_from_id(args.evaluate, base, anc))
@@ -306,8 +325,10 @@ def _cmd_kernel(args) -> dict:
 
 
 def _cmd_check_3e(args) -> dict:
+    from . import carleson, kernel
+
     mu = _load_measure(args.measure)
-    scan = kernel_mod.testing_scan(mu)
+    scan = kernel.testing_scan(mu)
     violations = []
     if not scan.min_packing_slack >= -args.tolerance:
         worst = -scan.min_packing_slack
@@ -319,19 +340,22 @@ def _cmd_check_3e(args) -> dict:
         "min_packing_slack": scan.min_packing_slack,
         "worst_packing_node": scan.worst_packing_node.id,
         "nodes_checked": scan.nodes_checked,
-        "bound_constant": 3.0 * kernel_mod.E * scan.testing_constant,
+        "bound_constant": 3.0 * kernel.E * scan.testing_constant,
     }
     if args.function:
         f = _load_pair(args.function)
         carleson._require_compatible(f, mu)
         mu.require_balanced()
-        slack = summary["embedding_slack"] = kernel_mod.testing_embedding_slack(f, mu)
+        slack = summary["embedding_slack"] = kernel.testing_embedding_slack(f, mu)
         if not slack >= -args.tolerance:
             violations.append(f"tested embedding bound violated by {-slack!r}")
     return _report("check-3e", args, summary, violations)
 
 
 def _cmd_search_extremal(args) -> dict:
+    from . import carleson, extremal
+    from .martingale import analytic_to_json
+
     _check_depth(args.depth)
     config = extremal.search(args.depth, budget=args.budget, seed=args.seed,
                              restarts=args.restarts)
@@ -354,6 +378,8 @@ def _cmd_search_extremal(args) -> dict:
 
 
 def _cmd_certify_lower_bound(args) -> dict:
+    from . import extremal
+
     bounds = []
     violations = []
     for eps in args.eps:

@@ -2,8 +2,8 @@
 
 Everything here chases the constant from below: explicit competitor pairs,
 a seeded random search over measure and pair parameters with depth warm
-starts, residual checks for candidate bound profiles in the mass variable,
-and the closed-form certificate showing the constant cannot be improved.
+starts, and the closed-form certificate showing the constant cannot be
+improved.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .dyadic import DEFAULT_TOL, _sum_pyramid, as_numerators, unit_root
+from .dyadic import DEFAULT_TOL, _sum_pyramid, unit_root
 from .martingale import DyadicAnalytic, _rotated_leaves, _sliced_from_increments, _sliced_leaves, s0
 from .carleson import DiscreteMeasure, _split_masses, _subtree_sums, embedding_slack, embedding_sum
 
@@ -245,76 +245,6 @@ def search(depth: int, budget: int = 2000, seed: int = 0, restarts: int = 6):
                          f" 0..{MAX_SEARCH_BUDGET}, got {budget} and {restarts}")
     state = _search_state(depth, budget, seed, restarts)
     return Configuration.build(_pair_from_state(state), _measure_from_state(state))
-
-
-@dataclass
-class BoundProfile:
-    """Candidate bound profile in the mass variable on [0, 1].
-
-    grid must be increasing; values are the profile samples and constant the
-    claimed embedding constant the profile certifies.
-    """
-
-    grid: list
-    values: list
-    constant: float
-
-
-@dataclass
-class ProfileResiduals:
-    size: float
-    derivative: float
-    log_convexity: float
-
-    def max_residual(self) -> float:
-        return max(self.size, self.derivative, self.log_convexity)
-
-
-def exponential_profile(n: int = 201) -> BoundProfile:
-    """The sharp profile exp(1 - M) with its constant e."""
-    grid = [k / (n - 1) for k in range(n)]
-    return BoundProfile(grid, [math.exp(1.0 - m) for m in grid], E)
-
-
-def profile_residuals(profile: BoundProfile) -> ProfileResiduals:
-    """How far a profile is from the three certificate requirements.
-
-    Size: values stay within [0, constant].  Derivative: the profile decays
-    at least as fast as exp(-M), checked as monotonicity of v * exp(M) via
-    a running minimum.  Log-convexity: discrete midpoint convexity of log v
-    on consecutive triples.  All three vanish for the sharp profile.
-    """
-    grid, vals = profile.grid, profile.values
-    if len(grid) != len(vals) or len(grid) < 2:
-        raise ValueError("profile needs matching grids and at least two samples")
-    for what, xs in (("grid point", grid), ("value", vals), ("constant", [profile.constant])):
-        as_numerators(xs, f"profile {what}")  # raises on a non-finite or non-numeric entry
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("profile grid must be strictly increasing")
-
-    size = 0.0
-    for v in vals:
-        size = max(size, v - profile.constant, -v)
-
-    derivative = 0.0
-    running = math.inf
-    for m, v in zip(grid, vals):
-        w = v * math.exp(m)
-        if w - running > derivative:
-            derivative = w - running
-        running = min(running, w)
-
-    log_convexity = 0.0
-    if any(v <= 0.0 for v in vals):
-        log_convexity = math.inf
-    else:
-        logs = [math.log(v) for v in vals]
-        for k in range(1, len(vals) - 1):
-            t = (grid[k] - grid[k - 1]) / (grid[k + 1] - grid[k - 1])
-            bound = (1.0 - t) * logs[k - 1] + t * logs[k + 1]
-            log_convexity = max(log_convexity, logs[k] - bound)
-
-    return ProfileResiduals(size, derivative, log_convexity)
 
 
 def lower_bound_certificate(eps: float) -> float:

@@ -730,6 +730,18 @@ class TestScan:
         _, strict = scan_unsliced(threshold=-1.0)
         assert strict["witnesses"] == 0
 
+    @pytest.mark.parametrize("region", ["sweep", "d-zero", "d1-zero"])
+    @pytest.mark.parametrize("step", [0.05, 0.013, 0.1])
+    def test_grid_walk_is_the_third_minor_bit_for_bit(self, region, step):
+        # the walk reuses 2 cosh per spread and exp(-+d) per tilt, and every point keeps its
+        # bits; the threshold makes every point a witness
+        walked, summary = scan_unsliced(region=region, step=step, threshold=1e308)
+        assert len(walked) == summary["checked"]
+        for d, d1, d2, g in walked:
+            assert g == unsliced_third_minor(d, d1, d2)
+        points = [w[:3] for w in walked]
+        assert scan_unsliced(triples=points, threshold=1e308)[0] == walked
+
     def test_unknown_region(self):
         with pytest.raises(ValueError):
             scan_unsliced(region="everywhere")
@@ -767,6 +779,13 @@ class TestScan:
             tracemalloc.stop()
         assert summary["checked"] == 201 * 201 and summary["witnesses"] == 0
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("region", ["sweep", "d-zero", "d1-zero"])
+    @pytest.mark.parametrize("step, max_sum", [(5e-324, 1.0), (1e-300, 1e10)])
+    def test_overflowing_grid_is_over_the_cap(self, region, step, max_sum):
+        # max_sum / step is inf; the grid used to raise OverflowError converting it to an int
+        with pytest.raises(ValueError, match=f"over the cap of {bellman.MAX_SCAN_POINTS}"):
+            scan_unsliced(region=region, step=step, max_sum=max_sum)
 
     @pytest.mark.parametrize("region", ["sweep", "d-zero", "d1-zero"])
     def test_grid_over_the_cap_raises_before_building(self, region):

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import math
 import os
@@ -401,12 +403,12 @@ class TestKernel:
         assert run(capsys, "kernel", "--interval", "nope", "--height", "0")[0] == 2
 
     def test_depth_cap_checked_before_build(self, capsys, monkeypatch):
-        from dyuch import cli
+        from dyuch import kernel
 
         def build(*args):
             raise AssertionError("kernel built before the depth cap was checked")
 
-        monkeypatch.setattr(cli.kernel_mod, "reproducing_kernel", build)
+        monkeypatch.setattr(kernel, "reproducing_kernel", build)
         code, out, err = run(capsys, "kernel", "--base", "real_line", "--ancestors", "100000",
                              "--interval", "L0N0", "--height", "100000")
         assert code == 2
@@ -778,25 +780,21 @@ class TestTolerance:
     def test_nan_psd_gate_fails(self, capsys, monkeypatch, field):
         import dataclasses
 
-        from dyuch import cli
-
-        real = cli.bellman.verify_sliced_psd
+        real = bellman.verify_sliced_psd
 
         def poisoned(**kw):
             return dataclasses.replace(real(**kw), **{field: math.nan})
 
-        monkeypatch.setattr(cli.bellman, "verify_sliced_psd", poisoned)
+        monkeypatch.setattr(bellman, "verify_sliced_psd", poisoned)
         code, out, _ = run(capsys, "verify-bellman", "--samples", "50")
         assert code == 1
         assert "result: FAIL" in out
 
     def test_nan_profile_residual_fails(self, capsys, monkeypatch):
-        from dyuch import cli
-
         monkeypatch.setattr(
-            cli.extremal,
+            bellman,
             "profile_residuals",
-            lambda profile: cli.extremal.ProfileResiduals(math.nan, 0.0, 0.0),
+            lambda profile: bellman.ProfileResiduals(math.nan, 0.0, 0.0),
         )
         code, out, _ = run(capsys, "verify-bellman", "--samples", "50")
         assert code == 1
@@ -840,6 +838,17 @@ class TestScanUnslicedChecksSomething:
         assert not (tmp_path / "w.csv").exists()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("step, max_sum", [("5e-324", "1"), ("1e-300", "1e10")])
+    def test_overflowing_grid_is_over_the_cap(self, capsys, tmp_path, step, max_sum):
+        # used to exit 2 with "input values overflow a float", from an OverflowError
+        code, out, err = run(capsys, "scan-unsliced", "--step", step, "--max-sum", max_sum,
+                             "--csv", str(tmp_path / "w.csv"))
+        assert code == 2
+        assert "result:" not in out
+        assert "over the cap" in err and str(bellman.MAX_SCAN_POINTS) in err
+        assert "overflow" not in err
+        assert not (tmp_path / "w.csv").exists()
+
     def test_no_csv_unless_asked(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         out_path = tmp_path / "scan.json"
@@ -855,9 +864,7 @@ class TestNanStickyReductions:
 
     @pytest.mark.parametrize("which", ["range_gaps", "derivative_gap"])
     def test_verify_bellman_nan_gap_fails(self, capsys, monkeypatch, which):
-        from dyuch import cli
-
-        real = getattr(cli.bellman, which)
+        real = getattr(bellman, which)
         calls = []
 
         def poisoned(*args):
@@ -867,7 +874,7 @@ class TestNanStickyReductions:
                 return out
             return (out[0], math.nan) if which == "range_gaps" else math.nan
 
-        monkeypatch.setattr(cli.bellman, which, poisoned)
+        monkeypatch.setattr(bellman, which, poisoned)
         code, out, _ = run(capsys, "verify-bellman", "--samples", "50")
         assert code == 1
         assert "result: FAIL" in out
@@ -875,9 +882,9 @@ class TestNanStickyReductions:
         assert f"{field}: nan" in out
 
     def test_uchiyama_nan_chain_gap_fails(self, capsys, monkeypatch, fixtures):
-        from dyuch import cli
+        from dyuch import carleson
 
-        real = cli.carleson.bellman_chain_slacks
+        real = carleson.bellman_chain_slacks
 
         def poisoned(f, mu):
             gaps = real(f, mu)
@@ -885,7 +892,7 @@ class TestNanStickyReductions:
             gaps[second] = math.nan
             return gaps
 
-        monkeypatch.setattr(cli.carleson, "bellman_chain_slacks", poisoned)
+        monkeypatch.setattr(carleson, "bellman_chain_slacks", poisoned)
         code, out, _ = run(
             capsys, "uchiyama-check", "--function", fixtures["pair"], "--measure", fixtures["mu"]
         )
@@ -894,16 +901,16 @@ class TestNanStickyReductions:
         assert "result: FAIL" in out
 
     def test_uchiyama_nan_telescoping_term_fails(self, capsys, monkeypatch, fixtures):
-        from dyuch import cli
+        from dyuch import carleson
 
-        real = cli.carleson.telescoped_weighted_slack
+        real = carleson.telescoped_weighted_slack
 
         def poisoned(f, mu):
             deco = real(f, mu)
             deco.leaf_terms[list(deco.leaf_terms)[2]] = math.nan
             return deco
 
-        monkeypatch.setattr(cli.carleson, "telescoped_weighted_slack", poisoned)
+        monkeypatch.setattr(carleson, "telescoped_weighted_slack", poisoned)
         code, out, _ = run(
             capsys, "uchiyama-check", "--function", fixtures["pair"], "--measure", fixtures["mu"]
         )
@@ -951,6 +958,97 @@ class TestInputsTheCoreRejects:
         assert "not canonical" in err
 
 
+def fresh_python(code, *argv, cwd):
+    """Run `code` with `argv` in a fresh interpreter that imports dyuch from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dyuch.__file__).resolve().parents[1]))
+    env.pop("DYUCH_MAX_DEPTH", None)
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def loaded_after(source, *argv, cwd):
+    """The child's result and the sorted dyuch modules it loaded, printed last on its stderr.
+
+    `source` may set `code`, the child's exit code."""
+    report = "print(sorted(m for m in sys.modules if m.startswith('dyuch')), file=sys.stderr)"
+    child = fresh_python(f"import sys\ncode = 0\n{source}\n{report}\nsys.exit(code)\n", *argv,
+                         cwd=cwd)
+    assert child.returncode == 0, child.stderr
+    return child, ast.literal_eval(child.stderr.splitlines()[-1])
+
+
+class TestLayersOffTheImportPath:
+    """Each command imports only the layers it calls, so a fresh process loads no other."""
+
+    RUN_CLI = ("from dyuch.cli import main\n"
+               "code = main(sys.argv[1:])\n")
+    BASE = ["dyuch", "dyuch.cli"]
+    BELLMAN = [*BASE, "dyuch.bellman", "dyuch.dyadic"]
+    EMBED = [*BELLMAN, "dyuch.carleson", "dyuch.martingale"]
+    MARTINGALE = [*BASE, "dyuch.dyadic", "dyuch.martingale"]
+
+    def test_import_dyuch(self, tmp_path):
+        assert loaded_after("import dyuch", cwd=tmp_path)[1] == ["dyuch"]
+
+    def test_import_cli(self, tmp_path):
+        assert loaded_after("import dyuch.cli", cwd=tmp_path)[1] == self.BASE
+
+    @pytest.mark.parametrize("argv, layers", [
+        (["scan-unsliced"], BELLMAN),
+        (["verify-bellman", "--samples", "10"], BELLMAN),
+        (["embed", "--function", "PAIR", "--measure", "MU"], EMBED),
+        (["conjugate", "--function", "U"], MARTINGALE),
+        (["check-3e", "--measure", "MU"], [*EMBED, "dyuch.kernel"]),
+        (["certify-lower-bound"], [*EMBED, "dyuch.extremal"]),
+    ], ids=["scan-unsliced", "verify-bellman", "embed", "conjugate", "check-3e",
+            "certify-lower-bound"])
+    def test_command(self, tmp_path, fixtures, argv, layers):
+        argv = [{"PAIR": fixtures["pair"], "MU": fixtures["mu"], "U": fixtures["u"]}.get(a, a)
+                for a in argv]
+        child, loaded = loaded_after(self.RUN_CLI, *argv, cwd=tmp_path)
+        assert child.stdout.endswith("result: PASS\n")
+        assert loaded == sorted(layers)
+
+
+class TestLazyExports:
+    """The package resolves each exported name, and each layer, on first use."""
+
+    def test_every_name_is_its_layers_attribute(self):
+        assert len(set(dyuch.__all__)) == len(dyuch.__all__)
+        for name in dyuch.__all__:
+            layer = importlib.import_module(f"dyuch.{dyuch._SOURCE[name]}")
+            assert getattr(dyuch, name) is getattr(layer, name)
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from dyuch import *", namespace)
+        assert all(namespace[name] is getattr(dyuch, name) for name in dyuch.__all__)
+
+    def test_dir_lists_every_name_and_layer(self):
+        assert set(dyuch.__all__) | set(dyuch._EXPORTS) <= set(dir(dyuch))
+
+    def test_unknown_name_raises_and_imports_nothing(self, tmp_path):
+        before = set(sys.modules)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            dyuch.no_such_name
+        assert set(sys.modules) == before
+        code = "import dyuch\ntry:\n    dyuch.no_such_name\nexcept AttributeError:\n    pass"
+        assert loaded_after(code, cwd=tmp_path)[1] == ["dyuch"]
+
+    def test_one_name_loads_its_layer_only(self, tmp_path):
+        loaded = loaded_after("from dyuch import scan_unsliced", cwd=tmp_path)[1]
+        assert loaded == ["dyuch", "dyuch.bellman", "dyuch.dyadic"]
+
+    def test_layer_resolves_as_an_attribute(self, tmp_path):
+        # the benchmark imports carleson and martingale, then reads dyuch.kernel
+        code = ("import dyuch\n"
+                "from dyuch import carleson, martingale\n"
+                "assert dyuch.kernel is sys.modules['dyuch.kernel']\n"
+                "assert callable(dyuch.kernel.testing_scan)")
+        loaded = loaded_after(code, cwd=tmp_path)[1]
+        assert "dyuch.kernel" in loaded and "dyuch.extremal" not in loaded
+
+
 class TestNumpyOffTheImportPath:
     """Only the PSD verifier needs numpy, so other commands never import it."""
 
@@ -960,10 +1058,7 @@ class TestNumpyOffTheImportPath:
              "sys.exit(9 if 'numpy' in sys.modules else code)\n")
 
     def fresh(self, *argv, cwd):
-        env = dict(os.environ, PYTHONPATH=str(Path(dyuch.__file__).resolve().parents[1]))
-        env.pop("DYUCH_MAX_DEPTH", None)
-        return subprocess.run([sys.executable, "-c", self.CHILD, *argv], cwd=cwd, env=env,
-                              capture_output=True, text=True, timeout=120)
+        return fresh_python(self.CHILD, *argv, cwd=cwd)
 
     def test_import(self, tmp_path):
         assert self.fresh(cwd=tmp_path).returncode == 0

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from dyuch.bellman import BoundProfile, exponential_profile, profile_residuals
 from dyuch.carleson import embedding_sum
 from dyuch.dyadic import DyadicInterval, unit_root
 from dyuch.extremal import (
     MAX_SEARCH_BUDGET,
-    BoundProfile,
     Configuration,
     _embed_state,
     _evaluate_state,
@@ -21,9 +21,7 @@ from dyuch.extremal import (
     _random_state,
     _search_state,
     competitor,
-    exponential_profile,
     lower_bound_certificate,
-    profile_residuals,
     search,
 )
 from dyuch.martingale import DyadicAnalytic
