@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .dyadic import (
     MAX_FLOAT_LEVEL,
@@ -443,60 +442,38 @@ def bellman_chain_slacks(f: DyadicAnalytic, mu: DiscreteMeasure) -> dict:
     return gaps
 
 
-def _split_masses(depth: int, total, split):
-    """(nodes, masses) of the balanced measure spread top down from a total
-    mass at the root, for the DiscreteMeasure constructor.
-
-    split(r, j) gives (own, ax, ay) for the node at relative level r, index
-    j: the node keeps own of its mass, and each half gets an equal share of
-    the rest, split ax : 1 - ax between x- and x+ and ay : 1 - ay between
-    y- and y+.  Bottom nodes keep all they get.  split is called only for
-    nodes with positive mass, depth first in x-, x+, y-, y+ order, which is
-    also the support order of the masses.
-    """
-    nodes, masses = [], []
-
-    def spread(r, j, mass):
-        if mass <= 0:
-            return
-        if r == depth:
-            nodes.append((r, j))
-            masses.append(mass)
-            return
-        own, ax, ay = split(r, j)
-        take = own * mass
-        if take > 0:
-            nodes.append((r, j))
-            masses.append(take)
-        half = (mass - take) / 2
-        spread(r + 2, 4 * j + 2, ax * half)
-        spread(r + 2, 4 * j + 3, (1 - ax) * half)
-        spread(r + 2, 4 * j, ay * half)
-        spread(r + 2, 4 * j + 1, (1 - ay) * half)
-
-    spread(0, 0, total)
-    return nodes, masses
-
-
 def random_balanced_measure(rng, depth: int, root: DyadicInterval | None = None) -> DiscreteMeasure:
     """Random balanced measure with exact rational masses.
 
-    Splits mass top down, always giving the two halves of a node equal
-    subtree mass, so the balance residual is exactly zero by construction.
-    The result is rescaled to keep the packing intensity at or below one,
-    again exactly.
+    Splits mass top down, depth first in x-, x+, y-, y+ order: a node keeps
+    own/256 of what it gets, and each half of the rest goes ax : 256 - ax (or
+    ay : 256 - ay) to its quarters, so the balance residual is exactly zero.
+    Masses are integer numerators over one power-of-two denominator, on which
+    every split is an exact shift.  A node gets its subtree mass, so the walk
+    knows the packing intensity, and the rescale capping it at one is folded
+    into the denominator.
     """
     root = root if root is not None else unit_root()
-    if depth % 2:
-        raise ValueError("depth must be even")
-    bits = 8  # masses and split shares are multiples of 2**-bits
-    unit = Fraction(1, 1 << bits)
-
-    def frac():
-        return rng.getrandbits(bits) * unit
-
-    total = (rng.getrandbits(bits) + 1) * unit
-    masses = _split_masses(depth, total, lambda r, j: (frac(), frac(), frac()))
-    mu = DiscreteMeasure(root, depth, *masses)
-    packing = mu.packing_intensity()
-    return mu.scale(1 / packing) if packing > 1 else mu
+    if depth < 0 or depth % 2:
+        raise ValueError(f"depth must be even and nonnegative, got {depth}")
+    draw, shift = rng.getrandbits, 17 * (depth // 2)  # each level splits off 17 bits
+    nodes, nums, peak = [], [], 0  # peak: the largest subtree numerator times 2**r
+    stack, den = [(0, 0, draw(8) + 1 << shift)], 1 << 8 + shift
+    while stack:
+        r, j, n = stack.pop()
+        peak, take = max(peak, n << r), n  # bottom nodes keep all they get
+        if r < depth:
+            own, ax, ay = draw(8), draw(8), draw(8)
+            take = own * n >> 8
+            half, k = n - take >> 1, 4 * j
+            x, y = ax * half >> 8, ay * half >> 8
+            # pushed last to first, so x- is walked first; empty quarters draw nothing
+            kids = (k + 1, half - y), (k, y), (k + 3, half - x), (k + 2, x)
+            stack += [(r + 2, i, m) for i, m in kids if m]
+        if take:
+            nodes.append((r, j))
+            nums.append(take)
+    top, bottom = _scaled(peak, den, root.level)  # the packing intensity top / bottom
+    if top > bottom:  # each mass m / den becomes m * bottom / (den * top); bottom / den is an int
+        nums, den = [m * (bottom // den) for m in nums], top
+    return DiscreteMeasure(root, depth, nodes, nums, den)

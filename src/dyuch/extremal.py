@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .dyadic import DEFAULT_TOL, _sum_pyramid, unit_root
 from .martingale import DyadicAnalytic, _rotated_leaves, _sliced_from_increments, _sliced_leaves, s0
-from .carleson import DiscreteMeasure, _split_masses, _subtree_sums, embedding_slack, embedding_sum
+from .carleson import DiscreteMeasure, _subtree_sums, embedding_slack, embedding_sum
 
 E = math.e
 
@@ -85,8 +85,7 @@ def _flat_state(depth: int) -> dict:
 
 
 def _random_state(rng: random.Random, depth: int) -> dict:
-    incs = []
-    meas = []
+    incs, meas = [], []
     for r in range(0, depth - 1, 2):
         amp = 2.0 / (1.0 + r)
         inc_row, meas_row = [], []
@@ -95,12 +94,7 @@ def _random_state(rng: random.Random, depth: int) -> dict:
             meas_row.append((rng.random(), rng.random(), rng.random()))
         incs.append(inc_row)
         meas.append(meas_row)
-    return {
-        "u0": rng.uniform(-2.0, 2.0),
-        "v0": rng.uniform(-2.0, 2.0),
-        "incs": incs,
-        "meas": meas,
-    }
+    return {"u0": rng.uniform(-2.0, 2.0), "v0": rng.uniform(-2.0, 2.0), "incs": incs, "meas": meas}
 
 
 def _gaussians(rng: random.Random, count: int, sigma: float) -> list:
@@ -136,12 +130,8 @@ def _jitter_state(rng: random.Random, state: dict, step: float) -> dict:
     meas = [[tuple([0.0 if q <= 0.0 else 1.0 if q >= 1.0 else q  # clamped to [0, 1]
                     for q in (p0 + a, p1 + b, p2 + c)])
              for (p0, p1, p2), a, b, c in zip(row, draws, draws, draws)] for row in meas]
-    return {
-        "u0": state["u0"] + next(draws),
-        "v0": state["v0"] + next(draws),
-        "incs": incs,
-        "meas": meas,
-    }
+    u0, v0 = state["u0"] + next(draws), state["v0"] + next(draws)
+    return {"u0": u0, "v0": v0, "incs": incs, "meas": meas}
 
 
 def _embed_state(state: dict) -> dict:
@@ -151,17 +141,45 @@ def _embed_state(state: dict) -> dict:
     all their mass, so the ratio carries over exactly.
     """
     n = 4 * len(state["incs"][-1])
-    return {
-        "u0": state["u0"],
-        "v0": state["v0"],
-        "incs": state["incs"] + [[(0.0, 0.0)] * n],
-        "meas": state["meas"] + [[(1.0, 0.5, 0.5)] * n],
-    }
+    return {"u0": state["u0"], "v0": state["v0"], "incs": state["incs"] + [[(0.0, 0.0)] * n],
+            "meas": state["meas"] + [[(1.0, 0.5, 0.5)] * n]}
 
 
 def _pair_from_state(state: dict) -> DyadicAnalytic:
     u = _sliced_from_increments(state["u0"], state["incs"])
     return DyadicAnalytic(u, s0(u).shift(state["v0"]), validate=False)
+
+
+def _split_masses(depth: int, total, split):
+    """(nodes, masses) of the balanced measure spread top down from a total
+    mass at the root, for the DiscreteMeasure constructor: split(r, j) gives
+    (own, ax, ay), and node (r, j) keeps own of its mass and passes each half
+    of the rest on, ax : 1 - ax to x- and x+ and ay : 1 - ay to y- and y+.
+    Bottom nodes keep all they get.  split is called only for nodes with
+    positive mass, depth first in x-, x+, y-, y+ order, which is also the
+    support order of the masses."""
+    nodes, masses = [], []
+
+    def spread(r, j, mass):
+        if mass <= 0:
+            return
+        if r == depth:
+            nodes.append((r, j))
+            masses.append(mass)
+            return
+        own, ax, ay = split(r, j)
+        take = own * mass
+        if take > 0:
+            nodes.append((r, j))
+            masses.append(take)
+        half = (mass - take) / 2
+        spread(r + 2, 4 * j + 2, ax * half)
+        spread(r + 2, 4 * j + 3, (1 - ax) * half)
+        spread(r + 2, 4 * j, ay * half)
+        spread(r + 2, 4 * j + 1, (1 - ay) * half)
+
+    spread(0, 0, total)
+    return nodes, masses
 
 
 def _measure_from_state(state: dict) -> DiscreteMeasure:

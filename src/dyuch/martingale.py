@@ -249,8 +249,8 @@ def random_sliced(rng, depth: int, root: DyadicInterval | None = None) -> Sliced
     Jumps are drawn only across 4-adic splits, so the slicing constraint
     holds by construction and all residual checks downstream are exact.
     """
-    if depth % 2:
-        raise ValueError("depth must be even")
+    if depth < 0 or depth % 2:
+        raise ValueError(f"depth must be even and nonnegative, got {depth}")
 
     def draw():  # a numerator over 2**_DENOM_BITS
         return (rng.getrandbits(_DENOM_BITS + 1) - (1 << _DENOM_BITS)) * _AMPLITUDE

@@ -503,6 +503,10 @@ class TestRandomBalanced:
         assert mu.root == window_root(1)
         mu.require_balanced()
 
+    def test_negative_depth_is_rejected(self):
+        with pytest.raises(ValueError, match="^depth must be even and nonnegative, got -2$"):
+            random_balanced_measure(random.Random(0), -2)
+
     # sha256 prefixes of repr([(I.id, m) for I, m in mu.masses.items()]) for
     # random_balanced_measure(Random(500 + depth), depth, root); the masses
     # dict order is pinned too, since closure sums add in that order.
@@ -515,6 +519,10 @@ class TestRandomBalanced:
         (6, "window"): "bf8cca944c060dd9",
         (8, "unit"): "0ad3207aa8ae942f",
         (8, "window"): "d655211f8f371632",
+        (0, "unit"): "33dc118f5e38fe77",
+        (0, "window"): "1a05215a98eebdde",
+        (10, "unit"): "ecc8f5c7846a0d6d",
+        (10, "window"): "06c692c42620e4dd",
     }
 
     # sha256 prefixes of the exact and float-mode outputs on the same
@@ -529,6 +537,21 @@ class TestRandomBalanced:
         (6, "window"): "0d0e8194b0387e35",
         (8, "unit"): "e7c0894ac6a53b3a",
         (8, "window"): "73fef740b15119f0",
+        (0, "unit"): "289e27892c0e42eb",
+        (0, "window"): "3dccdfe7a5b23a8d",
+        (10, "unit"): "2a84536202a7b235",
+        (10, "window"): "84e5b8fe50900553",
+    }
+
+    # rng.getrandbits(64) right after each call above, which pins how many
+    # bits the generator drew; the root does not change the draws.
+    PINNED_NEXT = {
+        0: 0xf3104e05762bb111,
+        2: 0xbaec2f8b5a133a94,
+        4: 0xca5bcd5f9d8962a9,
+        6: 0xce08fe93857f0e76,
+        8: 0xe0f129e7d0b838fe,
+        10: 0x30a04fe978a26858,
     }
 
     @staticmethod
@@ -545,10 +568,12 @@ class TestRandomBalanced:
         return state
 
     @pytest.mark.parametrize("name", ["unit", "window"])
-    @pytest.mark.parametrize("depth", [2, 4, 6, 8])
+    @pytest.mark.parametrize("depth", [0, 2, 4, 6, 8, 10])
     def test_seeded_output_pinned(self, depth, name):
         root = unit_root() if name == "unit" else window_root(1)
-        mu = random_balanced_measure(random.Random(500 + depth), depth, root)
+        rng = random.Random(500 + depth)
+        mu = random_balanced_measure(rng, depth, root)
+        assert rng.getrandbits(64) == self.PINNED_NEXT[depth]
         assert mu.root == root and mu.depth == depth
         items = [(I.id, m) for I, m in mu.masses.items()]
         digest = hashlib.sha256(repr(items).encode()).hexdigest()

@@ -277,6 +277,11 @@ class TestRandomGenerators:
         with pytest.raises(ValueError):
             random_sliced(random.Random(0), 3)
 
+    @pytest.mark.parametrize("generator", [random_sliced, random_analytic])
+    def test_negative_depth_is_rejected(self, generator):
+        with pytest.raises(ValueError, match="^depth must be even and nonnegative, got -2$"):
+            generator(random.Random(0), -2)
+
     @pytest.mark.parametrize("root", [unit_root(), window_root(1)], ids=["unit", "window"])
     @pytest.mark.parametrize("depth", [0, 2, 4, 6, 8])
     def test_increment_rows_round_trip(self, depth, root):
