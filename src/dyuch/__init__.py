@@ -11,8 +11,8 @@ import importlib
 _EXPORTS = {
     "dyadic": (
         "DEFAULT_TOL", "REAL_LINE", "UNIT", "DyadicInterval", "PiecewiseConstant", "dyadic_length",
-        "haar_coefficient", "haar_inner_indicator", "interval_from_id", "tree_from_json",
-        "tree_to_json", "unit_root", "window_root",
+        "haar_inner_indicator", "interval_from_id", "tree_from_json", "tree_to_json", "unit_root",
+        "window_root",
     ),
     "martingale": (
         "DyadicAnalytic", "SlicedMartingale", "SlicingViolation", "analytic_from_json",
@@ -20,23 +20,23 @@ _EXPORTS = {
         "random_sliced", "s0",
     ),
     "carleson": (
-        "SUBMARTINGALE_NONPOS", "SUPERMARTINGALE_NONNEG", "DiscreteMeasure", "bellman_chain_slacks",
-        "embedding_slack", "embedding_sum", "measure_from_json", "measure_from_supermartingale",
-        "measure_to_json", "pair_supermartingale", "random_balanced_measure",
+        "DiscreteMeasure", "bellman_chain_slacks", "embedding_slack", "embedding_sum",
+        "measure_from_json", "measure_to_json", "random_balanced_measure",
         "telescoped_weighted_slack", "weighted_embedding_slack",
     ),
     "bellman": (
         "BoundProfile", "bellman_value", "concavity_form_matrix", "derivative_gap",
         "det_closed_form", "dynamics_gap", "exponential_profile", "laplacian_step_gap",
-        "profile_residuals", "range_gaps", "scan_unsliced", "third_minor_closed_form",
-        "unsliced_form_matrix", "unsliced_third_minor", "verify_sliced_psd",
+        "lower_bound_certificate", "profile_residuals", "range_gaps", "scan_unsliced",
+        "third_minor_closed_form", "unsliced_form_matrix", "unsliced_third_minor",
+        "verify_sliced_psd",
     ),
     "kernel": (
-        "KernelRep", "kernel_norm2", "kernel_to_analytic", "normalized_testing_value",
-        "reproducing_kernel", "reproducing_residual", "testing_constant", "testing_embedding_slack",
-        "testing_scan", "testing_sum", "testing_to_packing", "truncation_tail_bound",
+        "KernelRep", "kernel_norm2", "normalized_testing_value", "reproducing_kernel",
+        "testing_constant", "testing_embedding_slack", "testing_scan", "testing_sum",
+        "testing_to_packing", "truncation_tail_bound",
     ),
-    "extremal": ("Configuration", "competitor", "lower_bound_certificate", "search"),
+    "extremal": ("Configuration", "search"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -6,10 +6,11 @@ Its size is pinned between 0 and e*F, and one step of the split dynamics
 (dynamics_gap, on plain floats, called once per node by the Bellman chain)
 always releases at least the mass harvested at the node.  Its mass profile
 exp(1 - M) meets the size, decay and log-convexity requirements that
-profile_residuals checks for any candidate profile.  The quadratic
-form governing the concavity part is written out as an explicit 4x4 matrix
-whose minors have closed forms; verify_sliced_psd stress-tests positive
-semidefiniteness numerically at scale.
+profile_residuals checks for any candidate profile, and
+lower_bound_certificate is the closed form showing e cannot be lowered.
+The quadratic form governing the concavity part is written out as an
+explicit 4x4 matrix whose minors have closed forms; verify_sliced_psd
+stress-tests positive semidefiniteness numerically at scale.
 """
 from __future__ import annotations
 
@@ -129,6 +130,20 @@ def profile_residuals(profile: BoundProfile) -> ProfileResiduals:
             log_convexity = max(log_convexity, logs[k] - bound)
 
     return ProfileResiduals(size, derivative, log_convexity)
+
+
+def lower_bound_certificate(eps: float) -> float:
+    """Certified lower bound on the best possible embedding constant.
+
+    For each eps in (0, 1/4) there is a configuration family whose ratio
+    reaches e * exp(2 eps (log(eps / 2) - 1)); the bound tends to e as eps
+    shrinks, so no constant below e works.  It is not fast: at eps = 1e-8
+    the gap to e is 1.0935e-6, and a target of e - 1e-6 needs
+    eps <~ 9.1e-9.
+    """
+    if not 0.0 < eps < 0.25:
+        raise ValueError("eps must lie in (0, 1/4)")
+    return E * math.exp(2.0 * eps * (math.log(eps / 2.0) - 1.0))
 
 
 def dynamics_gap(F, r, i, M, dxr, dyr, d1, d2, mu, F_parts) -> float:

@@ -1,14 +1,13 @@
-"""Balanced discrete measures and their paired supermartingales.
+"""Balanced discrete measures and the certificates built on them.
 
 A measure here is a nonnegative mass per 4-adic node.  It is *balanced* when
 the two halves of every 4-adic interval carry equal subtree mass; balanced
 measures are exactly the ones whose normalized subtree mass S(I)/|I| runs as
-a sliced super- or submartingale along 4-adic generations, and that pairing
-is the engine behind the weighted embedding bound.  Every measure is built by
-one constructor from (relative level, index) rows and their masses: the
-JSON parser, the inverse pairing, the generators and scale all call it.  The
-process is kept as level rows, one value per 4-adic node (2k, j) below the
-measure's root, and the per-node certificate terms are keyed by (r, j) too.
+a sliced supermartingale along 4-adic generations, and that process is the
+engine behind the weighted embedding bound.  Every measure is built by one
+constructor from (relative level, index) rows and their masses: the JSON
+parser, the generators and scale all call it.  The per-node certificate
+terms are keyed by (r, j) below the measure's root.
 """
 from __future__ import annotations
 
@@ -35,9 +34,6 @@ from .martingale import DyadicAnalytic, _jump_rows
 from . import bellman
 
 E = math.e
-
-SUPERMARTINGALE_NONNEG = "supermartingale_nonneg"
-SUBMARTINGALE_NONPOS = "submartingale_nonpos"
 
 
 def _scaled(num, den, level):
@@ -219,66 +215,6 @@ def measure_from_json(obj: dict, check_depth=None) -> DiscreteMeasure:
     top = root.level  # a base root has index 0, so a node's index is its j
     nodes = [(level - top, index) for level, index in rows]
     return DiscreteMeasure(root, depth, nodes, masses.values(), check_depth=check_depth)
-
-
-def _flip(sign: str) -> int:
-    """+1 for the nonnegative supermartingale, -1 for the nonpositive submartingale."""
-    if sign not in (SUPERMARTINGALE_NONNEG, SUBMARTINGALE_NONPOS):
-        raise ValueError(f"unknown sign convention {sign!r}")
-    return 1 if sign == SUPERMARTINGALE_NONNEG else -1
-
-
-def pair_supermartingale(mu: DiscreteMeasure, sign: str) -> list:
-    """Process paired with a balanced measure, as rows: rows[k][j] is
-    +-S(I)/|I| at node (2k, j), in the measure's mode."""
-    mu.require_balanced()
-    flip, top = _flip(sign), mu.root.level
-    return [[flip * mu._value(sums.get(j, 0), top + 2 * k) for j in range(1 << 2 * k)]
-            for k, sums in enumerate(mu.sums)]
-
-
-def measure_from_supermartingale(rows, sign: str, root: DyadicInterval | None = None
-                                 ) -> DiscreteMeasure:
-    """Invert the pairing: rows[k][j] is the process value at node (2k, j)
-    below root (the unit interval by default), and a node's mass is its drift
-    defect times |I|, a bottom node's defect being its value.
-
-    One walk checks that the rows are a sliced supermartingale: row k holds
-    the 4**k values of level 2k; as_numerators sets the mode and rejects NaN,
-    infinite and non-numeric values; every value keeps the sign convention;
-    the pair sums below a node agree, as balance makes them; and the drift
-    is one-sided (nonincreasing means for the nonnegative branch,
-    nondecreasing for the nonpositive one), which is the implied mass being
-    nonnegative.  Values get their mode's slack, mode_tol.
-    """
-    flip = _flip(sign)
-    root = root if root is not None else unit_root()
-    sizes = [len(row) for row in rows]
-    if not rows or sizes != [1 << 2 * k for k in range(len(rows))]:
-        raise ValueError(f"rows must hold 1, 4, 16, ... values, one per 4-adic node; got {sizes}")
-    nums, den, exact = as_numerators([v for row in rows for v in row], "value")
-    tol = mode_tol(exact)
-    flat, at = iter(nums), root.descendant
-    vals = [[flip * next(flat) for _ in row] for row in rows]
-    nodes, masses = [], []
-    for k, row in enumerate(vals):
-        below = vals[k + 1] if k + 1 < len(vals) else None
-        for j, v in enumerate(row):
-            if v < -tol:
-                raise ValueError(f"value at {at(2 * k, j).id} breaks the sign convention")
-            defect = 4 * v
-            if below is not None:
-                ym, yp, xm, xp = below[4 * j:4 * j + 4]
-                if abs((xm + xp) - (ym + yp)) > 2 * tol:
-                    raise ValueError(f"half subtree pair sums differ below {at(2 * k, j).id}")
-                defect -= ym + yp + xm + xp
-                if defect < -4 * tol:
-                    raise ValueError(f"drift at {at(2 * k, j).id} points the wrong way:"
-                                     " negative implied mass")
-            # four times the mass over |I|, over den; the constructor drops zeros
-            nodes.append((2 * k, j))
-            masses.append(ratio(*_scaled(max(defect, 0), 4 * den, -root.level - 2 * k), exact))
-    return DiscreteMeasure(root, 2 * len(rows) - 2, nodes, masses)
 
 
 def _require_compatible(f: DyadicAnalytic, mu: DiscreteMeasure):

@@ -378,14 +378,14 @@ def _cmd_search_extremal(args) -> dict:
 
 
 def _cmd_certify_lower_bound(args) -> dict:
-    from . import extremal
+    from . import bellman
 
     bounds = []
     violations = []
     for eps in args.eps:
-        bound = extremal.lower_bound_certificate(eps)
+        bound = bellman.lower_bound_certificate(eps)
         bounds.append(bound)
-        if bound >= extremal.E:
+        if bound >= bellman.E:
             violations.append(f"certificate {bound!r} at eps {eps!r} overshot e")
     if args.csv:
         lines = ["eps,bound"]
@@ -395,7 +395,7 @@ def _cmd_certify_lower_bound(args) -> dict:
         "eps": list(args.eps),
         "bounds": bounds,
         "max_bound": max(bounds),
-        "limit": extremal.E,
+        "limit": bellman.E,
     }
     return _report("certify-lower-bound", args, summary, violations)
 

@@ -6,9 +6,8 @@ splits the grid into even (4-adic) and odd generations; every structural
 quantity (averages, pair means) is computed in exact rational arithmetic,
 with doubles only where square roots or exponentials force them.
 
-Haar data is two values, no transform: haar_inner_indicator is the average
-of h_J over an interval, and haar_coefficient one coefficient <f, h_J> of a
-tree, both as doubles.
+Haar data is one value, no transform: haar_inner_indicator is the average
+of h_J over an interval, as a double.
 
 The number policy lives here for every module: as_numerators decides a
 tree's or measure's mode (all int/Fraction data is exact and kept as int
@@ -416,13 +415,6 @@ class PiecewiseConstant:
 
     def __repr__(self):
         return f"{type(self).__name__}(depth={self.depth}, root={self.root.id})"
-
-
-def haar_coefficient(pc: PiecewiseConstant, J: DyadicInterval) -> float:
-    """Single Haar coefficient <f, h_J> as a double."""
-    minus, plus = J.halves()
-    half_diff = (float(pc.average(plus)) - float(pc.average(minus))) / 2.0
-    return half_diff * math.sqrt(2.0 ** (-J.level))
 
 
 def json_number(value):

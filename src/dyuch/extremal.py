@@ -1,9 +1,9 @@
 """Sharpness side of the embedding bound.
 
-Everything here chases the constant from below: explicit competitor pairs,
-a seeded random search over measure and pair parameters with depth warm
-starts, and the closed-form certificate showing the constant cannot be
-improved.
+Everything here chases the constant from below: admissible configurations
+and a seeded random search over measure and pair parameters with depth warm
+starts.  The closed-form certificate that the constant cannot be improved
+lives in bellman, beside the value function.
 """
 from __future__ import annotations
 
@@ -50,25 +50,6 @@ class Configuration:
         if not ratio <= E + DEFAULT_TOL:
             raise ValueError(f"ratio {ratio:.6g} exceeds e; configuration is invalid")
         return cls(f, mu, ratio)
-
-
-def competitor(F: float, r: float, i: float, M: float) -> Configuration:
-    """Depth-two competitor from one state of the value function.
-
-    Splits the slack F - r*r - i*i evenly into conjugate jumps and loads
-    mass M on the root; the certified ratio is M (r*r + i*i) / F.
-    """
-    mod2 = r * r + i * i
-    if F < mod2:
-        raise ValueError("need F >= r*r + i*i")
-    if not 0.0 <= M <= 1.0:
-        raise ValueError("root mass must lie in [0, 1]")
-    c = math.sqrt((F - mod2) / 2.0)
-    u = [r - c, r + c, r - c, r + c]
-    v = [i - c, i + c, i + c, i - c]
-    f = DyadicAnalytic.from_leaves(u, v)
-    mu = DiscreteMeasure(unit_root(), 2, [(0, 0)], [M])
-    return Configuration.build(f, mu)
 
 
 # A search state holds the root values u0, v0 and one row per 4-adic level
@@ -264,16 +245,3 @@ def search(depth: int, budget: int = 2000, seed: int = 0, restarts: int = 6):
     state = _search_state(depth, budget, seed, restarts)
     return Configuration.build(_pair_from_state(state), _measure_from_state(state))
 
-
-def lower_bound_certificate(eps: float) -> float:
-    """Certified lower bound on the best possible embedding constant.
-
-    For each eps in (0, 1/4) there is a configuration family whose ratio
-    reaches e * exp(2 eps (log(eps / 2) - 1)); the bound tends to e as eps
-    shrinks, so no constant below e works.  It is not fast: at eps = 1e-8
-    the gap to e is 1.0935e-6, and a target of e - 1e-6 needs
-    eps <~ 9.1e-9.
-    """
-    if not 0.0 < eps < 0.25:
-        raise ValueError("eps must lie in (0, 1/4)")
-    return E * math.exp(2.0 * eps * (math.log(eps / 2.0) - 1.0))

@@ -29,13 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .dyadic import (
-    UNIT,
-    DyadicInterval,
-    haar_coefficient,
-    haar_inner_indicator,
-    window_root,
-)
+from .dyadic import UNIT, DyadicInterval, haar_inner_indicator
 from .martingale import DyadicAnalytic
 from .carleson import DiscreteMeasure, embedding_sum
 
@@ -109,39 +103,6 @@ def truncation_tail_bound(I: DyadicInterval, height: int) -> Fraction:
     """Exact squared norm lost to truncating the ancestor tower."""
     norms = kernel_norm2(I, height)
     return norms.limit - norms.value
-
-
-def kernel_to_analytic(k: KernelRep) -> DyadicAnalytic:
-    """Realize a kernel as the conjugate pair it is."""
-    I = k.interval
-    root = DyadicInterval(0, 0) if I.base == UNIT else window_root(I.ancestor_levels)
-    depth = I.level - root.level
-    u_leaves, v_leaves = [], []
-    for j in range(1 << depth):
-        z = k.evaluate(root.descendant(depth, j))
-        u_leaves.append(z.real)
-        v_leaves.append(z.imag)
-    return DyadicAnalytic.from_leaves(u_leaves, v_leaves, root)
-
-
-def reproducing_residual(f: DyadicAnalytic, I: DyadicInterval, height: int) -> float:
-    """Distance between the kernel pairing and the averaged value at I.
-
-    Zero (to rounding) whenever f is a conjugate pair on the base tree whose
-    jump coefficients above I all sit within `height` odd ancestors.
-    """
-    if not f.root.is_root:
-        raise ValueError("the pairing needs a function on the full base tree")
-    k = reproducing_kernel(I, height)
-    re = k.constant * float(f.u.root_average)
-    im = k.constant * float(f.v.root_average)
-    for J, c in k.real_coeffs.items():
-        re += c * haar_coefficient(f.u, J)
-        im += c * haar_coefficient(f.v, J)
-    for J, c in k.imag_coeffs.items():
-        re += c * haar_coefficient(f.v, J)
-        im -= c * haar_coefficient(f.u, J)
-    return abs(complex(re, im) - f.average(I))
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
-"""Test helper: measures written as interval-keyed mass tables {I: m}.
+"""Test helpers: measures written as interval-keyed mass tables {I: m}, and
+the process a balanced measure pairs with.
 
 DiscreteMeasure is built from (r, j) rows; measure_of maps a table to rows
 and validates nothing itself, so every check is the constructor's.
@@ -16,3 +17,13 @@ def measure_of(masses, root=None, depth=None):
         r = I.level - root.level
         nodes.append((r, I.index - (root.index << r)))
     return DiscreteMeasure(root, depth, nodes, list(masses.values()))
+
+
+def pairing_rows(mu, flip=1):
+    """The process paired with a balanced measure, as rows: rows[k][j] is
+    flip * S(I)/|I| at node (2k, j), in the measure's mode; flip 1 gives the
+    nonnegative supermartingale, -1 the nonpositive submartingale."""
+    mu.require_balanced()
+    top = mu.root.level
+    return [[flip * mu._value(sums.get(j, 0), top + 2 * k) for j in range(1 << 2 * k)]
+            for k, sums in enumerate(mu.sums)]

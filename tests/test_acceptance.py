@@ -13,6 +13,7 @@ from pathlib import Path
 
 from dyuch.bellman import (
     exponential_profile,
+    lower_bound_certificate,
     profile_residuals,
     scan_unsliced,
     unsliced_form_matrix,
@@ -28,7 +29,6 @@ from dyuch.carleson import (
 )
 from dyuch.cli import main as cli_main
 from dyuch.dyadic import unit_root
-from dyuch.extremal import lower_bound_certificate
 from dyuch import kernel as kern
 from dyuch.kernel import kernel_norm2
 from dyuch.martingale import (

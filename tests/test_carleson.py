@@ -8,25 +8,21 @@ from fractions import Fraction
 import pytest
 
 from dyuch.carleson import (
-    SUBMARTINGALE_NONPOS,
-    SUPERMARTINGALE_NONNEG,
     DiscreteMeasure,
     _subtree_sums,
     bellman_chain_slacks,
     embedding_slack,
     embedding_sum,
     measure_from_json,
-    measure_from_supermartingale,
     measure_to_json,
-    pair_supermartingale,
     random_balanced_measure,
     telescoped_weighted_slack,
     weighted_embedding_slack,
 )
-from dyuch.dyadic import DyadicInterval, unit_root, window_root
+from dyuch.dyadic import DyadicInterval, mode_tol, unit_root, window_root
 from dyuch.extremal import Configuration
 from dyuch.martingale import DyadicAnalytic, random_analytic
-from interval_masses import measure_of
+from interval_masses import measure_of, pairing_rows
 
 E = math.e
 
@@ -250,118 +246,51 @@ class TestMeasureJson:
 
 
 class TestSupermartingalePairing:
+    """The pairing of a balanced measure with S(I)/|I|, on the reference rows."""
+
     def test_point_mass_pairing(self):
         mu = measure_of({unit_root(): Fraction(1, 2)}, depth=2)
-        rows = pair_supermartingale(mu, SUPERMARTINGALE_NONNEG)
+        rows = pairing_rows(mu)
         assert rows == [[Fraction(1, 2)], [0] * 4]
         assert len(rows) == mu.depth // 2 + 1  # nothing below the depth
 
     def test_signs(self):
         mu = measure_of({unit_root(): Fraction(1, 2)}, depth=2)
-        up = pair_supermartingale(mu, SUPERMARTINGALE_NONNEG)
-        dn = pair_supermartingale(mu, SUBMARTINGALE_NONPOS)
-        assert dn == [[-v for v in row] for row in up]
-        with pytest.raises(ValueError, match="sign"):
-            measure_from_supermartingale(up, SUBMARTINGALE_NONPOS)
-        assert measure_from_supermartingale(dn, SUBMARTINGALE_NONPOS).masses == mu.masses
+        assert pairing_rows(mu, -1) == [[-v for v in row] for row in pairing_rows(mu)]
 
     def test_requires_balanced(self):
         lop = measure_of({DyadicInterval(2, 0): 1})
         with pytest.raises(ValueError, match="balanced"):
-            pair_supermartingale(lop, SUPERMARTINGALE_NONNEG)
-        with pytest.raises(ValueError, match="sign"):
-            pair_supermartingale(
-                measure_of({unit_root(): 1}), "upward"
-            )
-        with pytest.raises(ValueError, match="sign"):
-            measure_from_supermartingale([[1]], "upward")
+            pairing_rows(lop)
 
-    def test_roundtrip_measure_first(self):
-        rng = random.Random(34)
-        for depth in (2, 4):
+    def test_drift_is_own_mass(self):
+        # the pairing is a bijection: at every node the drift, its value less
+        # the mean of its quarters' values (none below the bottom), is its own
+        # mass over |I|, and balance makes the half pair sums agree; exact
+        # measures match exactly, float copies within mode_tol
+        for depth in (0, 2, 4, 6, 8):
             for root in (unit_root(), window_root(1)):
-                for _ in range(5):
-                    mu = random_balanced_measure(rng, depth, root)
-                    for sign in (SUPERMARTINGALE_NONNEG, SUBMARTINGALE_NONPOS):
-                        rows = pair_supermartingale(mu, sign)
-                        back = measure_from_supermartingale(rows, sign, root)
-                        assert back.masses == mu.masses
-                        assert back.depth == mu.depth and back.root == root
+                mu = random_balanced_measure(random.Random(600 + depth), depth, root)
+                muf = measure_of({I: float(m) for I, m in mu.masses.items()}, root, depth)
+                for m, kind in ((mu, Fraction), (muf, float)):
+                    self.check_drift(m, kind)
 
-    def test_roundtrip_process_first(self):
-        rows = [[Fraction(1)], [Fraction(1, 4)] * 4]
-        mu = measure_from_supermartingale(rows, SUPERMARTINGALE_NONNEG)
-        assert mu.masses.get(unit_root(), mu.zero) == Fraction(3, 4)
-        assert mu.masses.get(DyadicInterval(2, 2), mu.zero) == Fraction(1, 16)
-        again = pair_supermartingale(mu, SUPERMARTINGALE_NONNEG)
-        assert again == rows
-
-    def test_validation_catches_bad_processes(self):
-        base = [[Fraction(1)], [Fraction(1, 4)] * 4]
-        ok = measure_from_supermartingale(base, SUPERMARTINGALE_NONNEG)
-        assert ok.depth == 2
-        with pytest.raises(ValueError, match="^measure root must be 4-adic$"):
-            measure_from_supermartingale(base, SUPERMARTINGALE_NONNEG, DyadicInterval(1, 0))
-
-        # a missing value leaves a row short; a missing row is a shallower process
-        for missing in ([[1], [Fraction(1, 4)] * 3], [], [[1, 0]], [[1], [0] * 4, [0] * 15]):
-            with pytest.raises(ValueError, match="^rows must hold 1, 4, 16"):
-                measure_from_supermartingale(missing, SUPERMARTINGALE_NONNEG)
-
-        signbad = [[Fraction(1)], [Fraction(-1, 4)] + [Fraction(1, 4)] * 3]
-        with pytest.raises(ValueError):
-            measure_from_supermartingale(signbad, SUPERMARTINGALE_NONNEG)
-        signbad = [[Fraction(0)], [Fraction(-1, 4)] * 4]  # pairs and drift agree
-        with pytest.raises(ValueError, match="^value at L2N0 breaks the sign convention$"):
-            measure_from_supermartingale(signbad, SUPERMARTINGALE_NONNEG)
-
-        lopsided = [[Fraction(1)], [Fraction(3, 4)] + [Fraction(1, 4)] * 3]
-        with pytest.raises(ValueError, match="^half subtree pair sums differ below L0N0$"):
-            measure_from_supermartingale(lopsided, SUPERMARTINGALE_NONNEG)
-
-        drifting = [[Fraction(0)], [Fraction(1)] * 4]
-        with pytest.raises(ValueError, match="^drift at L0N0 points the wrong way"):
-            measure_from_supermartingale(drifting, SUPERMARTINGALE_NONNEG)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, "1", True])
-    def test_non_numbers_rejected(self, bad):
-        # a NaN value used to pass the drift checks, and the inverse then
-        # dropped its node's mass (nan > 0 is false)
-        rows = [[1.0], [0.25, bad, 0.25, 0.25]]
-        with pytest.raises(ValueError, match="value 2 is"):
-            measure_from_supermartingale(rows, SUPERMARTINGALE_NONNEG)
-
-    def test_values_follow_the_number_policy(self):
-        rows = [[1], [Fraction(1, 4)] * 4]
-        mu = measure_from_supermartingale(rows, SUPERMARTINGALE_NONNEG)
-        again = pair_supermartingale(mu, SUPERMARTINGALE_NONNEG)
-        assert mu.exact and all(type(v) is Fraction for row in again for v in row)
-        rows[0][0] = 1.0
-        mu = measure_from_supermartingale(rows, SUPERMARTINGALE_NONNEG)
-        again = pair_supermartingale(mu, SUPERMARTINGALE_NONNEG)
-        assert not mu.exact and all(type(v) is float for row in again for v in row)
-        assert again == [[1.0], [0.25] * 4]
-
-    def test_rows_without_mass_keep_their_mode(self):
-        # every node reaches the constructor, zero masses too, so the rows set the mode
-        rows = [[0.0], [0.0] * 4]
-        mu = measure_from_supermartingale(rows, SUPERMARTINGALE_NONNEG)
-        assert not mu.exact and len(mu) == 0
-        again = pair_supermartingale(mu, SUPERMARTINGALE_NONNEG)
-        assert again == rows and all(type(v) is float for row in again for v in row)
-        assert measure_from_supermartingale([[0], [0] * 4], SUPERMARTINGALE_NONNEG).exact
-
-    def test_negative_implied_mass(self):
-        # the drift check is the implied mass check scaled by |I|: one check
-        drifting = [[Fraction(0)], [Fraction(1)] * 4]
-        with pytest.raises(ValueError, match="negative implied mass"):
-            measure_from_supermartingale(drifting, SUPERMARTINGALE_NONNEG)
-        within = [[0.25], [0.25 + 1e-14] * 4]  # float values get DEFAULT_TOL
-        nu = measure_from_supermartingale(within, SUPERMARTINGALE_NONNEG)
-        assert nu.masses.get(unit_root(), nu.zero) == 0
-        with pytest.raises(ValueError, match="negative implied mass"):
-            measure_from_supermartingale([[0.25], [0.25 + 1e-11] * 4],
-                                         SUPERMARTINGALE_NONNEG)
+    @staticmethod
+    def check_drift(mu, kind):
+        tol, top = mode_tol(mu.exact), mu.root.level
+        for flip in (1, -1):
+            rows = pairing_rows(mu, flip)
+            assert len(rows) == len(mu.sums) == mu.depth // 2 + 1
+            for k, row in enumerate(rows):
+                below = rows[k + 1] if k + 1 < len(rows) else None
+                for j, v in enumerate(row):
+                    assert type(v) is kind
+                    own = flip * mu._value(mu.own.get((2 * k, j), 0), top + 2 * k)
+                    if below is not None:
+                        ym, yp, xm, xp = below[4 * j:4 * j + 4]
+                        assert abs((xm + xp) - (ym + yp)) <= tol, (mu, k, j)
+                        v -= (ym + yp + xm + xp) / 4
+                    assert abs(v - own) <= tol, (mu, k, j)
 
 
 class TestEmbedding:
@@ -559,8 +488,8 @@ class TestRandomBalanced:
         muf = measure_of({I: float(m) for I, m in mu.masses.items()}, mu.root, mu.depth)
         state = []
         for m in (mu, muf):
-            for sign in (SUPERMARTINGALE_NONNEG, SUBMARTINGALE_NONPOS):
-                rows = pair_supermartingale(m, sign)
+            for flip in (1, -1):
+                rows = pairing_rows(m, flip)
                 at = m.root.descendant
                 state.append([(at(2 * k, j).id, v) for k, row in enumerate(rows)
                               for j, v in enumerate(row)])
@@ -600,11 +529,10 @@ class TestBalanceRule:
             mu.require_balanced()
 
     @pytest.mark.parametrize("check", [
-        lambda f, mu: pair_supermartingale(mu, SUPERMARTINGALE_NONNEG),
         telescoped_weighted_slack,
         bellman_chain_slacks,
         Configuration.build,
-    ], ids=["pairing", "telescoping", "chain", "configuration"])
+    ], ids=["telescoping", "chain", "configuration"])
     def test_every_caller_rejects_the_exact_tilt(self, check):
         f = random_analytic(random.Random(2), 2)
         with pytest.raises(ValueError, match="measure is not balanced .* equal half masses"):
@@ -614,7 +542,7 @@ class TestBalanceRule:
         mu = self.tilted(1e-13)
         assert 0 < mu.balance_residual() <= 1e-12
         mu.require_balanced()
-        assert len(pair_supermartingale(mu, SUPERMARTINGALE_NONNEG)) == 2
+        assert len(pairing_rows(mu)) == 2
         with pytest.raises(ValueError, match="not balanced"):
             self.tilted(2e-12).require_balanced()
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -999,7 +1000,7 @@ class TestLayersOffTheImportPath:
         (["embed", "--function", "PAIR", "--measure", "MU"], EMBED),
         (["conjugate", "--function", "U"], MARTINGALE),
         (["check-3e", "--measure", "MU"], [*EMBED, "dyuch.kernel"]),
-        (["certify-lower-bound"], [*EMBED, "dyuch.extremal"]),
+        (["certify-lower-bound"], BELLMAN),
     ], ids=["scan-unsliced", "verify-bellman", "embed", "conjugate", "check-3e",
             "certify-lower-bound"])
     def test_command(self, tmp_path, fixtures, argv, layers):
@@ -1010,8 +1011,41 @@ class TestLayersOffTheImportPath:
         assert loaded == sorted(layers)
 
 
+def unread_exports(names, package, bench):
+    """The names that no module in package reads outside the name's own
+    definition (an import, or a name or attribute load), and that no
+    script in bench mentions."""
+    reads = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        read = []
+        if isinstance(node, ast.ImportFrom):
+            read = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read = [node.id]
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read = [node.attr]
+        reads.update(name for name in read if name not in defining)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    for path in sorted(Path(package).glob("*.py")):
+        visit(ast.parse(path.read_text()), frozenset())
+    scripts = "\n".join(path.read_text() for path in sorted(Path(bench).glob("*.py")))
+    return [name for name in names
+            if name not in reads and not re.search(rf"\b{re.escape(name)}\b", scripts)]
+
+
 class TestLazyExports:
     """The package resolves each exported name, and each layer, on first use."""
+
+    def test_every_name_is_read_by_the_package_or_the_benchmark(self):
+        # an export only the tests read belongs in tests/, not in the package
+        package = Path(dyuch.__file__).resolve().parent
+        bench = Path(__file__).resolve().parents[1] / "perfbench"
+        assert unread_exports(dyuch.__all__, package, bench) == []
 
     def test_every_name_is_its_layers_attribute(self):
         assert len(set(dyuch.__all__)) == len(dyuch.__all__)

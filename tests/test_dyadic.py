@@ -9,7 +9,6 @@ from dyuch.dyadic import (
     DyadicInterval,
     PiecewiseConstant,
     dyadic_length,
-    haar_coefficient,
     haar_inner_indicator,
     interval_from_id,
     left_sum,
@@ -18,6 +17,7 @@ from dyuch.dyadic import (
     unit_root,
     window_root,
 )
+from kernel_reference import haar_coefficient
 
 
 def haar_leaves(J, depth, root):

@@ -5,8 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from dyuch.bellman import BoundProfile, exponential_profile, profile_residuals
-from dyuch.carleson import embedding_sum
+from dyuch.bellman import (
+    BoundProfile,
+    exponential_profile,
+    lower_bound_certificate,
+    profile_residuals,
+)
+from dyuch.carleson import DiscreteMeasure, embedding_sum
 from dyuch.dyadic import DyadicInterval, unit_root
 from dyuch.extremal import (
     MAX_SEARCH_BUDGET,
@@ -20,8 +25,6 @@ from dyuch.extremal import (
     _pair_from_state,
     _random_state,
     _search_state,
-    competitor,
-    lower_bound_certificate,
     search,
 )
 from dyuch.martingale import DyadicAnalytic
@@ -30,15 +33,37 @@ from interval_masses import measure_of
 E = math.e
 
 
+@pytest.fixture
+def competitor():
+    """The depth-two family, a closed-form check on Configuration.build."""
+
+    def build(F, r, i, M):
+        # splits the slack F - r*r - i*i evenly into conjugate jumps and loads
+        # mass M on the root; the certified ratio is M (r*r + i*i) / F
+        mod2 = r * r + i * i
+        if F < mod2:
+            raise ValueError("need F >= r*r + i*i")
+        if not 0.0 <= M <= 1.0:
+            raise ValueError("root mass must lie in [0, 1]")
+        c = math.sqrt((F - mod2) / 2.0)
+        u = [r - c, r + c, r - c, r + c]
+        v = [i - c, i + c, i + c, i - c]
+        f = DyadicAnalytic.from_leaves(u, v)
+        mu = DiscreteMeasure(unit_root(), 2, [(0, 0)], [M])
+        return Configuration.build(f, mu)
+
+    return build
+
+
 class TestCompetitor:
-    def test_worked_example(self):
+    def test_worked_example(self, competitor):
         cfg = competitor(3.0, 1.0, 0.0, 1.0)
         assert cfg.f.u.leaves == (0.0, 2.0, 0.0, 2.0)
         assert cfg.f.v.leaves == (-1.0, 1.0, 1.0, -1.0)
         assert cfg.mu.masses.get(unit_root(), cfg.mu.zero) == 1.0
         assert cfg.ratio == pytest.approx(1.0 / 3.0, abs=1e-12)
 
-    def test_ratio_formula(self):
+    def test_ratio_formula(self, competitor):
         rng = random.Random(70)
         for _ in range(50):
             r, i = rng.uniform(-1, 1), rng.uniform(-1, 1)
@@ -48,13 +73,13 @@ class TestCompetitor:
             cfg = competitor(F, r, i, M)
             assert cfg.ratio == pytest.approx(M * mod2 / F, rel=1e-9, abs=1e-12)
 
-    def test_tight_second_moment(self):
+    def test_tight_second_moment(self, competitor):
         cfg = competitor(0.25, 0.5, 0.0, 0.8)
         # no slack to split: the pair is constant and the ratio is M itself
         assert cfg.f.u.leaves == (0.5,) * 4
         assert cfg.ratio == pytest.approx(0.8, abs=1e-12)
 
-    def test_validation(self):
+    def test_validation(self, competitor):
         with pytest.raises(ValueError, match="F"):
             competitor(0.5, 1.0, 0.0, 0.5)
         with pytest.raises(ValueError, match="mass"):

@@ -16,11 +16,8 @@ import pytest
 
 from dyuch import kernel
 from dyuch.carleson import (
-    SUBMARTINGALE_NONPOS,
-    SUPERMARTINGALE_NONNEG,
     bellman_chain_slacks,
     embedding_sum,
-    pair_supermartingale,
     random_balanced_measure,
     telescoped_weighted_slack,
     weighted_embedding_slack,
@@ -33,7 +30,7 @@ from dyuch.martingale import (
     random_analytic,
     s0,
 )
-from interval_masses import measure_of
+from interval_masses import measure_of, pairing_rows
 
 ROOTS = {"unit": unit_root(), "window": window_root(1)}
 
@@ -69,9 +66,9 @@ def outputs(f, mu):
     deco = telescoped_weighted_slack(f, mu)
     scan = kernel.testing_scan(mu)
     at = f.root.descendant  # ids from the (r, j) keys and rows
-    pairings = [sorted((at(2 * k, j).id, v) for k, row in enumerate(pair_supermartingale(mu, sign))
+    pairings = [sorted((at(2 * k, j).id, v) for k, row in enumerate(pairing_rows(mu, flip))
                        for j, v in enumerate(row))
-                for sign in (SUPERMARTINGALE_NONNEG, SUBMARTINGALE_NONPOS)]
+                for flip in (1, -1)]
     return (
         s0(f.u).leaves, s0(f.v).leaves,
         one.u.leaves, one.v.leaves, two.u.leaves, two.v.leaves,

@@ -14,10 +14,8 @@ from dyuch.dyadic import (
 from dyuch import kernel as kern
 from dyuch.kernel import (
     kernel_norm2,
-    kernel_to_analytic,
     normalized_testing_value,
     reproducing_kernel,
-    reproducing_residual,
     truncation_tail_bound,
 )
 from dyuch.martingale import (
@@ -28,6 +26,7 @@ from dyuch.martingale import (
     random_sliced,
 )
 from interval_masses import measure_of
+from kernel_reference import kernel_to_analytic, reproducing_residual
 
 E = math.e
 INV_2RT2 = 1.0 / (2.0 * math.sqrt(2.0))

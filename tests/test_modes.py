@@ -14,7 +14,6 @@ from dyuch import kernel
 from dyuch.carleson import embedding_sum, random_balanced_measure
 from dyuch.dyadic import (
     PiecewiseConstant,
-    haar_coefficient,
     ratio,
     unit_root,
     window_root,
@@ -27,6 +26,7 @@ from dyuch.martingale import (
     s0,
 )
 from interval_masses import measure_of
+from kernel_reference import haar_coefficient
 
 
 def _haar(f, mu):
