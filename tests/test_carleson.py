@@ -22,7 +22,7 @@ from dyuch.carleson import (
 from dyuch.dyadic import DyadicInterval, mode_tol, unit_root, window_root
 from dyuch.extremal import Configuration
 from dyuch.martingale import DyadicAnalytic, random_analytic
-from interval_masses import measure_of, pairing_rows
+from interval_masses import measure_from_rows, measure_of, pairing_rows
 
 E = math.e
 
@@ -262,6 +262,24 @@ class TestSupermartingalePairing:
         lop = measure_of({DyadicInterval(2, 0): 1})
         with pytest.raises(ValueError, match="balanced"):
             pairing_rows(lop)
+
+    def test_roundtrip_measure_first(self):
+        rng = random.Random(34)
+        for depth in (2, 4):
+            for root in (unit_root(), window_root(1)):
+                for _ in range(5):
+                    mu = random_balanced_measure(rng, depth, root)
+                    for flip in (1, -1):
+                        back = measure_from_rows(pairing_rows(mu, flip), flip, root)
+                        assert back.masses == mu.masses
+                        assert back.depth == mu.depth and back.root == root
+
+    def test_roundtrip_process_first(self):
+        rows = [[Fraction(1)], [Fraction(1, 4)] * 4]
+        mu = measure_from_rows(rows)
+        assert mu.masses.get(unit_root(), mu.zero) == Fraction(3, 4)
+        assert mu.masses.get(DyadicInterval(2, 2), mu.zero) == Fraction(1, 16)
+        assert pairing_rows(mu) == rows
 
     def test_drift_is_own_mass(self):
         # the pairing is a bijection: at every node the drift, its value less
