@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -35,8 +36,9 @@ PSD_SLICE = 1 << 14  # samples drawn and checked at a time, so only one slice is
 # least sit at samples whose a is at most 2 * r * a above the slice's least a, and a < 0.13
 # on the domain.  The window allows eps and r up to 1e-12.
 PSD_EIG_WINDOW = 2e-12
-# cap on verify_sliced_psd's draws, which bounds its time: at the cap a run takes about
-# 12 s on a 2-vCPU VM; it draws one slice at a time, so it peaks near 41 MB at any size
+# cap on verify_sliced_psd's draws, which bounds its time: at the cap a run takes 6-7 s on a
+# 2-vCPU VM with its helper, 12 s in one process; each process draws one slice at a time,
+# so each peaks near 41 MB at any size, about 80 MB for caller and helper together
 MAX_PSD_SAMPLES = 10_000_000
 MAX_SCAN_POINTS = 1_000_000  # cap on scan_unsliced's grid, which bounds its time
 
@@ -336,38 +338,100 @@ def verify_sliced_psd(
     slice of PSD_SLICE at a time, the same draws as all at once from
     default_rng(seed), so memory does not grow with `samples`; the edges come
     last, in one slice of their own.  A NaN anywhere makes its minimum or
-    maximum NaN.  Every slice is checked in the calling process.  The report
-    carries the measurements only; the caller gates them.
+    maximum NaN.  With two or more usable CPUs (os.sched_getaffinity) and
+    draw slices, one forked helper checks the later half of the draw slices
+    and the edges, with the same draws and fold (_split_rows); otherwise the
+    calling process checks every slice.  The report carries the measurements
+    only; the caller gates them.
     """
     if not (0 <= samples <= MAX_PSD_SAMPLES and (samples or boundary)):
         raise ValueError(f"--samples must lie in 0..{MAX_PSD_SAMPLES} and leave a sample"
                          f" to check, got {samples}")
+    draws = -(-samples // PSD_SLICE)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if cpus < 2 or draws < 2:
+        rows = list(_slice_rows(samples, seed, 0, samples, boundary))
+    else:  # forked before numpy is imported, if it is not yet, so from one thread
+        rows = _split_rows(samples, seed, draws // 2 * PSD_SLICE, boundary)
+    return _fold(rows, samples + (2 * 21 * 21 if boundary else 0))  # two 21 x 21 edges
+
+
+def _slice_rows(samples, seed, start, stop, boundary):
+    """Fold rows of the draws start..stop of verify_sliced_psd, one slice at a
+    time, then of the boundary grid if asked."""
     import numpy as np
 
-    # Generator.uniform takes one 64-bit output per double, so the M, d1 and d2
-    # blocks start 0, samples and 2 * samples outputs into default_rng(seed)'s stream
+    # Generator.uniform takes one 64-bit output per double, so the M, d1 and d2 of
+    # draw `start` are start, samples + start and 2 * samples + start outputs into
+    # default_rng(seed)'s stream
     rngs = [np.random.default_rng(seed) for _ in range(3)]
     for k, rng in enumerate(rngs):
-        rng.bit_generator.advance(k * samples)
-    grid_m, grid_t = np.meshgrid(np.linspace(0.0, 1.0, 21), np.linspace(-0.5, 0.5, 21))
-    gm, gt = grid_m.ravel(), grid_t.ravel()
+        rng.bit_generator.advance(k * samples + start)
+    for lo in range(start, stop, PSD_SLICE):
+        size = min(PSD_SLICE, stop - lo)
+        m = rngs[0].uniform(0.0, 1.0, size)
+        delta = np.minimum(m, 1.0 - m)
+        d1 = rngs[1].uniform(-1.0, 1.0, size)
+        d1 *= delta
+        d2 = rngs[2].uniform(-1.0, 1.0, size)
+        d2 *= delta
+        yield _check_slice(m, d1, d2)
+    if boundary:
+        grid_m, grid_t = np.meshgrid(np.linspace(0.0, 1.0, 21), np.linspace(-0.5, 0.5, 21))
+        gm, gt = grid_m.ravel(), grid_t.ravel()
+        zero = np.zeros_like(gm)
+        yield _check_slice(np.concatenate([gm, gm]), np.concatenate([zero, gt]),
+                           np.concatenate([gt, zero]))
 
-    def slices():
-        for lo in range(0, samples, PSD_SLICE):
-            size = min(PSD_SLICE, samples - lo)
-            m = rngs[0].uniform(0.0, 1.0, size)
-            delta = np.minimum(m, 1.0 - m)
-            d1 = rngs[1].uniform(-1.0, 1.0, size)
-            d1 *= delta
-            d2 = rngs[2].uniform(-1.0, 1.0, size)
-            d2 *= delta
-            yield m, d1, d2
-        if boundary:
-            zero = np.zeros_like(gm)
-            yield np.concatenate([gm, gm]), np.concatenate([zero, gt]), np.concatenate([gt, zero])
 
-    expected = samples + (2 * gm.size if boundary else 0)
-    return _fold([_check_slice(*s) for s in slices()], expected)
+def _split_rows(samples, seed, start, boundary) -> list:
+    """The rows of _slice_rows(samples, seed, 0, samples, boundary), the draws
+    from start on and the grid checked by a forked helper.  The helper sends
+    its rows, or what it raised, through a pipe, leaves with os._exit, and
+    stops between slices once its parent is gone; it is reaped on every path.
+    """
+    import pickle
+    import signal
+
+    parent, (r, w) = os.getpid(), os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: this process checks every slice
+        os.close(r)
+        os.close(w)
+        return list(_slice_rows(samples, seed, 0, samples, boundary))
+    if pid == 0:  # the helper: no atexit hook, no flush of what it inherited
+        try:
+            os.close(r)
+            try:
+                out = []
+                for row in _slice_rows(samples, seed, start, samples, boundary):
+                    if os.getppid() != parent:
+                        os._exit(1)
+                    out.append(row)
+            except BaseException as exc:
+                out = exc
+            with open(w, "wb") as fh:
+                pickle.dump(out, fh)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(w)
+    with open(r, "rb") as fh:
+        try:
+            rows = list(_slice_rows(samples, seed, 0, start, False))
+            sent = fh.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status or not sent:
+        raise RuntimeError(f"verify_sliced_psd's helper exited with status {status}")
+    got = pickle.loads(sent)
+    if isinstance(got, BaseException):
+        raise got
+    return rows + got
 
 
 def _check_slice(m, d1, d2) -> list:

@@ -116,12 +116,14 @@ class DiscreteMeasure:
         """Support nodes with their masses, in insertion order."""
         if self._masses is None:
             own, at = self.own.items(), self.root.descendant
-            self._masses = {at(r, j): self._value(m) for (r, j), m in own}
+            den, exact = self.den, self.exact
+            self._masses = {at(r, j): ratio(m, den, exact) for (r, j), m in own}
         return self._masses
 
     def items(self):
         """Support nodes with masses, sorted by (level, index)."""
-        return [(self.root.descendant(*n), self._value(self.own[n])) for n in sorted(self.own)]
+        den, exact, at = self.den, self.exact, self.root.descendant
+        return [(at(*n), ratio(self.own[n], den, exact)) for n in sorted(self.own)]
 
     def __len__(self):
         return len(self.own)

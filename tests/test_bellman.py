@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -437,6 +438,42 @@ def _one_pass(samples, seed, boundary):
     return (row[0], min(row[1:5]), *row[5:8])
 
 
+def _use_cpus(monkeypatch, n):
+    # the verifier forks its helper only when it sees at least two usable CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _record_forks(monkeypatch):
+    # the helpers the calling process forked
+    forks, real = [], os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _record_fold(monkeypatch, strip=False):
+    # the rows the caller folds, in order; strip drops a last entry _check_slice added
+    rows, real = [], bellman._fold
+
+    def fold(got, expected):
+        rows.extend(got)
+        return real([r[:-1] for r in got] if strip else got, expected)
+
+    monkeypatch.setattr(bellman, "_fold", fold)
+    return rows
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestPsdSlices:
     """The verifier checks its draws in slices and folds them to one report."""
 
@@ -454,7 +491,9 @@ class TestPsdSlices:
                                          bellman.PSD_SLICE + 1, 3 * bellman.PSD_SLICE + 7])
     def test_streamed_slices_are_the_draws(self, monkeypatch, samples):
         # each slice is drawn just before it is checked; together they are the draws
-        # all at once, bit for bit, with the boundary grid last
+        # all at once, bit for bit, with the boundary grid last (one CPU: every call
+        # is made here)
+        _use_cpus(monkeypatch, 1)
         seen, real = [], bellman._check_slice
 
         def recorded(*s):
@@ -490,6 +529,8 @@ class TestPsdSlices:
 
     def test_nan_in_a_later_slice_sticks(self, monkeypatch):
         # a NaN 3x3 minor in the second slice reaches min_minor and the failure count
+        # (one CPU: every det call is made here)
+        _use_cpus(monkeypatch, 1)
         real, calls = np.linalg.det, []
 
         def poisoned(a):
@@ -507,7 +548,7 @@ class TestPsdSlices:
         assert math.isnan(rep.min_minor) and rep.closed_form_failures == 1 and not _passes(rep)
 
     def test_script_without_main_guard(self, tmp_path):
-        # a script run as a file, whatever the number of CPUs, checks in one process
+        # a script run as a file, without a __main__ guard, gets the same report
         script = tmp_path / "unguarded.py"
         script.write_text("from dyuch import bellman\n"
                           "rep = bellman.verify_sliced_psd(600_000, seed=1)\n"
@@ -532,6 +573,175 @@ class TestPsdSlices:
         monkeypatch.setattr(bellman, "det_closed_form", poisoned)
         rep = verify_sliced_psd(samples=3000, seed=1, boundary=False)
         assert rep.closed_form_failures == 3 and not _passes(rep)
+
+
+class TestPsdHelper:
+    """On two or more CPUs the verifier checks its later slices in one forked helper."""
+
+    @pytest.mark.parametrize("samples", [bellman.PSD_SLICE + 1, 2 * bellman.PSD_SLICE,
+                                         3 * bellman.PSD_SLICE + 7])
+    @pytest.mark.parametrize("boundary", [True, False])
+    def test_report_equals_one_process(self, monkeypatch, samples, boundary):
+        forks = _record_forks(monkeypatch)
+        _use_cpus(monkeypatch, 1)
+        one = verify_sliced_psd(samples=samples, seed=8, boundary=boundary)
+        assert forks == []
+        _use_cpus(monkeypatch, 2)
+        two = verify_sliced_psd(samples=samples, seed=8, boundary=boundary)
+        assert len(forks) == 1
+        assert repr(two) == repr(one)  # repr is exact for floats
+        _no_child_left()
+
+    @pytest.mark.parametrize("cpus, samples", [(None, 2 * bellman.PSD_SLICE),
+                                               (1, 2 * bellman.PSD_SLICE),
+                                               (64, bellman.PSD_SLICE)])
+    def test_one_slice_or_one_cpu_never_forks(self, monkeypatch, cpus, samples):
+        # no sched_getaffinity, one usable CPU, or one draw slice: the one-process loop
+        forks = _record_forks(monkeypatch)
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            _use_cpus(monkeypatch, cpus)
+        verify_sliced_psd(samples=samples)
+        assert forks == []
+
+    def test_failed_fork_checks_every_slice_here(self, monkeypatch):
+        _use_cpus(monkeypatch, 1)
+        one = verify_sliced_psd(samples=2 * bellman.PSD_SLICE + 5, seed=9)
+        _use_cpus(monkeypatch, 2)
+
+        def fork():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert repr(verify_sliced_psd(samples=2 * bellman.PSD_SLICE + 5, seed=9)) == repr(one)
+
+    @pytest.mark.parametrize("samples", [bellman.PSD_SLICE + 1, 3 * bellman.PSD_SLICE + 7])
+    def test_split_slices_are_the_draws(self, monkeypatch, samples):
+        # each folded row carries the draws it was checked on, from either process
+        _use_cpus(monkeypatch, 2)
+        forks, real = _record_forks(monkeypatch), bellman._check_slice
+        monkeypatch.setattr(bellman, "_check_slice", lambda *s: [*real(*s), s])
+        rows = _record_fold(monkeypatch, strip=True)
+        verify_sliced_psd(samples=samples, seed=7)
+        assert len(forks) == 1
+        *drawn, grid = (r[-1] for r in rows)
+        assert [len(s[0]) for s in drawn[:-1]] == [bellman.PSD_SLICE] * (len(drawn) - 1)
+        for got, want in zip(zip(*drawn), _draws(samples, 7)):
+            assert np.array_equal(np.concatenate(got), want)
+        for got, want in zip(grid, _boundary_grid()):
+            assert np.array_equal(got, want)
+
+    def test_nan_in_the_helpers_half_sticks(self, monkeypatch):
+        # slices of 1000: this process checks slice 0, the helper slices 1 and 2; the
+        # helper's second 3x3 det, slice 2's, has a NaN that reaches the report
+        _use_cpus(monkeypatch, 2)
+        real, calls = np.linalg.det, []
+
+        def poisoned(a):
+            minors = real(a)
+            if a.shape[-1] == 3:
+                calls.append(None)
+                if len(calls) == 2:
+                    minors[-1] = math.nan
+            return minors
+
+        monkeypatch.setattr(bellman, "PSD_SLICE", 1000)
+        monkeypatch.setattr(np.linalg, "det", poisoned)
+        rows = _record_fold(monkeypatch)
+        rep = verify_sliced_psd(samples=3000, seed=1, boundary=False)
+        assert len(calls) == 1
+        assert [math.isnan(r[3]) for r in rows] == [False, False, True]
+        assert math.isnan(rep.min_minor) and rep.closed_form_failures == 1 and not _passes(rep)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_nan_form_in_the_helpers_half_raises_the_same_error(self, monkeypatch, cpus):
+        # the form of sample 2005 of the draws, in the helper's half, is poisoned
+        _use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(bellman, "PSD_SLICE", 1000)
+        target, d1, d2 = (float(x[2005]) for x in _draws(3000, 1))
+        real = bellman.concavity_form_matrix
+
+        def poisoned(m, d1, d2):
+            mats = real(m, d1, d2)
+            mats[m == target, 2, 1] = math.nan
+            return mats
+
+        monkeypatch.setattr(bellman, "concavity_form_matrix", poisoned)
+        with pytest.raises(ValueError) as exc:
+            verify_sliced_psd(samples=3000, seed=1)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == (f"the sliced form of sample 5 of a slice, at M={target!r},"
+                                  f" d1={d1!r}, d2={d2!r}, has a non-finite entry")
+        _no_child_left()
+
+    @pytest.mark.parametrize("raised", [KeyboardInterrupt, ValueError])
+    def test_raise_in_this_half_kills_the_helper(self, monkeypatch, raised):
+        # the helper would sleep for a minute; it is killed and reaped at once
+        _use_cpus(monkeypatch, 2)
+        caller = os.getpid()
+
+        def check(*s):
+            if os.getpid() == caller:
+                raise raised("stop")
+            time.sleep(60)
+
+        monkeypatch.setattr(bellman, "_check_slice", check)
+        start = time.monotonic()
+        with pytest.raises(raised, match="stop"):
+            verify_sliced_psd(samples=3 * bellman.PSD_SLICE)
+        assert time.monotonic() - start < 30
+        _no_child_left()
+
+    def test_helper_dying_without_rows_raises(self, monkeypatch):
+        _use_cpus(monkeypatch, 2)
+        caller, real = os.getpid(), bellman._check_slice
+        monkeypatch.setattr(bellman, "_check_slice",
+                            lambda *s: real(*s) if os.getpid() == caller else os._exit(3))
+        with pytest.raises(RuntimeError, match="helper exited with status 3"):
+            verify_sliced_psd(samples=3 * bellman.PSD_SLICE)
+        _no_child_left()
+
+    def test_helper_stops_once_its_parent_is_gone(self, monkeypatch, tmp_path):
+        # a helper that sees a new parent after its first slice checks no other
+        _use_cpus(monkeypatch, 2)
+        caller, real, log = os.getpid(), bellman._check_slice, tmp_path / "helper.log"
+
+        def check(*s):
+            if os.getpid() != caller:
+                with open(log, "a") as fh:
+                    fh.write("slice\n")
+            return real(*s)
+
+        monkeypatch.setattr(bellman, "_check_slice", check)
+        monkeypatch.setattr(os, "getppid", lambda: -1)
+        with pytest.raises(RuntimeError, match="helper exited with status 1"):
+            verify_sliced_psd(samples=4 * bellman.PSD_SLICE)
+        assert log.read_text() == "slice\n"
+        _no_child_left()
+
+    def test_cli_forks_before_numpy_is_imported(self, tmp_path):
+        # the helper is forked from a process with one thread, so on 3.12 and later
+        # fork warns of nothing
+        script = ("import os, runpy, sys\n"
+                  "real = os.fork\n"
+                  "def fork():\n"
+                  "    loaded = 'numpy' in sys.modules\n"
+                  "    pid = real()\n"
+                  "    if pid:\n"
+                  "        print('forked', 'after' if loaded else 'before', 'numpy',"
+                  " file=sys.stderr)\n"
+                  "    return pid\n"
+                  "os.fork = fork\n"
+                  "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                  "sys.argv = ['dyuch', 'verify-bellman', '--samples', '40000']\n"
+                  "runpy.run_module('dyuch.cli', run_name='__main__')\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(bellman.__file__).resolve().parents[1]))
+        child = subprocess.run([sys.executable, "-W", "error", "-c", script], cwd=tmp_path,
+                               env=env, capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        assert child.stderr == "forked before numpy\n"
+        assert "result: PASS" in child.stdout
 
 
 def _outcome(check, m, d1, d2):

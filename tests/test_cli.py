@@ -130,6 +130,28 @@ class TestVerifyBellman:
         assert not out_path.exists()
 
 
+    def test_nan_form_in_the_helpers_half_exits_2(self, capsys, monkeypatch, tmp_path):
+        # on two CPUs the forked helper checks the later slices; its error exits 2 the same
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        caller, real = os.getpid(), bellman.concavity_form_matrix
+
+        def poisoned(*hp):
+            mats = real(*hp)
+            if os.getpid() != caller:
+                mats[0, 3, 1] = math.nan
+            return mats
+
+        monkeypatch.setattr(bellman, "concavity_form_matrix", poisoned)
+        out_path = tmp_path / "rep.json"
+        code, out, err = run(capsys, "verify-bellman", "--samples", "40000", "--no-boundary",
+                             "--out", str(out_path))
+        assert code == 2
+        assert "result:" not in out
+        assert err.startswith("error: the sliced form of sample 0 of a slice, at M=")
+        assert not out_path.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
 class TestScanUnsliced:
     def test_sweep_finds_witnesses(self, capsys, tmp_path):
         csv_path = tmp_path / "w.csv"
