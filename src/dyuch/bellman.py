@@ -14,7 +14,6 @@ stress-tests positive semidefiniteness numerically at scale.
 """
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass
@@ -347,6 +346,8 @@ def verify_sliced_psd(
     if not (0 <= samples <= MAX_PSD_SAMPLES and (samples or boundary)):
         raise ValueError(f"--samples must lie in 0..{MAX_PSD_SAMPLES} and leave a sample"
                          f" to check, got {samples}")
+    if seed < 0:
+        raise ValueError(f"--seed must be a nonnegative integer, got {seed}")
     draws = -(-samples // PSD_SLICE)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     if cpus < 2 or draws < 2:
@@ -509,11 +510,12 @@ def scan_unsliced(
     (no witnesses exist there), "d1-zero" pins the first spread (the known
     witnesses live there), "sweep" varies all three.  The grid needs a finite
     step > 0 and a finite max_sum >= 0 giving at most MAX_SCAN_POINTS
-    points, counted from its per-tilt rows before any is walked, and
-    threshold must be finite, so a scan never passes without checking.  The
-    grid is walked lazily, one point at a time, with 2 cosh computed once per
-    spread and exp(-+d) once per tilt.  Returns the witness list sorted by
-    minor value, most negative first, and a summary table.
+    points, counted in closed form before any is walked, and threshold must
+    be finite, so a scan never passes without checking.  A minor that is not
+    finite raises ValueError naming its point.  The grid is walked lazily,
+    one point at a time, with 2 cosh computed once per spread and exp(-+d)
+    once per tilt.  Returns the witness list sorted by minor value, most
+    negative first, and a summary table.
     """
     explicit = triples is not None
     if not math.isfinite(threshold):
@@ -525,26 +527,22 @@ def scan_unsliced(
             raise ValueError(f"step must be finite and > 0, got {step!r}")
         if not 0 <= max_sum < math.inf:
             raise ValueError(f"max_sum must be finite and >= 0, got {max_sum!r}")
-        # the first row alone has steps + 1 points, so a larger ratio (inf too) is over the cap
-        steps = int(round(min(max_sum / step, MAX_SCAN_POINTS)))
-        # per tilt a: (a, spreads d1 walked, spreads d2 walked), with d + d1, d + d2 <= max_sum;
-        # counted row by row, so a grid over the cap is rejected as soon as its count passes it
-        rows, points = [], 0
-        for a in range(1 if region == "d-zero" else steps + 1):
-            nc = steps - a + 1
-            nb = 1 if region == "d1-zero" else nc
-            rows.append((a, nb, nc))
-            points += nb * nc
-            if points > MAX_SCAN_POINTS:
-                raise ValueError(f"step {step!r} and max_sum {max_sum!r} give {points} grid"
-                                 f" points or more, over the cap of {MAX_SCAN_POINTS}")
-        spreads = [(k * step, 2.0 * math.cosh(k * step)) for k in range(steps + 1)]
+        # n spreads per axis; the first row alone has n points, so a larger ratio (inf too) is
+        # over the cap.  Per tilt a, with d + d1, d + d2 <= max_sum: n - a spreads d2 and as
+        # many d1, or one d1 = 0 on "d1-zero"; so n**2, n(n+1)/2 and n(n+1)(2n+1)/6 points
+        n = int(round(min(max_sum / step, MAX_SCAN_POINTS))) + 1
+        points = (n * n if region == "d-zero" else n * (n + 1) // 2 if region == "d1-zero"
+                  else n * (n + 1) * (2 * n + 1) // 6)
+        if points > MAX_SCAN_POINTS:
+            raise ValueError(f"step {step!r} and max_sum {max_sum!r} give {points} grid"
+                             f" points, over the cap of {MAX_SCAN_POINTS}")
+        spreads = [(k * step, 2.0 * math.cosh(k * step)) for k in range(n)]
 
         def grid():
-            for a, nb, nc in rows:
-                d = a * step
+            for a in range(1 if region == "d-zero" else n):
+                d, nc = a * step, n - a
                 ea, eb = math.exp(-d), math.exp(d)
-                for d1, x1 in spreads[:nb]:
+                for d1, x1 in spreads[:1 if region == "d1-zero" else nc]:
                     for d2, x2 in spreads[:nc]:
                         yield d, d1, d2, _tilted_minor(x1, x2, ea, eb)
 
@@ -555,6 +553,9 @@ def scan_unsliced(
     checked = 0
     best = None
     for d, d1, d2, g in walk:
+        if not math.isfinite(g):
+            raise ValueError(f"the tilted minor at d={d!r}, d1={d1!r}, d2={d2!r} is {g!r},"
+                             " not a finite number")
         checked += 1
         if best is None or g < best[3]:
             best = (d, d1, d2, g)
@@ -571,10 +572,8 @@ def scan_unsliced(
     return witnesses, summary
 
 
-def write_witness_csv(path, witnesses) -> None:
-    """Witness rows as CSV with a fixed d,d1,d2,G header."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["d", "d1", "d2", "G"])
-        for d, d1, d2, g in witnesses:
-            writer.writerow([repr(float(d)), repr(float(d1)), repr(float(d2)), repr(float(g))])
+def witness_csv(witnesses) -> str:
+    """Witness rows as CSV text under a fixed d,d1,d2,G header, one CRLF-ended
+    line per row, as csv.writer lays them out."""
+    rows = [["d", "d1", "d2", "G"], *([repr(float(x)) for x in w] for w in witnesses)]
+    return "".join(",".join(row) + "\r\n" for row in rows)

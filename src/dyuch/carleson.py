@@ -380,37 +380,60 @@ def bellman_chain_slacks(f: DyadicAnalytic, mu: DiscreteMeasure) -> dict:
     return gaps
 
 
+def _spread(depth: int, mass, split):
+    """(nodes, masses) rows of a balanced measure spread top down from mass at the root.
+
+    split(r, j, m) gives (own, x-, x+, y-, y+): what internal node (r, j)
+    keeps of the m it gets, and what its quarters 4j + 2, 4j + 3, 4j and
+    4j + 1 one level down get.  It is called only on internal nodes with
+    positive mass, depth first in x-, x+, y-, y+ order, which is also the
+    support order of the rows; quarters that get nothing are skipped, and
+    bottom nodes keep all they get.
+    """
+    nodes, masses, stack = [], [], [(0, 0, mass)]
+    while stack:
+        r, j, m = stack.pop()
+        if m <= 0:  # a node that gets nothing
+            continue
+        take = m  # bottom nodes keep all they get
+        if r < depth:
+            take, xm, xp, ym, yp = split(r, j, m)
+            q, k = r + 2, 4 * j
+            # pushed last to first, so x- is walked first
+            stack += (q, k + 1, yp), (q, k, ym), (q, k + 3, xp), (q, k + 2, xm)
+        if take > 0:
+            nodes.append((r, j))
+            masses.append(take)
+    return nodes, masses
+
+
 def random_balanced_measure(rng, depth: int, root: DyadicInterval | None = None) -> DiscreteMeasure:
     """Random balanced measure with exact rational masses.
 
-    Splits mass top down, depth first in x-, x+, y-, y+ order: a node keeps
-    own/256 of what it gets, and each half of the rest goes ax : 256 - ax (or
-    ay : 256 - ay) to its quarters, so the balance residual is exactly zero.
-    Masses are integer numerators over one power-of-two denominator, on which
-    every split is an exact shift.  A node gets its subtree mass, so the walk
-    knows the packing intensity, and the rescale capping it at one is folded
-    into the denominator.
+    Spreads mass with _spread: a node keeps own/256 of what it gets, and each
+    half of the rest goes ax : 256 - ax (or ay : 256 - ay) to its quarters,
+    so the balance residual is exactly zero.  Masses are integer numerators
+    over one power-of-two denominator, so every split is an exact shift.  A
+    node gets its subtree mass, so the split sees the packing intensity; the
+    rescale capping it at one is folded into the denominator.
     """
     root = root if root is not None else unit_root()
     if depth < 0 or depth % 2:
         raise ValueError(f"depth must be even and nonnegative, got {depth}")
     draw, shift = rng.getrandbits, 17 * (depth // 2)  # each level splits off 17 bits
-    nodes, nums, peak = [], [], 0  # peak: the largest subtree numerator times 2**r
-    stack, den = [(0, 0, draw(8) + 1 << shift)], 1 << 8 + shift
-    while stack:
-        r, j, n = stack.pop()
-        peak, take = max(peak, n << r), n  # bottom nodes keep all they get
-        if r < depth:
-            own, ax, ay = draw(8), draw(8), draw(8)
-            take = own * n >> 8
-            half, k = n - take >> 1, 4 * j
-            x, y = ax * half >> 8, ay * half >> 8
-            # pushed last to first, so x- is walked first; empty quarters draw nothing
-            kids = (k + 1, half - y), (k, y), (k + 3, half - x), (k + 2, x)
-            stack += [(r + 2, i, m) for i, m in kids if m]
-        if take:
-            nodes.append((r, j))
-            nums.append(take)
+    peak = 0  # the largest subtree numerator times 2**r
+
+    def split(r, j, n):  # draws own, ax and ay in turn
+        nonlocal peak
+        peak = max(peak, n << r)
+        take = draw(8) * n >> 8
+        half = n - take >> 1
+        x, y = draw(8) * half >> 8, draw(8) * half >> 8
+        return take, x, half - x, y, half - y
+
+    nodes, nums = _spread(depth, draw(8) + 1 << shift, split)
+    peak = max([peak] + [n << depth for (r, _), n in zip(nodes, nums) if r == depth])
+    den = 1 << 8 + shift
     top, bottom = _scaled(peak, den, root.level)  # the packing intensity top / bottom
     if top > bottom:  # each mass m / den becomes m * bottom / (den * top); bottom / den is an int
         nums, den = [m * (bottom // den) for m in nums], top

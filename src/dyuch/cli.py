@@ -91,8 +91,9 @@ def _dump(obj) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
+    # newline="": the file holds text's own line ends, on every platform
     try:
-        with open(path, "w") as fh:
+        with open(path, "w", newline="") as fh:
             fh.write(text)
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc}") from exc
@@ -169,7 +170,7 @@ def _cmd_scan_unsliced(args) -> dict:
     witnesses, scan = bellman.scan_unsliced(region=args.region, step=args.step,
                                             max_sum=args.max_sum, threshold=args.threshold)
     if args.csv:
-        bellman.write_witness_csv(args.csv, witnesses)
+        _write_text(args.csv, bellman.witness_csv(witnesses))
     violations = []
     if args.region == "d-zero":
         if witnesses:

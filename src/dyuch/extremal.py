@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .dyadic import DEFAULT_TOL, _sum_pyramid, unit_root
 from .martingale import DyadicAnalytic, _rotated_leaves, _sliced_from_increments, _sliced_leaves, s0
-from .carleson import DiscreteMeasure, _subtree_sums, embedding_slack, embedding_sum
+from .carleson import DiscreteMeasure, _spread, _subtree_sums, embedding_slack, embedding_sum
 
 E = math.e
 
@@ -131,43 +131,28 @@ def _pair_from_state(state: dict) -> DyadicAnalytic:
     return DyadicAnalytic(u, s0(u).shift(state["v0"]), validate=False)
 
 
-def _split_masses(depth: int, total, split):
-    """(nodes, masses) of the balanced measure spread top down from a total
-    mass at the root, for the DiscreteMeasure constructor: split(r, j) gives
-    (own, ax, ay), and node (r, j) keeps own of its mass and passes each half
-    of the rest on, ax : 1 - ax to x- and x+ and ay : 1 - ay to y- and y+.
-    Bottom nodes keep all they get.  split is called only for nodes with
-    positive mass, depth first in x-, x+, y-, y+ order, which is also the
-    support order of the masses."""
-    nodes, masses = [], []
+def _state_masses(state: dict):
+    """(nodes, masses) of a state's measure: a unit root mass spread with
+    _spread, node (r, j) keeping own of it and passing each half of the rest
+    on ax : 1 - ax and ay : 1 - ay for (own, ax, ay) = meas[r // 2][j], then
+    rescaled to unit packing intensity."""
+    meas, depth = state["meas"], 2 * len(state["meas"])
 
-    def spread(r, j, mass):
-        if mass <= 0:
-            return
-        if r == depth:
-            nodes.append((r, j))
-            masses.append(mass)
-            return
-        own, ax, ay = split(r, j)
-        take = own * mass
-        if take > 0:
-            nodes.append((r, j))
-            masses.append(take)
-        half = (mass - take) / 2
-        spread(r + 2, 4 * j + 2, ax * half)
-        spread(r + 2, 4 * j + 3, (1 - ax) * half)
-        spread(r + 2, 4 * j, ay * half)
-        spread(r + 2, 4 * j + 1, (1 - ay) * half)
+    def split(r, j, m):
+        own, ax, ay = meas[r // 2][j]
+        take = own * m
+        half = (m - take) / 2
+        return take, ax * half, (1 - ax) * half, ay * half, (1 - ay) * half
 
-    spread(0, 0, total)
-    return nodes, masses
+    nodes, masses = _spread(depth, 1.0, split)
+    sums = _subtree_sums(zip(nodes, masses), depth)
+    # the packing intensity, as DiscreteMeasure computes it; the root's unit mass makes it positive
+    c = 1.0 / max(max(level.values()) * (1 << 2 * k) for k, level in enumerate(sums) if level)
+    return nodes, [c * m for m in masses]
 
 
 def _measure_from_state(state: dict) -> DiscreteMeasure:
-    meas, depth = state["meas"], 2 * len(state["meas"])
-    masses = _split_masses(depth, 1.0, lambda r, j: meas[r // 2][j])
-    mu = DiscreteMeasure(unit_root(), depth, *masses)
-    return mu.scale(1.0 / mu.packing_intensity())  # the root's unit mass makes it positive
+    return DiscreteMeasure(unit_root(), 2 * len(state["meas"]), *_state_masses(state))
 
 
 def _evaluate_state(state: dict) -> float:
@@ -187,15 +172,10 @@ def _evaluate_state(state: dict) -> float:
     if norm2 < 1e-15:
         return -math.inf
     vpyr = _sum_pyramid(v, False)
-    meas = state["meas"]
-    nodes, masses = _split_masses(depth, 1.0, lambda r, j: meas[r // 2][j])
-    sums = _subtree_sums(zip(nodes, masses), depth)
-    # the measure is rescaled to unit packing; only its own masses c * m enter
-    c = 1.0 / max(max(level.values()) * (1 << 2 * k) for k, level in enumerate(sums) if level)
     total = 0.0
-    for (r, j), m in zip(nodes, masses):
+    for (r, j), m in zip(*_state_masses(state)):
         a, b = upyr[r][j], vpyr[r][j]
-        total += c * m * (a * a + b * b)
+        total += m * (a * a + b * b)
     return total / norm2
 
 

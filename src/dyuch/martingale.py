@@ -34,21 +34,17 @@ class SlicingViolation(ValueError):
         super().__init__(f"half averages differ by {float(residual):.6g} at {interval.id}")
 
 
-def _half_gaps(pc: PiecewiseConstant):
-    """(k, j, |difference of the half sums|, den) at every 4-adic node, top
-    down; the gap between the half averages is the difference over den."""
-    pyr = pc.pyramid()
+def _first_violation(pc: PiecewiseConstant):
+    """(node, gap) at the first 4-adic node, top down, whose half averages
+    differ by more than the mode's slack, or None; the gap is the difference
+    of the half sums over their denominator."""
+    tol, pyr = mode_tol(pc.exact), pc.pyramid()
     for k in range(0, pc.depth, 2):
         row, den = pyr[k + 1], pc.den_at(k + 1)
         for j in range(1 << k):
-            yield k, j, abs(row[2 * j + 1] - row[2 * j]), den
-
-
-def _first_violation(pc: PiecewiseConstant):
-    tol = mode_tol(pc.exact)
-    for k, j, diff, den in _half_gaps(pc):
-        if diff > tol * den:
-            return pc.root.descendant(k, j), ratio(diff, den, pc.exact)
+            diff = abs(row[2 * j + 1] - row[2 * j])
+            if diff > tol * den:
+                return pc.root.descendant(k, j), ratio(diff, den, pc.exact)
     return None
 
 

@@ -26,7 +26,7 @@ from dyuch.bellman import (
     unsliced_form_matrix,
     unsliced_third_minor,
     verify_sliced_psd,
-    write_witness_csv,
+    witness_csv,
 )
 
 E = math.e
@@ -509,7 +509,9 @@ class TestPsdSlices:
         for got, want in zip(grid, _boundary_grid()):
             assert np.array_equal(got, want)
 
-    def test_peak_memory_does_not_grow_with_samples(self):
+    def test_peak_memory_does_not_grow_with_samples(self, monkeypatch):
+        # one CPU: tracemalloc sees only this process, so every slice is checked here
+        _use_cpus(monkeypatch, 1)
         verify_sliced_psd(samples=50_000, boundary=False)  # warm-up
         peaks = []
         for samples in (50_000, 400_000):
@@ -526,6 +528,11 @@ class TestPsdSlices:
     def test_nothing_checked_raises(self, samples, boundary):
         with pytest.raises(ValueError, match="--samples"):
             verify_sliced_psd(samples=samples, boundary=boundary)
+
+    def test_negative_seed_raises(self):
+        # numpy's own error would not name the option
+        with pytest.raises(ValueError, match="--seed must be a nonnegative integer, got -1"):
+            verify_sliced_psd(samples=10, seed=-1)
 
     def test_nan_in_a_later_slice_sticks(self, monkeypatch):
         # a NaN 3x3 minor in the second slice reaches min_minor and the failure count
@@ -952,6 +959,17 @@ class TestScan:
         points = [w[:3] for w in walked]
         assert scan_unsliced(triples=points, threshold=1e308)[0] == walked
 
+    @pytest.mark.parametrize("region, point", [("sweep", "d=0.0, d1=700.0, d2=700.0"),
+                                               ("d-zero", "d=0.0, d1=700.0, d2=700.0"),
+                                               ("d1-zero", "d=700.0, d1=0.0, d2=0.0")])
+    def test_non_finite_minor_raises(self, region, point):
+        with pytest.raises(ValueError, match=f"tilted minor at {point} is inf"):
+            scan_unsliced(region=region, step=700.0, max_sum=700.0)
+
+    def test_non_finite_explicit_minor_raises(self):
+        with pytest.raises(ValueError, match="not a finite number"):
+            scan_unsliced(triples=[(0.0, 0.1, 0.2), (0.0, 700.0, 700.0)])
+
     def test_unknown_region(self):
         with pytest.raises(ValueError):
             scan_unsliced(region="everywhere")
@@ -959,7 +977,7 @@ class TestScan:
     def test_csv_roundtrip(self, tmp_path):
         witnesses, _ = scan_unsliced()
         path = tmp_path / "w.csv"
-        write_witness_csv(path, witnesses)
+        path.write_bytes(witness_csv(witnesses).encode())
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["d", "d1", "d2", "G"]

@@ -9,6 +9,7 @@ import pytest
 
 from dyuch.carleson import (
     DiscreteMeasure,
+    _spread,
     _subtree_sums,
     bellman_chain_slacks,
     embedding_slack,
@@ -211,6 +212,61 @@ class TestSubtreeSums:
         assert [list(level.items()) for level in got] == \
             [list(level.items()) for level in self.naive(own, depth)]
         assert got[0] == {0: sum(m for _, m in own)}
+
+
+class TestSpread:
+    """_spread is the one split walk; the generator and the search both pass it a split."""
+
+    @staticmethod
+    def preorder(depth):
+        # every node, depth first, quarters in x-, x+, y-, y+ order
+        def walk(r, j):
+            yield r, j
+            if r < depth:
+                for q in (2, 3, 0, 1):
+                    yield from walk(r + 2, 4 * j + q)
+        return list(walk(0, 0))
+
+    @pytest.mark.parametrize("depth", [0, 2, 4, 6])
+    def test_split_contract(self, depth):
+        rng = random.Random(90 + depth)
+        order = {node: t for t, node in enumerate(self.preorder(depth))}
+        # (own, x-, x+, y-, y+) per node, each part zero a third of the time
+        table = {node: tuple(rng.choice((0, rng.randint(1, 99), rng.randint(1, 99)))
+                             for _ in range(5)) for node in order}
+        calls, want_calls, want_rows = [], [], []
+
+        def split(r, j, m):
+            calls.append((r, j, m))
+            return table[r, j]
+
+        def reference(r, j, m):
+            if m <= 0:
+                return
+            if r == depth:
+                want_rows.append(((r, j), m))
+                return
+            want_calls.append((r, j, m))
+            own, *kids = table[r, j]
+            if own > 0:
+                want_rows.append(((r, j), own))
+            for q, kid in zip((2, 3, 0, 1), kids):
+                reference(r + 2, 4 * j + q, kid)
+
+        nodes, masses = _spread(depth, 7, split)
+        reference(0, 0, 7)
+        assert calls == want_calls and list(zip(nodes, masses)) == want_rows
+        # split sees internal nodes with mass only; the rows come in support order
+        assert all(r < depth and m > 0 for r, _, m in calls)
+        assert [order[n] for n in nodes] == sorted(order[n] for n in nodes)
+        if depth:  # the walk met quarters that got nothing, and bottom nodes with mass
+            assert any(0 in table[r, j][1:] for r, j, _ in calls)
+            assert any(r == depth for r, _ in nodes)
+
+    def test_no_mass_no_call(self):
+        def split(r, j, m):
+            raise AssertionError("split called")
+        assert _spread(4, 0, split) == ([], [])
 
 
 class TestMeasureJson:

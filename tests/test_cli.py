@@ -97,6 +97,14 @@ class TestVerifyBellman:
         assert "--samples" in err
         assert not out_path.exists()
 
+    def test_negative_seed_is_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "rep.json"
+        code, out, err = run(capsys, "verify-bellman", "--seed", "-1", "--out", str(out_path))
+        assert code == 2
+        assert "result:" not in out
+        assert "--seed" in err
+        assert not out_path.exists()
+
     def test_boundary_grid_alone_is_checked(self, capsys):
         code, out, _ = run(capsys, "verify-bellman", "--samples", "0")
         assert code == 0
@@ -871,6 +879,24 @@ class TestScanUnslicedChecksSomething:
         assert "over the cap" in err and str(bellman.MAX_SCAN_POINTS) in err
         assert "overflow" not in err
         assert not (tmp_path / "w.csv").exists()
+
+    @pytest.mark.parametrize("region", ["sweep", "d-zero", "d1-zero"])
+    def test_non_finite_minor_is_usage_error(self, capsys, tmp_path, region):
+        # 2 cosh(700) and exp(700) are finite, but the minor overflows to inf, which the
+        # scan used to count and leave out of its minimum and witnesses (d-zero passed)
+        code, out, err = run(capsys, "scan-unsliced", "--region", region, "--step", "700",
+                             "--max-sum", "700", "--csv", str(tmp_path / "w.csv"))
+        assert code == 2
+        assert "result:" not in out
+        assert "tilted minor at d=" in err and "not a finite number" in err
+        assert not (tmp_path / "w.csv").exists()
+
+    def test_unwritable_csv_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "w.csv"
+        code, out, err = run(capsys, "scan-unsliced", "--csv", str(path))
+        assert code == 2
+        assert "result:" not in out
+        assert err.startswith(f"error: cannot write {path}: ")
 
     def test_no_csv_unless_asked(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
