@@ -34,7 +34,7 @@ _EXPORTS = {
     "kernel": (
         "KernelRep", "kernel_norm2", "normalized_testing_value", "reproducing_kernel",
         "testing_constant", "testing_embedding_slack", "testing_scan", "testing_sum",
-        "testing_to_packing", "truncation_tail_bound",
+        "testing_to_packing",
     ),
     "extremal": ("Configuration", "search"),
 }

@@ -156,7 +156,7 @@ def dynamics_gap(F, r, i, M, dxr, dyr, d1, d2, mu, F_parts) -> float:
     children second moments in the order (x-, x+, y-, y+).  The pair moves
     by the conjugate rule: a jump dxr in r across the x pair forces the jump
     dyr in i with opposite orientation, and vice versa across the y pair
-    (see kids below).  The state must lie in the domain, up to STEP_TOL, and
+    (see _children).  The state must lie in the domain, up to STEP_TOL, and
     F_parts average to F; the children may leave the domain.  At mu = 0 the
     gap is the midpoint concavity surplus, nonnegative always.
     """
@@ -172,16 +172,16 @@ def dynamics_gap(F, r, i, M, dxr, dyr, d1, d2, mu, F_parts) -> float:
     if abs((0 + fxm + fxp + fym + fyp) / 4 - F) > max(STEP_TOL, 1e-9 * abs(F)):
         raise ValueError("children second moments must average to the parent F")
     mean = M - mu
-    kids = (
-        (fxm, r - dxr, i + dyr, mean - d1),
-        (fxp, r + dxr, i - dyr, mean + d1),
-        (fym, r - dyr, i - dxr, mean - d2),
-        (fyp, r + dyr, i + dxr, mean + d2),
-    )
     total = 0
-    for fc, a, b, mc in kids:
-        total += E * fc - math.exp(1.0 - mc) * (a * a + b * b)
-    return E * F - math.exp(1.0 - M) * mod2 - total / 4 - mu * mod2
+    for fc, (a, b), mc in zip(F_parts, _children(r, i, dxr, dyr),
+                              (mean - d1, mean + d1, mean - d2, mean + d2)):
+        total += bellman_value(fc, a, b, mc)
+    return bellman_value(F, r, i, M) - total / 4 - mu * mod2
+
+
+def _children(r, i, dx, dy):
+    """Pair values (x-, x+, y-, y+) of a node's children by the conjugate rule."""
+    return (r - dx, i + dy), (r + dx, i - dy), (r - dy, i - dx), (r + dy, i + dx)
 
 
 def unsliced_form_matrix(d, d1, d2) -> np.ndarray:
@@ -264,9 +264,13 @@ def unsliced_third_minor(d: float, d1: float, d2: float) -> float:
     """Upper-left 3x3 minor of the tilted form, in units of (exp(-M)/4)**3.
 
     Factors as (sig - 4) * F; the second factor dips below zero off the
-    d = 0 slice, so the tilted form admits genuine counterexamples.
+    d = 0 slice, so the tilted form admits genuine counterexamples.  Raises
+    ValueError naming the point when 2 cosh or exp overflows a float there.
     """
-    return _tilted_minor(2.0 * math.cosh(d1), 2.0 * math.cosh(d2), math.exp(-d), math.exp(d))
+    try:
+        return _tilted_minor(2.0 * math.cosh(d1), 2.0 * math.cosh(d2), math.exp(-d), math.exp(d))
+    except OverflowError:
+        raise ValueError(f"2 cosh or exp overflows at d={d!r}, d1={d1!r}, d2={d2!r}") from None
 
 
 def _tilted_minor(x1: float, x2: float, a: float, b: float) -> float:
@@ -298,14 +302,8 @@ def laplacian_step_gap(
     target = m_parent + mu_over_len
     if abs((mxm + mxp) / 2 - target) > STEP_TOL or abs((mym + myp) / 2 - target) > STEP_TOL:
         raise ValueError("children weight pairs must average to parent + density")
-    kids = (
-        (mxm, u - dxu, v + dyu),
-        (mxp, u + dxu, v - dyu),
-        (mym, u - dyu, v - dxu),
-        (myp, u + dyu, v + dxu),
-    )
     acc = 0.0
-    for m_c, a, b in kids:
+    for m_c, (a, b) in zip((mxm, mxp, mym, myp), _children(u, v, dxu, dyu)):
         acc += math.exp(m_c) * (a * a + b * b)
     return acc / 4.0 - math.exp(m_parent) * (u * u + v * v) * (1.0 + mu_over_len)
 
@@ -536,6 +534,9 @@ def scan_unsliced(
         if points > MAX_SCAN_POINTS:
             raise ValueError(f"step {step!r} and max_sum {max_sum!r} give {points} grid"
                              f" points, over the cap of {MAX_SCAN_POINTS}")
+        top = (n - 1) * step  # 2 cosh and exp grow: the largest spread or tilt overflows first
+        for corner in ((0.0, 0.0, top), (0.0 if region == "d-zero" else top, 0.0, 0.0)):
+            unsliced_third_minor(*corner)  # raises naming the corner where one overflows
         spreads = [(k * step, 2.0 * math.cosh(k * step)) for k in range(n)]
 
         def grid():
@@ -549,9 +550,7 @@ def scan_unsliced(
         walk = grid()
     else:
         walk = ((d, d1, d2, unsliced_third_minor(d, d1, d2)) for d, d1, d2 in triples)
-    witnesses = []
-    checked = 0
-    best = None
+    witnesses, checked, best = [], 0, None
     for d, d1, d2, g in walk:
         if not math.isfinite(g):
             raise ValueError(f"the tilted minor at d={d!r}, d1={d1!r}, d2={d2!r} is {g!r},"
@@ -562,14 +561,13 @@ def scan_unsliced(
         if g < threshold:
             witnesses.append((d, d1, d2, g))
     witnesses.sort(key=lambda w: w[3])
-    summary = {
+    return witnesses, {
         "region": "explicit" if explicit else region,
         "checked": checked,
         "witnesses": len(witnesses),
         "min_value": best[3] if best else 0.0,
         "argmin": list(best[:3]) if best else None,
     }
-    return witnesses, summary
 
 
 def witness_csv(witnesses) -> str:

@@ -32,8 +32,7 @@ from .dyadic import (
 )
 from .martingale import DyadicAnalytic, _jump_rows
 from . import bellman
-
-E = math.e
+from .bellman import E
 
 
 def _scaled(num, den, level):

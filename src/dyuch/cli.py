@@ -149,12 +149,7 @@ def _cmd_verify_bellman(args) -> dict:
         violations.append(f"harvest surplus dipped to {min_deriv!r}")
 
     summary = {
-        "samples": psd.samples,
-        "min_minor": psd.min_minor,
-        "min_eigenvalue": psd.min_eigenvalue,
-        "max_third_minor_error": psd.max_third_minor_error,
-        "max_det_error": psd.max_det_error,
-        "closed_form_failures": psd.closed_form_failures,
+        **vars(psd),
         "profile_size_residual": res.size,
         "profile_derivative_residual": res.derivative,
         "profile_log_convexity_residual": res.log_convexity,
@@ -304,7 +299,7 @@ def _cmd_kernel(args) -> dict:
         "coefficients": 2 * len(k.real_coeffs),
         "norm2": float(norms.value),
         "norm2_limit": float(norms.limit),
-        "truncation_tail": float(kernel.truncation_tail_bound(I, args.height)),
+        "truncation_tail": float(norms.limit - norms.value),
     }
     if args.evaluate:
         z = k.evaluate(interval_from_id(args.evaluate, base, anc))

@@ -11,11 +11,10 @@ import math
 import random
 from dataclasses import dataclass
 
+from .bellman import E
 from .dyadic import DEFAULT_TOL, _sum_pyramid, unit_root
 from .martingale import DyadicAnalytic, _rotated_leaves, _sliced_from_increments, _sliced_leaves, s0
 from .carleson import DiscreteMeasure, _spread, _subtree_sums, embedding_slack, embedding_sum
-
-E = math.e
 
 SLACK_TOL = 1e-9
 MAX_SEARCH_BUDGET = 100_000  # cap on search's budget and restarts, the knobs that set its work

@@ -24,16 +24,15 @@ O(N * depth)) in which each node extends its parent's walk by one level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 from .dyadic import UNIT, DyadicInterval, haar_inner_indicator
 from .martingale import DyadicAnalytic
+from .bellman import E
 from .carleson import DiscreteMeasure, embedding_sum
-
-E = math.e
 
 
 class KernelNorm(NamedTuple):
@@ -90,24 +89,18 @@ def reproducing_kernel(I: DyadicInterval, height: int) -> KernelRep:
 def kernel_norm2(I: DyadicInterval, height: int) -> KernelNorm:
     """Squared norm of the mean-free kernel part, with its full-height limit.
 
-    Exact geometric value (1 - 4**-height) / (3 |I|); the limit 1 / (3 |I|)
-    is what an untruncated ancestor tower would give.  Pure arithmetic, no
-    availability requirement.
+    Exact geometric value (1 - 4**-height) / (3 |I|); the limit 1 / (3 |I|) of an
+    untruncated ancestor tower exceeds it by the norm lost to the truncation.
+    Pure arithmetic, no availability requirement.
     """
     limit = Fraction(1, 3) / I.length
     value = limit * (1 - Fraction(1, 4) ** height)
     return KernelNorm(value, limit)
 
 
-def truncation_tail_bound(I: DyadicInterval, height: int) -> Fraction:
-    """Exact squared norm lost to truncating the ancestor tower."""
-    norms = kernel_norm2(I, height)
-    return norms.limit - norms.value
-
-
 @lru_cache(maxsize=None)
 def _full_height_kernel(I: DyadicInterval) -> KernelRep:
-    return reproducing_kernel(I, (I.level - I.root_level) // 2)
+    return replace(reproducing_kernel(I, (I.level - I.root_level) // 2), constant=0.0)
 
 
 @lru_cache(maxsize=None)
@@ -125,13 +118,8 @@ def normalized_testing_value(I: DyadicInterval, K: DyadicInterval) -> float:
     limit = Fraction(1, 3) / I.length
     if I.contains(K):
         return float(limit)
-    k = _full_height_kernel(I)
-    re = im = 0.0
-    for J, c in k.real_coeffs.items():
-        re += c * haar_inner_indicator(K, J)
-    for J, c in k.imag_coeffs.items():
-        im += c * haar_inner_indicator(K, J)
-    return (re * re + im * im) / float(limit)
+    z = _full_height_kernel(I).evaluate(K)
+    return (z.real * z.real + z.imag * z.imag) / float(limit)
 
 
 def _quarter_paths(mu: DiscreteMeasure, node):

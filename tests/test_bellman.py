@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,8 @@ from dyuch.bellman import (
     verify_sliced_psd,
     witness_csv,
 )
+from dyuch.dyadic import unit_root, window_root
+from dyuch.martingale import random_analytic
 
 E = math.e
 
@@ -374,6 +377,25 @@ class TestLaplacianStep:
                 rng.uniform(-1, 1),
             )
             assert gap >= -1e-12
+
+
+class TestChildren:
+    @pytest.mark.parametrize("root", [unit_root(), window_root(1)], ids=["unit", "window-1"])
+    @pytest.mark.parametrize("depth", [2, 4, 6, 8])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_match_the_tree(self, root, depth, seed):
+        # at every internal 4-adic node of an exact conjugate pair, the children rule run
+        # on the node's averages and u's half jumps gives the averages of u and v over its
+        # grandchildren, x- and x+ the right pair, y- and y+ the left
+        f = random_analytic(random.Random(seed), depth, root)
+        avg = [[[Fraction(s, pc.den_at(r)) for s in row] for r, row in enumerate(pc.pyramid())]
+               for pc in (f.u, f.v)]
+        for r in range(0, depth, 2):
+            for j in range(1 << r):
+                below = [(avg[0][r + 2][4 * j + q], avg[1][r + 2][4 * j + q])
+                         for q in (2, 3, 0, 1)]
+                dx, dy = (below[1][0] - below[0][0]) / 2, (below[3][0] - below[2][0]) / 2
+                assert bellman._children(avg[0][r][j], avg[1][r][j], dx, dy) == tuple(below)
 
 
 def _passes(rep, tol=1e-9):
@@ -965,6 +987,24 @@ class TestScan:
     def test_non_finite_minor_raises(self, region, point):
         with pytest.raises(ValueError, match=f"tilted minor at {point} is inf"):
             scan_unsliced(region=region, step=700.0, max_sum=700.0)
+
+    @pytest.mark.parametrize("region, step, point", [
+        ("sweep", 800.0, "d=0.0, d1=0.0, d2=800.0"),  # 2 cosh of the largest spread
+        ("d-zero", 800.0, "d=0.0, d1=0.0, d2=800.0"),
+        ("d1-zero", 800.0, "d=0.0, d1=0.0, d2=800.0"),
+        ("sweep", 710.0, "d=710.0, d1=0.0, d2=0.0"),  # 2 cosh(710) is finite, exp(710) not
+        ("d1-zero", 710.0, "d=710.0, d1=0.0, d2=0.0"),
+    ])
+    def test_overflowing_grid_raises(self, region, step, point):
+        # used to escape as a bare OverflowError
+        with pytest.raises(ValueError, match=f"2 cosh or exp overflows at {point}$"):
+            scan_unsliced(region=region, step=step, max_sum=step)
+
+    def test_overflowing_explicit_point_raises(self):
+        with pytest.raises(ValueError, match="2 cosh or exp overflows at d=800.0, d1=0.0, d2=0.0$"):
+            scan_unsliced(triples=[(0.0, 0.1, 0.2), (800.0, 0.0, 0.0)])
+        with pytest.raises(ValueError, match="overflows at d=0.0, d1=-711.0, d2=0.5$"):
+            unsliced_third_minor(0.0, -711.0, 0.5)
 
     def test_non_finite_explicit_minor_raises(self):
         with pytest.raises(ValueError, match="not a finite number"):

@@ -891,6 +891,18 @@ class TestScanUnslicedChecksSomething:
         assert "tilted minor at d=" in err and "not a finite number" in err
         assert not (tmp_path / "w.csv").exists()
 
+    @pytest.mark.parametrize("step, point", [("800", "d=0.0, d1=0.0, d2=800.0"),
+                                             ("710", "d=710.0, d1=0.0, d2=0.0")])
+    def test_overflowing_grid_is_usage_error(self, capsys, tmp_path, step, point):
+        # 2 cosh(800) and exp(710) overflow a float; this used to exit 2 blaming the input
+        # with "input values overflow a float: math range error"
+        code, out, err = run(capsys, "scan-unsliced", "--step", step, "--max-sum", step,
+                             "--csv", str(tmp_path / "w.csv"))
+        assert code == 2
+        assert "result:" not in out
+        assert err == f"error: 2 cosh or exp overflows at {point}\n"
+        assert not (tmp_path / "w.csv").exists()
+
     def test_unwritable_csv_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "missing" / "w.csv"
         code, out, err = run(capsys, "scan-unsliced", "--csv", str(path))
@@ -1040,7 +1052,12 @@ class TestLayersOffTheImportPath:
         assert loaded_after("import dyuch", cwd=tmp_path)[1] == ["dyuch"]
 
     def test_import_cli(self, tmp_path):
-        assert loaded_after("import dyuch.cli", cwd=tmp_path)[1] == self.BASE
+        # nor these modules, each of which would add to every command's start-up time
+        slow = ("dataclasses", "inspect", "fractions", "numpy")
+        child, loaded = loaded_after(
+            f"import dyuch.cli\nprint([m for m in {slow!r} if m in sys.modules])", cwd=tmp_path)
+        assert loaded == self.BASE
+        assert child.stdout == "[]\n"
 
     @pytest.mark.parametrize("argv, layers", [
         (["scan-unsliced"], BELLMAN),

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -16,7 +17,6 @@ from dyuch.kernel import (
     kernel_norm2,
     normalized_testing_value,
     reproducing_kernel,
-    truncation_tail_bound,
 )
 from dyuch.martingale import (
     DyadicAnalytic,
@@ -112,8 +112,10 @@ class TestKernelNorm:
         assert kernel_norm2(unit_root(), 0).value == 0
 
     def test_tail_bound(self):
-        assert truncation_tail_bound(unit_root(), 2) == Fraction(1, 3) / 16
-        assert truncation_tail_bound(unit_root(), 0) == Fraction(1, 3)
+        # the squared norm lost to truncating the ancestor tower
+        for height, tail in ((2, Fraction(1, 3) / 16), (0, Fraction(1, 3))):
+            n = kernel_norm2(unit_root(), height)
+            assert n.limit - n.value == tail
 
     def test_matches_coefficient_mass(self):
         rng = random.Random(60)
@@ -214,6 +216,17 @@ class TestTestingValues:
             fluct = complex(z.real - k.constant, z.imag)
             want = abs(fluct) ** 2 * 3.0 * float(I.length)
             assert normalized_testing_value(I, K) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("root, depth, pinned", [
+        (unit_root(), 4, "92f3baeac2d8d5ac600f659785cdd1e4c6f267894b8948c7be48b497bdae9cab"),
+        (window_root(1), 2, "38448e8c5a7d488cb941f07cb086632309cac435ded7ae332086112ce0f7179e"),
+    ], ids=["unit-depth-4", "window-1-depth-2"])
+    def test_pinned_bit_for_bit(self, root, depth, pinned):
+        # sha256 of repr of the values at every pair of 4-adic nodes, I outer and K inner,
+        # computed when the reference had its own copy of KernelRep.evaluate's Haar sum
+        nodes = four_adic_nodes(root, depth)
+        values = [normalized_testing_value(I, K) for I in nodes for K in nodes]
+        assert hashlib.sha256(repr(values).encode()).hexdigest() == pinned
 
     def test_rejects_odd_levels(self):
         with pytest.raises(ValueError):
