@@ -2,8 +2,8 @@
 balanced Carleson-type measures, and the sharp embedding constant e.
 
 Each layer module is imported on first use: `import dyuch` loads no layer,
-and a name below, or a layer module itself, is resolved from its module
-when it is first looked up (PEP 562), then kept in this module's globals.
+and a name below, or a layer module itself, is read from its module on each
+look-up (PEP 562); importing a layer binds the module here, no name is kept.
 """
 import importlib
 
@@ -49,8 +49,7 @@ def __getattr__(name):
         return importlib.import_module(f"{__name__}.{name}")
     if name not in _SOURCE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(__getattr__(_SOURCE[name]), name)
-    return value
+    return getattr(__getattr__(_SOURCE[name]), name)
 
 
 def __dir__():

@@ -67,8 +67,8 @@ def derivative_gap(r, i, M, mu) -> float:
 class BoundProfile:
     """Candidate bound profile in the mass variable on [0, 1].
 
-    grid must be increasing; values are the profile samples and constant the
-    claimed embedding constant the profile certifies.
+    grid must be increasing within [0, 1]; values are the profile samples and
+    constant the claimed embedding constant the profile certifies.
     """
 
     grid: list
@@ -86,9 +86,9 @@ class ProfileResiduals:
         return max(self.size, self.derivative, self.log_convexity)
 
 
-def exponential_profile(n: int = 201) -> BoundProfile:
-    """The sharp profile exp(1 - M) with its constant e."""
-    grid = [k / (n - 1) for k in range(n)]
+def exponential_profile() -> BoundProfile:
+    """The sharp profile exp(1 - M) with its constant e, on 201 grid points."""
+    grid = [k / 200 for k in range(201)]
     return BoundProfile(grid, [math.exp(1.0 - m) for m in grid], E)
 
 
@@ -107,6 +107,8 @@ def profile_residuals(profile: BoundProfile) -> ProfileResiduals:
         as_numerators(xs, f"profile {what}")  # raises on a non-finite or non-numeric entry
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("profile grid must be strictly increasing")
+    if grid[0] < 0 or grid[-1] > 1:
+        raise ValueError(f"profile grid must lie in [0, 1], got {grid[0]!r} to {grid[-1]!r}")
 
     size = 0.0
     for v in vals:
@@ -499,74 +501,64 @@ def scan_unsliced(
     step: float = 0.05,
     max_sum: float = 0.5,
     threshold: float = 0.0,
-    triples=None,
 ):
     """Grid scan of the tilted third minor, hunting sign changes.
 
-    Walks the window d, d1, d2 >= 0 with d + d1 and d + d2 at most max_sum,
-    or a supplied list of triples.  region "d-zero" pins the tilt to zero
-    (no witnesses exist there), "d1-zero" pins the first spread (the known
-    witnesses live there), "sweep" varies all three.  The grid needs a finite
-    step > 0 and a finite max_sum >= 0 giving at most MAX_SCAN_POINTS
-    points, counted in closed form before any is walked, and threshold must
-    be finite, so a scan never passes without checking.  A minor that is not
-    finite raises ValueError naming its point.  The grid is walked lazily,
-    one point at a time, with 2 cosh computed once per spread and exp(-+d)
-    once per tilt.  Returns the witness list sorted by minor value, most
-    negative first, and a summary table.
+    Walks the window d, d1, d2 >= 0 with d + d1 and d + d2 at most max_sum.
+    region "d-zero" pins the tilt to zero (no witnesses exist there),
+    "d1-zero" pins the first spread (the known witnesses live there),
+    "sweep" varies all three.  The grid needs a finite step > 0 and a
+    finite max_sum >= 0 giving at most MAX_SCAN_POINTS points, counted in
+    closed form before any is walked, and threshold must be finite, so a
+    scan never passes without checking.  A minor that is not finite raises
+    ValueError naming its point.  The grid is walked one point at a time,
+    with 2 cosh computed once per spread and exp(-+d) once per tilt.
+    Returns the witness list sorted by minor value, most negative first,
+    and a summary table.
     """
-    explicit = triples is not None
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold!r}")
-    if not explicit:
-        if region not in ("sweep", "d-zero", "d1-zero"):
-            raise ValueError(f"unknown region {region!r}")
-        if not 0 < step < math.inf:
-            raise ValueError(f"step must be finite and > 0, got {step!r}")
-        if not 0 <= max_sum < math.inf:
-            raise ValueError(f"max_sum must be finite and >= 0, got {max_sum!r}")
-        # n spreads per axis; the first row alone has n points, so a larger ratio (inf too) is
-        # over the cap.  Per tilt a, with d + d1, d + d2 <= max_sum: n - a spreads d2 and as
-        # many d1, or one d1 = 0 on "d1-zero"; so n**2, n(n+1)/2 and n(n+1)(2n+1)/6 points
-        n = int(round(min(max_sum / step, MAX_SCAN_POINTS))) + 1
-        points = (n * n if region == "d-zero" else n * (n + 1) // 2 if region == "d1-zero"
-                  else n * (n + 1) * (2 * n + 1) // 6)
-        if points > MAX_SCAN_POINTS:
-            raise ValueError(f"step {step!r} and max_sum {max_sum!r} give {points} grid"
-                             f" points, over the cap of {MAX_SCAN_POINTS}")
-        top = (n - 1) * step  # 2 cosh and exp grow: the largest spread or tilt overflows first
-        for corner in ((0.0, 0.0, top), (0.0 if region == "d-zero" else top, 0.0, 0.0)):
-            unsliced_third_minor(*corner)  # raises naming the corner where one overflows
-        spreads = [(k * step, 2.0 * math.cosh(k * step)) for k in range(n)]
-
-        def grid():
-            for a in range(1 if region == "d-zero" else n):
-                d, nc = a * step, n - a
-                ea, eb = math.exp(-d), math.exp(d)
-                for d1, x1 in spreads[:1 if region == "d1-zero" else nc]:
-                    for d2, x2 in spreads[:nc]:
-                        yield d, d1, d2, _tilted_minor(x1, x2, ea, eb)
-
-        walk = grid()
-    else:
-        walk = ((d, d1, d2, unsliced_third_minor(d, d1, d2)) for d, d1, d2 in triples)
+    if region not in ("sweep", "d-zero", "d1-zero"):
+        raise ValueError(f"unknown region {region!r}")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be finite and > 0, got {step!r}")
+    if not 0 <= max_sum < math.inf:
+        raise ValueError(f"max_sum must be finite and >= 0, got {max_sum!r}")
+    # n spreads per axis; the first row alone has n points, so a larger ratio (inf too) is
+    # over the cap.  Per tilt a, with d + d1, d + d2 <= max_sum: n - a spreads d2 and as
+    # many d1, or one d1 = 0 on "d1-zero"; so n**2, n(n+1)/2 and n(n+1)(2n+1)/6 points
+    n = int(round(min(max_sum / step, MAX_SCAN_POINTS))) + 1
+    points = (n * n if region == "d-zero" else n * (n + 1) // 2 if region == "d1-zero"
+              else n * (n + 1) * (2 * n + 1) // 6)
+    if points > MAX_SCAN_POINTS:
+        raise ValueError(f"step {step!r} and max_sum {max_sum!r} give {points} grid"
+                         f" points, over the cap of {MAX_SCAN_POINTS}")
+    top = (n - 1) * step  # 2 cosh and exp grow: the largest spread or tilt overflows first
+    for corner in ((0.0, 0.0, top), (0.0 if region == "d-zero" else top, 0.0, 0.0)):
+        unsliced_third_minor(*corner)  # raises naming the corner where one overflows
+    spreads = [(k * step, 2.0 * math.cosh(k * step)) for k in range(n)]
     witnesses, checked, best = [], 0, None
-    for d, d1, d2, g in walk:
-        if not math.isfinite(g):
-            raise ValueError(f"the tilted minor at d={d!r}, d1={d1!r}, d2={d2!r} is {g!r},"
-                             " not a finite number")
-        checked += 1
-        if best is None or g < best[3]:
-            best = (d, d1, d2, g)
-        if g < threshold:
-            witnesses.append((d, d1, d2, g))
+    for a in range(1 if region == "d-zero" else n):
+        d, nc = a * step, n - a
+        ea, eb = math.exp(-d), math.exp(d)
+        for d1, x1 in spreads[:1 if region == "d1-zero" else nc]:
+            for d2, x2 in spreads[:nc]:
+                g = _tilted_minor(x1, x2, ea, eb)
+                if not math.isfinite(g):
+                    raise ValueError(f"the tilted minor at d={d!r}, d1={d1!r}, d2={d2!r} is"
+                                     f" {g!r}, not a finite number")
+                checked += 1
+                if best is None or g < best[3]:
+                    best = (d, d1, d2, g)
+                if g < threshold:
+                    witnesses.append((d, d1, d2, g))
     witnesses.sort(key=lambda w: w[3])
     return witnesses, {
-        "region": "explicit" if explicit else region,
+        "region": region,
         "checked": checked,
         "witnesses": len(witnesses),
-        "min_value": best[3] if best else 0.0,
-        "argmin": list(best[:3]) if best else None,
+        "min_value": best[3],
+        "argmin": list(best[:3]),
     }
 
 

@@ -285,8 +285,7 @@ class PiecewiseConstant:
     whole tree to finite doubles over 1.  Values leave as Fractions or floats.
     """
 
-    __slots__ = ("nums", "den", "depth", "root", "exact", "_leaves", "_pyramid", "_floats",
-                 "_norm2")
+    __slots__ = ("nums", "den", "depth", "root", "exact", "_pyramid", "_floats", "_norm2")
 
     def __init__(self, leaves, root: DyadicInterval | None = None):
         self._set(leaves, 1, root)
@@ -311,7 +310,7 @@ class PiecewiseConstant:
             raise ValueError(f"depth {depth} is odd; trees must have even depth")
         self.nums, self.den, self.depth = tuple(nums), den, depth
         self.root, self.exact = root, exact
-        self._leaves = self._pyramid = self._floats = self._norm2 = None
+        self._pyramid = self._floats = self._norm2 = None
 
     @classmethod
     def constant(cls, value, depth: int, root: DyadicInterval | None = None):
@@ -319,10 +318,9 @@ class PiecewiseConstant:
 
     @property
     def leaves(self):
-        """Leaf values left to right: Fractions when exact, else floats."""
-        if self._leaves is None:
-            self._leaves = tuple(ratio(n, self.den, self.exact) for n in self.nums)
-        return self._leaves
+        """Leaf values left to right: Fractions when exact, else floats, built
+        on each read (every caller reads them once per tree)."""
+        return tuple(ratio(n, self.den, self.exact) for n in self.nums)
 
     @property
     def leaf_level(self) -> int:

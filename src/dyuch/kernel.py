@@ -91,8 +91,10 @@ def kernel_norm2(I: DyadicInterval, height: int) -> KernelNorm:
 
     Exact geometric value (1 - 4**-height) / (3 |I|); the limit 1 / (3 |I|) of an
     untruncated ancestor tower exceeds it by the norm lost to the truncation.
-    Pure arithmetic, no availability requirement.
+    Pure arithmetic, no availability requirement; height must be nonnegative.
     """
+    if height < 0:
+        raise ValueError("height must be nonnegative")
     limit = Fraction(1, 3) / I.length
     value = limit * (1 - Fraction(1, 4) ** height)
     return KernelNorm(value, limit)

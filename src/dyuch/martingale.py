@@ -156,7 +156,7 @@ class DyadicAnalytic:
     4-adic node.  Read the pair as u + iv.
     """
 
-    __slots__ = ("u", "v", "_moments")
+    __slots__ = ("u", "v")
 
     def __init__(self, u, v, validate: bool = True):
         u = u if isinstance(u, SlicedMartingale) else SlicedMartingale(u, validate)
@@ -167,7 +167,7 @@ class DyadicAnalytic:
             if bad > mode_tol(u.exact and v.exact):
                 bad = float(bad)
                 raise ValueError(f"pair is not conjugate: Cauchy-Riemann residual {bad:.6g}")
-        self.u, self.v, self._moments = u, v, None
+        self.u, self.v = u, v
 
     @classmethod
     def from_leaves(cls, u_leaves, v_leaves, root=None, **kw):
@@ -194,17 +194,16 @@ class DyadicAnalytic:
 
     def moment_sums(self):
         """(sums, den): sums[r][j] / den is the sum of u**2 + v**2 over the
-        leaves below node (r, j), each leaf summed once, left to right."""
-        if self._moments is None:
-            up, vp = self.u, self.v
-            den = math.lcm(up.den, vp.den)
-            a, b = den // up.den, den // vp.den
-            sq = [(x * a) * (x * a) + (y * b) * (y * b) for x, y in zip(up.nums, vp.nums)]
-            self._moments = [
-                [left_sum(sq[j << span:(j + 1) << span]) for j in range(1 << r)]
-                for r, span in zip(range(self.depth + 1), range(self.depth, -1, -1))
-            ], den * den
-        return self._moments
+        leaves below node (r, j), each leaf summed once, left to right.
+        Computed on each call; the Bellman chain calls it once per pair."""
+        up, vp = self.u, self.v
+        den = math.lcm(up.den, vp.den)
+        a, b = den // up.den, den // vp.den
+        sq = [(x * a) * (x * a) + (y * b) * (y * b) for x, y in zip(up.nums, vp.nums)]
+        return [
+            [left_sum(sq[j << span:(j + 1) << span]) for j in range(1 << r)]
+            for r, span in zip(range(self.depth + 1), range(self.depth, -1, -1))
+        ], den * den
 
     def __repr__(self):
         return f"DyadicAnalytic(depth={self.depth}, root={self.root.id})"

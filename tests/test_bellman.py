@@ -959,12 +959,6 @@ class TestScan:
         assert summary["witnesses"] > 0
         assert all(w[1] == 0.0 for w in witnesses)
 
-    def test_explicit_triples(self):
-        witnesses, summary = scan_unsliced(triples=[(0.05, 0.0, 0.45), (0.0, 0.1, 0.1)])
-        assert summary["region"] == "explicit"
-        assert summary["checked"] == 2
-        assert len(witnesses) == 1
-
     def test_threshold(self):
         _, strict = scan_unsliced(threshold=-1.0)
         assert strict["witnesses"] == 0
@@ -978,8 +972,6 @@ class TestScan:
         assert len(walked) == summary["checked"]
         for d, d1, d2, g in walked:
             assert g == unsliced_third_minor(d, d1, d2)
-        points = [w[:3] for w in walked]
-        assert scan_unsliced(triples=points, threshold=1e308)[0] == walked
 
     @pytest.mark.parametrize("region, point", [("sweep", "d=0.0, d1=700.0, d2=700.0"),
                                                ("d-zero", "d=0.0, d1=700.0, d2=700.0"),
@@ -1001,14 +993,8 @@ class TestScan:
             scan_unsliced(region=region, step=step, max_sum=step)
 
     def test_overflowing_explicit_point_raises(self):
-        with pytest.raises(ValueError, match="2 cosh or exp overflows at d=800.0, d1=0.0, d2=0.0$"):
-            scan_unsliced(triples=[(0.0, 0.1, 0.2), (800.0, 0.0, 0.0)])
         with pytest.raises(ValueError, match="overflows at d=0.0, d1=-711.0, d2=0.5$"):
             unsliced_third_minor(0.0, -711.0, 0.5)
-
-    def test_non_finite_explicit_minor_raises(self):
-        with pytest.raises(ValueError, match="not a finite number"):
-            scan_unsliced(triples=[(0.0, 0.1, 0.2), (0.0, 700.0, 700.0)])
 
     def test_unknown_region(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,8 @@
 rename or deletion in `src/` breaks a workload only when it runs.  This loads
 the script by path and runs, once and small, the calls each workload times:
 the exact certificate on one configuration per depth of the mix, the check
-of one search result, and the writer of the CLI inputs.
+of one search result, and the writer of the CLI inputs.  It also runs each
+in-process row of the depth sweep, `perfbench/sweep.py`, once at depth 2.
 """
 import importlib.util
 import json
@@ -14,18 +15,18 @@ from pathlib import Path
 import dyuch
 from dyuch import carleson, extremal, martingale
 
-RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_run():
-    spec = importlib.util.spec_from_file_location("perfbench_run", RUN)
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_workload_calls_pass(tmp_path):
-    bench = load_run()
+    bench = load_script("run")
     run = bench.Run()
     rng = random.Random(1)
     for depth in sorted(set(bench.MIX)):
@@ -37,3 +38,11 @@ def test_workload_calls_pass(tmp_path):
     mu = carleson.measure_from_json(json.loads((tmp_path / "mu8.json").read_text()))
     assert f.depth == mu.depth == bench.CLI_DEPTH
     assert run.attempted > 0 and run.failed == 0
+
+
+def test_sweep_rows_run(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # for the sweep's `from run import ...`
+    sweep = load_script("sweep")
+    inputs = sweep.Inputs(2, 0)
+    for _, build, op, _ in sweep.in_process_rows().values():
+        op(*build(inputs))

@@ -327,6 +327,11 @@ class TestProfiles:
             profile_residuals(BoundProfile([0.0], [1.0], E))
         with pytest.raises(ValueError):
             profile_residuals(BoundProfile([0.0, 0.0, 1.0], [1.0, 1.0, 1.0], E))
+        # a grid past [0, 1] used to overflow exp(m) with a bare OverflowError
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\], got 0.0 to 800.0"):
+            profile_residuals(BoundProfile([0.0, 800.0], [1.0, 1.0], 3.0))
+        with pytest.raises(ValueError, match=r"got -0.5 to 1.0"):
+            profile_residuals(BoundProfile([-0.5, 1.0], [1.0, 1.0], E))
 
 
 class TestLowerBound:

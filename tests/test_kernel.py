@@ -111,6 +111,11 @@ class TestKernelNorm:
         assert n.value == Fraction(5, 16)
         assert kernel_norm2(unit_root(), 0).value == 0
 
+    def test_negative_height_rejected(self):
+        # used to return the negative squared norm -1 at height -1
+        with pytest.raises(ValueError, match="height must be nonnegative"):
+            kernel_norm2(unit_root(), -1)
+
     def test_tail_bound(self):
         # the squared norm lost to truncating the ancestor tower
         for height, tail in ((2, Fraction(1, 3) / 16), (0, Fraction(1, 3))):

@@ -37,6 +37,21 @@ def test_tracer_installs_and_uninstalls():
             kernel.normalized_testing_value) == originals
 
 
+def test_package_keeps_no_traced_name():
+    # a name first read through the package while the tracer is installed used
+    # to stay cached there as the wrapper after uninstall
+    vars(dyuch).pop("weighted_embedding_slack", None)
+    original = carleson.weighted_embedding_slack
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert dyuch.weighted_embedding_slack is not original
+    finally:
+        tracer.uninstall()
+    assert dyuch.weighted_embedding_slack is original
+    assert "weighted_embedding_slack" not in vars(dyuch)
+
+
 def test_chain_steps_are_traced():
     # the chain calls bellman.dynamics_gap, the name the tracer wraps as
     # bellman.step_gap, so it records one span per internal node
