@@ -1,11 +1,15 @@
 """Command line front end.
 
-Every subcommand prints a short human summary to stdout and can write the
-same content as a canonical JSON report with --out.  Exit codes: 0 when the
-checked property holds, 1 when a verified inequality fails, 2 for usage or
-input problems.  Reports are deterministic byte for byte for fixed inputs
-and seeds; nothing here reads the clock.  Each command imports the layers it
-calls when it runs, so importing this module loads no layer and no numpy.
+Every subcommand returns its summary and violations, and main alone builds
+the report {command, seed, tolerance, pass, violations, summary}, prints it
+as a short human summary and writes it as canonical JSON with --out.  Every
+slack and gap gate goes through _gate, value >= -tolerance, which a NaN
+fails; every file loaded is checked against DYUCH_MAX_DEPTH.  Exit codes: 0
+when the checked property holds, 1 when a verified inequality fails, 2 for
+usage or input problems.  Reports are deterministic byte for byte for fixed
+inputs and seeds; nothing here reads the clock.  Each command imports the
+layers it calls when it runs, so importing this module loads no layer and
+no numpy.
 """
 from __future__ import annotations
 
@@ -61,14 +65,13 @@ def _load_json(path: str):
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load(path: str, parse, check_depth=True):
+def _load(path: str, parse):
     obj = _load_json(path)
     try:
         obj = parse(obj)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    if check_depth:
-        _check_depth(obj.depth)
+    _check_depth(obj.depth)
     _check_window(obj.root.ancestor_levels)
     return obj
 
@@ -83,7 +86,7 @@ def _load_measure(path: str):
     from .carleson import measure_from_json
 
     # the cap is checked once the ids are parsed, before the measure's level rows are built
-    return _load(path, lambda obj: measure_from_json(obj, _check_depth), False)
+    return _load(path, lambda obj: measure_from_json(obj, _check_depth))
 
 
 def _dump(obj) -> str:
@@ -107,28 +110,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _report(command: str, args, summary: dict, violations: list) -> dict:
-    return {
-        "command": command,
-        "seed": getattr(args, "seed", None),
-        "tolerance": getattr(args, "tolerance", None),
-        "pass": not violations,
-        "violations": violations,
-        "summary": summary,
-    }
+def _gate(args, violations: list, value, message: str) -> None:
+    """The one slack and gap rule: value >= -tolerance, and a NaN fails."""
+    if not value >= -args.tolerance:
+        violations.append(message)
 
 
-def _cmd_verify_bellman(args) -> dict:
+def _cmd_verify_bellman(args) -> tuple:
     from . import bellman
     from .dyadic import nan_min
 
     violations = []
     psd = bellman.verify_sliced_psd(samples=args.samples, seed=args.seed,
                                     boundary=not args.no_boundary)
-    if not psd.min_minor >= -args.tolerance:
-        violations.append(f"principal minor dipped to {psd.min_minor!r}")
-    if not psd.min_eigenvalue >= -args.tolerance:
-        violations.append(f"eigenvalue dipped to {psd.min_eigenvalue!r}")
+    _gate(args, violations, psd.min_minor, f"principal minor dipped to {psd.min_minor!r}")
+    _gate(args, violations, psd.min_eigenvalue, f"eigenvalue dipped to {psd.min_eigenvalue!r}")
     if psd.closed_form_failures:
         violations.append(f"{psd.closed_form_failures} closed-form comparisons out of gate")
 
@@ -143,10 +139,8 @@ def _cmd_verify_bellman(args) -> dict:
         # children mean M - mu must stay nonnegative
         derivs.extend(bellman.derivative_gap(1.0, 0.5, m, (b / 20.0) * m) for b in range(21))
     min_range, min_deriv = nan_min(ranges), nan_min(derivs)
-    if not min_range >= -args.tolerance:
-        violations.append(f"value left its pinned range by {min_range!r}")
-    if not min_deriv >= -args.tolerance:
-        violations.append(f"harvest surplus dipped to {min_deriv!r}")
+    _gate(args, violations, min_range, f"value left its pinned range by {min_range!r}")
+    _gate(args, violations, min_deriv, f"harvest surplus dipped to {min_deriv!r}")
 
     summary = {
         **vars(psd),
@@ -156,10 +150,10 @@ def _cmd_verify_bellman(args) -> dict:
         "min_range_gap": min_range,
         "min_derivative_gap": min_deriv,
     }
-    return _report("verify-bellman", args, summary, violations)
+    return summary, violations
 
 
-def _cmd_scan_unsliced(args) -> dict:
+def _cmd_scan_unsliced(args) -> tuple:
     from . import bellman
 
     witnesses, scan = bellman.scan_unsliced(region=args.region, step=args.step,
@@ -175,9 +169,7 @@ def _cmd_scan_unsliced(args) -> dict:
             )
     elif not witnesses:
         violations.append("no negative minor found; the tilted scan expects witnesses")
-    summary = dict(scan)
-    summary["csv"] = args.csv
-    return _report("scan-unsliced", args, summary, violations)
+    return {**scan, "csv": args.csv}, violations
 
 
 def _embedding_slacks(args, violations: list):
@@ -190,15 +182,13 @@ def _embedding_slacks(args, violations: list):
     carleson._require_compatible(f, mu)
     mu.require_balanced()
     slack = carleson.embedding_slack(f, mu)
-    if not slack >= -args.tolerance:
-        violations.append(f"embedding bound violated by {-slack!r}")
+    _gate(args, violations, slack, f"embedding bound violated by {-slack!r}")
     weighted = carleson.weighted_embedding_slack(f, mu)
-    if not weighted >= -args.tolerance:
-        violations.append(f"weighted bound violated by {-weighted!r}")
+    _gate(args, violations, weighted, f"weighted bound violated by {-weighted!r}")
     return f, mu, slack, weighted
 
 
-def _cmd_embed(args) -> dict:
+def _cmd_embed(args) -> tuple:
     from . import carleson
 
     violations = []
@@ -212,10 +202,10 @@ def _cmd_embed(args) -> dict:
         "weighted_slack": weighted,
         "balance_residual": float(mu.balance_residual()),
     }
-    return _report("embed", args, summary, violations)
+    return summary, violations
 
 
-def _cmd_uchiyama_check(args) -> dict:
+def _cmd_uchiyama_check(args) -> tuple:
     from . import carleson
     from .dyadic import nan_min
 
@@ -233,28 +223,26 @@ def _cmd_uchiyama_check(args) -> dict:
         deco = carleson.telescoped_weighted_slack(f, mu)
         match = abs(deco.total() - deco.slack)
         summary["telescoped_match"] = match
-        summary["telescoped_min_term"] = deco.min_term()
+        term = summary["telescoped_min_term"] = deco.min_term()
         if not match <= 1e-10:
             violations.append(f"telescoping drifted from the slack by {match!r}")
-        if not deco.min_term() >= -args.tolerance:
-            violations.append(f"a telescoping term dipped to {deco.min_term()!r}")
+        _gate(args, violations, term, f"a telescoping term dipped to {term!r}")
 
     gaps = carleson.bellman_chain_slacks(f, mu)
     if gaps:
         worst = nan_min(gaps.values())
         summary["chain_min_gap"] = worst
-        if not worst >= -args.tolerance:
-            violations.append(f"a chain step dipped to {worst!r}")
+        _gate(args, violations, worst, f"a chain step dipped to {worst!r}")
 
-    return _report("uchiyama-check", args, summary, violations)
+    return summary, violations
 
 
-def _cmd_conjugate(args) -> dict:
+def _cmd_conjugate(args) -> tuple:
     from . import martingale
     from .dyadic import tree_from_json
 
     u_tree = _load(args.function, tree_from_json)
-    imag = None if args.imag is None else _load(args.imag, tree_from_json, check_depth=False)
+    imag = None if args.imag is None else _load(args.imag, tree_from_json)
     # the projection keeps both means, so a float mean that overflows leaves no pair
     means = {key: t.root_average for key, t in (("real_mean", u_tree), ("imag_mean", imag))
              if args.project and t is not None and not t.exact}
@@ -278,10 +266,10 @@ def _cmd_conjugate(args) -> dict:
         }
     violations = [f"{key} is not finite: {value!r}" for key, value in summary.items()
                   if not math.isfinite(value)]
-    return _report("conjugate", args, summary, violations)
+    return summary, violations
 
 
-def _cmd_kernel(args) -> dict:
+def _cmd_kernel(args) -> tuple:
     from . import kernel
     from .dyadic import interval_from_id
 
@@ -308,27 +296,23 @@ def _cmd_kernel(args) -> dict:
         payload = {
             "base": base,
             "ancestor_levels": anc,
-            "interval": I.id,
-            "height": args.height,
-            "constant": k.constant,
             "real": {J.id: c for J, c in k.real_coeffs.items()},
             "imag": {J.id: c for J, c in k.imag_coeffs.items()},
-            "norm2": float(norms.value),
-            "norm2_limit": float(norms.limit),
+            **{key: summary[key] for key in ("interval", "height", "constant", "norm2",
+                                             "norm2_limit")},
         }
         _write_text(args.emit, _dump(payload))
-    return _report("kernel", args, summary, [])
+    return summary, []
 
 
-def _cmd_check_3e(args) -> dict:
+def _cmd_check_3e(args) -> tuple:
     from . import carleson, kernel
 
     mu = _load_measure(args.measure)
     scan = kernel.testing_scan(mu)
     violations = []
-    if not scan.min_packing_slack >= -args.tolerance:
-        worst = -scan.min_packing_slack
-        violations.append(f"packing exceeded three kernel tests by {worst!r}")
+    _gate(args, violations, scan.min_packing_slack,
+          f"packing exceeded three kernel tests by {-scan.min_packing_slack!r}")
     summary = {
         "testing_constant": scan.testing_constant,
         "worst_testing_node": scan.worst_testing_node.id,
@@ -343,12 +327,11 @@ def _cmd_check_3e(args) -> dict:
         carleson._require_compatible(f, mu)
         mu.require_balanced()
         slack = summary["embedding_slack"] = kernel.testing_embedding_slack(f, mu)
-        if not slack >= -args.tolerance:
-            violations.append(f"tested embedding bound violated by {-slack!r}")
-    return _report("check-3e", args, summary, violations)
+        _gate(args, violations, slack, f"tested embedding bound violated by {-slack!r}")
+    return summary, violations
 
 
-def _cmd_search_extremal(args) -> dict:
+def _cmd_search_extremal(args) -> tuple:
     from . import carleson, extremal
     from .martingale import analytic_to_json
 
@@ -370,19 +353,16 @@ def _cmd_search_extremal(args) -> dict:
         "norm2": float(config.f.norm2()),
         "packing_intensity": float(config.mu.packing_intensity()),
     }
-    return _report("search-extremal", args, summary, [])
+    return summary, []
 
 
-def _cmd_certify_lower_bound(args) -> dict:
+def _cmd_certify_lower_bound(args) -> tuple:
     from . import bellman
 
-    bounds = []
-    violations = []
-    for eps in args.eps:
-        bound = bellman.lower_bound_certificate(eps)
-        bounds.append(bound)
-        if bound >= bellman.E:
-            violations.append(f"certificate {bound!r} at eps {eps!r} overshot e")
+    bounds = [bellman.lower_bound_certificate(eps) for eps in args.eps]
+    # a bound that rounds to e passes; a NaN or one past e fails
+    violations = [f"certificate {bound!r} at eps {eps!r} overshot e"
+                  for eps, bound in zip(args.eps, bounds) if not bound <= bellman.E]
     if args.csv:
         lines = ["eps,bound"]
         lines.extend(f"{eps!r},{b!r}" for eps, b in zip(args.eps, bounds))
@@ -393,7 +373,7 @@ def _cmd_certify_lower_bound(args) -> dict:
         "max_bound": max(bounds),
         "limit": bellman.E,
     }
-    return _report("certify-lower-bound", args, summary, violations)
+    return summary, violations
 
 
 def _tolerance(text: str) -> float:
@@ -482,7 +462,10 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
 
     try:
-        report = args.func(args)
+        summary, violations = args.func(args)
+        report = {"command": args.command, "seed": getattr(args, "seed", None),
+                  "tolerance": args.tolerance, "pass": not violations,
+                  "violations": violations, "summary": summary}
         if args.out:
             _write_text(args.out, _dump(report))
     except (ValueError, OSError) as exc:
@@ -492,12 +475,12 @@ def main(argv=None) -> int:
         print(f"error: input values overflow a float: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    for key in sorted(report["summary"]):
-        print(f"{key}: {_fmt(report['summary'][key])}")
-    for message in report["violations"]:
+    for key in sorted(summary):
+        print(f"{key}: {_fmt(summary[key])}")
+    for message in violations:
         print(f"violation: {message}")
-    print("result: PASS" if report["pass"] else "result: FAIL")
-    return EXIT_OK if report["pass"] else EXIT_VIOLATION
+    print("result: PASS" if not violations else "result: FAIL")
+    return EXIT_VIOLATION if violations else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -363,6 +363,18 @@ class TestConjugate:
         assert code == 0
         assert "result: PASS" in out
 
+    def test_deep_imag_hits_the_depth_cap(self, capsys, fixtures, tmp_path, monkeypatch):
+        # the imaginary part is capped like every loaded file, before the grids are compared
+        monkeypatch.delenv("DYUCH_MAX_DEPTH", raising=False)
+        shallow, deep = tmp_path / "u2.json", tmp_path / "v10.json"
+        shallow.write_text(json.dumps({"base": "unit", "depth": 2, "leaves": [0, 0, 0, 0]}))
+        deep.write_text(json.dumps({"base": "unit", "leaves": [0.5] * 1024}))
+        code, out, err = run(capsys, "conjugate", "--function", str(shallow),
+                             "--imag", str(deep))
+        assert code == 2
+        assert "result:" not in out
+        assert "depth 10 exceeds the cap 8" in err
+
     @pytest.mark.parametrize("leaf, bad, projected",
                              [(1e308, ["norm2", "real_mean"], ["real_mean"]),
                               (1e200, ["norm2"], ["norm2"])],
@@ -713,6 +725,21 @@ class TestCertifyLowerBound:
 
     def test_domain_error(self, capsys):
         assert run(capsys, "certify-lower-bound", "--eps", "0.3")[0] == 2
+
+    def test_bound_that_rounds_to_e_passes(self, capsys):
+        # past eps ~ 6e-19 the certificate's exponent is under 2**-54 and exp rounds it to 1
+        code, out, _ = run(capsys, "certify-lower-bound", "--eps", "1e-19", "1e-300")
+        assert code == 0
+        assert f"max_bound: {bellman.E!r}" in out
+
+    @pytest.mark.parametrize("bound", [math.nextafter(bellman.E, 4), math.nan],
+                             ids=["past-e", "nan"])
+    def test_bound_past_e_or_nan_fails(self, capsys, monkeypatch, bound):
+        monkeypatch.setattr(bellman, "lower_bound_certificate", lambda eps: bound)
+        code, out, _ = run(capsys, "certify-lower-bound", "--eps", "0.01")
+        assert code == 1
+        assert "overshot e" in out
+        assert "result: FAIL" in out
 
 
 class TestMalformedInput:

@@ -14,7 +14,7 @@ import random
 import pytest
 
 from dyuch.carleson import measure_to_json, random_balanced_measure
-from dyuch.cli import main
+from dyuch.cli import _fmt, main
 from dyuch.dyadic import tree_to_json, window_root
 from dyuch.martingale import analytic_to_json, random_analytic, random_sliced
 
@@ -173,3 +173,25 @@ def test_cli_bytes_pinned(box, name, capsys, monkeypatch):
     monkeypatch.delenv("DYUCH_MAX_DEPTH", raising=False)
     monkeypatch.chdir(box)
     assert run_digest(box, name, capsys) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_report_agrees_with_stdout(box, name, capsys, monkeypatch):
+    # main builds one report; its --out copy and its printed lines say the same thing
+    monkeypatch.delenv("DYUCH_MAX_DEPTH", raising=False)
+    monkeypatch.chdir(box)
+    (box / "out.json").unlink(missing_ok=True)
+    argv = RUNS[name]
+    code = main([*argv, "--out", "out.json"])
+    out = capsys.readouterr().out
+    if not (box / "out.json").exists():
+        assert code == 2 and out == ""
+        return
+    report = json.loads((box / "out.json").read_text())
+    assert report["command"] == argv[0]
+    summary = report["summary"]
+    lines = out.splitlines()
+    assert lines[:len(summary)] == [f"{key}: {_fmt(summary[key])}" for key in sorted(summary)]
+    assert lines[len(summary):-1] == [f"violation: {v}" for v in report["violations"]]
+    assert lines[-1] == ("result: PASS" if report["pass"] else "result: FAIL")
+    assert code == (0 if report["pass"] else 1)

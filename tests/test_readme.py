@@ -1,11 +1,18 @@
 import importlib
+import json
 import os
+import random
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import dyuch
+from dyuch.carleson import measure_to_json, random_balanced_measure
+from dyuch.cli import main
+from dyuch.dyadic import tree_to_json
+from dyuch.martingale import analytic_to_json, random_analytic, random_sliced
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -32,3 +39,28 @@ def test_cited_module_names_resolve():
     missing = [f"{module}.{name}" for module, name in cited
                if not hasattr(importlib.import_module(f"dyuch.{module}"), name)]
     assert missing == []
+
+
+def test_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # each line of the README's sh block, through the console script's main, on depth-4 inputs;
+    # conjugate --emit pair.json rewrites the pair that check-3e reads after it
+    text = README.read_text()
+    start = text.index("```sh\ndyuch ") + len("```sh\n")
+    lines = text[start:text.index("```", start)].splitlines()
+    assert len(lines) == 9
+    monkeypatch.delenv("DYUCH_MAX_DEPTH", raising=False)
+    monkeypatch.chdir(tmp_path)
+    inputs = {
+        "pair.json": analytic_to_json(random_analytic(random.Random(0), 4)),
+        "mu.json": measure_to_json(random_balanced_measure(random.Random(0), 4)),
+        "tree.json": tree_to_json(random_sliced(random.Random(0), 4)),
+    }
+    for name, obj in inputs.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "dyuch"
+        assert main(argv[1:]) == 0, (line, capsys.readouterr())
+        written = [argv[i + 1] for i, flag in enumerate(argv)
+                   if flag in ("--out", "--emit", "--csv")]
+        assert all((tmp_path / path).exists() for path in written), line
