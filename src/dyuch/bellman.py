@@ -524,10 +524,10 @@ def scan_unsliced(
         raise ValueError(f"step must be finite and > 0, got {step!r}")
     if not 0 <= max_sum < math.inf:
         raise ValueError(f"max_sum must be finite and >= 0, got {max_sum!r}")
-    # n spreads per axis; the first row alone has n points, so a larger ratio (inf too) is
-    # over the cap.  Per tilt a, with d + d1, d + d2 <= max_sum: n - a spreads d2 and as
-    # many d1, or one d1 = 0 on "d1-zero"; so n**2, n(n+1)/2 and n(n+1)(2n+1)/6 points
-    n = int(round(min(max_sum / step, MAX_SCAN_POINTS))) + 1
+    # n spreads k * step <= max_sum, up to rounding, per axis; the first row alone has n
+    # points, so a larger ratio (inf too) is over the cap.  Per tilt a: n - a spreads d2 and
+    # as many d1, or one d1 = 0 on "d1-zero"; so n**2, n(n+1)/2 and n(n+1)(2n+1)/6 points
+    n = int(min(max_sum / step, MAX_SCAN_POINTS) + 1e-9) + 1
     points = (n * n if region == "d-zero" else n * (n + 1) // 2 if region == "d1-zero"
               else n * (n + 1) * (2 * n + 1) // 6)
     if points > MAX_SCAN_POINTS:

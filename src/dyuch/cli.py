@@ -160,15 +160,13 @@ def _cmd_scan_unsliced(args) -> tuple:
                                             max_sum=args.max_sum, threshold=args.threshold)
     if args.csv:
         _write_text(args.csv, bellman.witness_csv(witnesses))
-    violations = []
+    # the verdict reads the scan's minimum; --threshold only picks the witness rows
+    g, (d, d1, d2) = scan["min_value"], scan["argmin"]
     if args.region == "d-zero":
-        if witnesses:
-            d, d1, d2, g = witnesses[0]
-            violations.append(
-                f"negative minor {g!r} on the zero-tilt slice at ({d!r},{d1!r},{d2!r})"
-            )
-    elif not witnesses:
-        violations.append("no negative minor found; the tilted scan expects witnesses")
+        violations = [] if g >= 0 else [
+            f"negative minor {g!r} on the zero-tilt slice at ({d!r},{d1!r},{d2!r})"]
+    else:
+        violations = [] if g < 0 else ["no negative minor found; the tilted scan expects witnesses"]
     return {**scan, "csv": args.csv}, violations
 
 

@@ -133,7 +133,7 @@ def cr_residual(u, v):
     """Largest failure of the discrete Cauchy-Riemann system.
 
     At every 4-adic node the pair must satisfy dx(u) = dy(v) and
-    dy(u) = -dx(v); the residual is the worst absolute mismatch.
+    dy(u) = -dx(v); the residual is the worst absolute mismatch, NaN sticking.
     """
     u._require_same_grid(v)
     (urows, uden), (vrows, vden) = _jump_rows(u), _jump_rows(v)
@@ -142,9 +142,9 @@ def cr_residual(u, v):
     worst = 0
     for urow, vrow in zip(urows, vrows):
         for (dxu, dyu), (dxv, dyv) in zip(urow, vrow):
-            bad = max(abs(dxu * a - dyv * b), abs(dyu * a + dxv * b))
-            if bad > worst:
-                worst = bad
+            for bad in (abs(dxu * a - dyv * b), abs(dyu * a + dxv * b)):
+                if worst == worst and not bad <= worst:
+                    worst = bad
     return ratio(worst, den, u.exact and v.exact)
 
 
@@ -164,9 +164,8 @@ class DyadicAnalytic:
         u._require_same_grid(v)
         if validate:
             bad = cr_residual(u, v)
-            if bad > mode_tol(u.exact and v.exact):
-                bad = float(bad)
-                raise ValueError(f"pair is not conjugate: Cauchy-Riemann residual {bad:.6g}")
+            if not bad <= mode_tol(u.exact and v.exact):
+                raise ValueError(f"pair is not conjugate: Cauchy-Riemann residual {float(bad):.6g}")
         self.u, self.v = u, v
 
     @classmethod

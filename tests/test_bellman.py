@@ -1022,6 +1022,18 @@ class TestScan:
         with pytest.raises(ValueError, match=f"give {summary['checked']} grid points"):
             scan_unsliced(region=region, step=step, max_sum=max_sum)
 
+    @pytest.mark.parametrize("region", ["sweep", "d-zero", "d1-zero"])
+    @pytest.mark.parametrize("step, max_sum, spreads", [(0.3, 0.5, 2), (0.03, 0.31, 11),
+                                                        (0.1, 0.3, 4)])
+    def test_grid_stays_in_the_window(self, region, step, max_sum, spreads):
+        # 0.5 / 0.3 used to round up to a third spread, d2 = 0.6; 0.3 / 0.1 reads
+        # 2.9999999999999996 and keeps its fourth
+        walked, summary = scan_unsliced(region=region, step=step, max_sum=max_sum,
+                                        threshold=1e308)
+        assert len(walked) == summary["checked"]
+        assert len({d2 for _, _, d2, _ in walked}) == spreads
+        assert max(d + max(d1, d2) for d, d1, d2, _ in walked) <= max_sum * (1 + 1e-12)
+
     def test_grid_is_walked_lazily(self):
         # 40,401 points on the zero-tilt slice, which has no witnesses; a list of
         # the grid's triples would hold about 4 MB

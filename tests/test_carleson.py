@@ -97,6 +97,11 @@ class TestDiscreteMeasure:
                     I = unit_root().descendant(r, j)
                     assert mu.subtree_mass(I) == brute_subtree_mass(mu, I)
 
+    def test_subtree_mass_needs_a_4_adic_node(self):
+        mu = measure_of({unit_root(): 1})
+        with pytest.raises(ValueError, match="^L1N0 is not 4-adic$"):
+            mu.subtree_mass(DyadicInterval(1, 0))
+
     def test_subtree_mass_above_the_root(self):
         mu = measure_of({DyadicInterval(4, 5): 1}, DyadicInterval(2, 1))
         assert mu.subtree_mass(DyadicInterval(0, 0)) == mu.subtree_mass(mu.root) == 1

@@ -119,6 +119,16 @@ class TestVerifyBellman:
         assert "--samples" in err and str(bellman.MAX_PSD_SAMPLES) in err
         assert not out_path.exists()
 
+    def test_closed_form_failures_fail(self, capsys, monkeypatch):
+        report = bellman.PsdReport(samples=1, min_minor=0.0, min_eigenvalue=0.0,
+                                   max_third_minor_error=0.0, max_det_error=0.0,
+                                   closed_form_failures=3)
+        monkeypatch.setattr(bellman, "verify_sliced_psd", lambda **kw: report)
+        code, out, _ = run(capsys, "verify-bellman")
+        assert code == 1
+        assert out.splitlines()[-2:] == ["violation: 3 closed-form comparisons out of gate",
+                                         "result: FAIL"]
+
     def test_nan_form_is_an_error_not_a_verdict(self, capsys, monkeypatch, tmp_path):
         # a NaN entry stops the run before LAPACK sees it, wherever it sits in the form
         real = bellman.concavity_form_matrix
@@ -187,6 +197,32 @@ class TestScanUnsliced:
         assert code == 0
         assert "result: PASS" in out
 
+    @pytest.mark.parametrize("region", ["sweep", "d-zero", "d1-zero"])
+    def test_verdict_reads_the_minimum_not_the_threshold(self, capsys, region):
+        # --threshold only picks the witness rows; it used to pick the verdict too, so
+        # d-zero failed at threshold 1 with "negative minor 0.0" and sweep at -1
+        verdicts = set()
+        for threshold in ("-1", "0", "1"):
+            code, out, _ = run(capsys, "scan-unsliced", "--region", region,
+                               "--threshold", threshold)
+            assert code == 0
+            verdicts.add(tuple(line for line in out.splitlines()
+                               if line.startswith(("violation:", "result:"))))
+            if threshold == "-1":
+                assert "witnesses: 0" in out.splitlines()
+        assert verdicts == {("result: PASS",)}
+
+    def test_negative_minimum_on_the_zero_tilt_slice_fails(self, capsys, monkeypatch):
+        # no tier-1 scan reaches this verdict; the witness list is empty, the minimum is not
+        scan = {"region": "d-zero", "checked": 1, "witnesses": 0, "min_value": -0.001,
+                "argmin": [0.0, 0.1, 0.2]}
+        monkeypatch.setattr(bellman, "scan_unsliced", lambda **kw: ([], scan))
+        code, out, _ = run(capsys, "scan-unsliced", "--region", "d-zero")
+        assert code == 1
+        assert out.splitlines()[-2:] == [
+            "violation: negative minor -0.001 on the zero-tilt slice at (0.0,0.1,0.2)",
+            "result: FAIL"]
+
     def test_narrow_window_fails(self, capsys, tmp_path):
         # witnesses need d + d2 close to 0.5; a narrow sweep finds none
         code, out, _ = run(
@@ -233,6 +269,24 @@ class TestEmbed:
             capsys, "embed", "--function", fixtures["broken"], "--measure", fixtures["mu"]
         )
         assert code == 2
+
+    def test_pair_without_v_is_usage_error(self, capsys, fixtures, tmp_path):
+        path = tmp_path / "u_only.json"
+        path.write_text(json.dumps({"u": json.loads(Path(fixtures["pair"]).read_text())["u"]}))
+        code, out, err = run(capsys, "embed", "--function", str(path),
+                             "--measure", fixtures["mu"])
+        assert code == 2
+        assert "result:" not in out
+        assert err == f"error: {path}: conjugate pair object must carry u and v trees\n"
+
+    def test_malformed_depth_cap_is_usage_error(self, capsys, fixtures, monkeypatch):
+        monkeypatch.setenv("DYUCH_MAX_DEPTH", "abc")
+        code, out, err = run(
+            capsys, "embed", "--function", fixtures["pair"], "--measure", fixtures["mu"]
+        )
+        assert code == 2
+        assert "result:" not in out
+        assert err == "error: DYUCH_MAX_DEPTH must be an integer, got 'abc'\n"
 
     def test_depth_cap(self, capsys, fixtures, monkeypatch):
         monkeypatch.setenv("DYUCH_MAX_DEPTH", "2")
@@ -374,6 +428,18 @@ class TestConjugate:
         assert code == 2
         assert "result:" not in out
         assert "depth 10 exceeds the cap 8" in err
+
+    def test_nan_cauchy_riemann_residual_is_not_conjugate(self, capsys, tmp_path):
+        # the jump differences overflow and inf - inf is NaN; the residual used to drop it,
+        # print cr_residual 0.0 and exit 1 only because norm2 overflowed
+        paths = [tmp_path / "u.json", tmp_path / "v.json"]
+        for path in paths:
+            path.write_text(json.dumps({"depth": 2, "leaves": [1.7e308, -1.7e308] * 2}))
+        code, out, err = run(capsys, "conjugate", "--function", str(paths[0]),
+                             "--imag", str(paths[1]))
+        assert code == 2
+        assert "result:" not in out
+        assert err == "error: pair is not conjugate: Cauchy-Riemann residual nan\n"
 
     @pytest.mark.parametrize("leaf, bad, projected",
                              [(1e308, ["norm2", "real_mean"], ["real_mean"]),

@@ -222,6 +222,9 @@ class TestPiecewiseConstant:
         pc = PiecewiseConstant([1] * 4)
         with pytest.raises(ValueError):
             pc.average(DyadicInterval(3, 0))
+        pc = PiecewiseConstant([1, 2, 3, 4], DyadicInterval(2, 1))
+        with pytest.raises(ValueError, match="^L2N0 lies outside the tree root L2N1$"):
+            pc.average(DyadicInterval(2, 0))
 
 
 class TestHaar:

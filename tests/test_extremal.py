@@ -12,6 +12,7 @@ from dyuch.bellman import (
     profile_residuals,
 )
 from dyuch.carleson import DiscreteMeasure, embedding_sum
+from dyuch import extremal
 from dyuch.dyadic import DyadicInterval, unit_root
 from dyuch.extremal import (
     MAX_SEARCH_BUDGET,
@@ -166,6 +167,20 @@ class TestSearch:
             with pytest.raises(ValueError, match="restarts"):
                 search(2, budget=10, restarts=restarts)
         assert search(2, budget=1, restarts=0).ratio >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize("depth, budget, restarts, most", [
+        (2, 1, 100_000, 2),  # 100,001 states when restarts alone set the work
+        (8, 1, 5000, 10),  # 20,007
+        (4, 1, 1, 6), (4, 5, 0, 14), (6, 10, 7, 26), (8, 33, 1000, 74), (6, 800, 6, 1606),
+    ])
+    def test_budget_caps_the_states_scored(self, monkeypatch, depth, budget, restarts, most):
+        # each level scores at most its budget plus its one or two seed states, so a search
+        # at most 2 * budget + depth (budget + 1 at depth 2, which has one level)
+        scored = []
+        real = extremal._evaluate_state
+        monkeypatch.setattr(extremal, "_evaluate_state", lambda s: scored.append(None) or real(s))
+        search(depth, budget=budget, restarts=restarts)
+        assert len(scored) <= most
 
     @pytest.mark.parametrize(
         "args, ratio, support, pinned",

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -178,6 +179,15 @@ class TestCauchyRiemann:
         bump = haar_pattern(DyadicInterval(1, 0), 4, unit_root()).scale(t)
         v_bad = SlicedMartingale(v + bump)
         assert cr_residual(u, v_bad) == t
+
+    def test_nan_mismatch_sticks(self):
+        # the jumps overflow to -inf and inf, so dy(u) + dx(v) is inf - inf, a NaN the
+        # residual used to drop (it read 0.0, and the pair was accepted)
+        big = SlicedMartingale.from_leaves([1.7e308, -1.7e308, 1.7e308, -1.7e308])
+        assert math.isnan(cr_residual(big, big))
+        with pytest.raises(ValueError,
+                           match="^pair is not conjugate: Cauchy-Riemann residual nan$"):
+            DyadicAnalytic(big, big)
 
     def test_shape_mismatch(self):
         u = SlicedMartingale.from_leaves([1, 3, 0, 4])
