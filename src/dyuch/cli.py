@@ -27,9 +27,8 @@ DEFAULT_MAX_DEPTH = 8
 # a real_line window of a ancestor levels is 4**a long, a finite float up to a = 511; the
 # kernel's --ancestors and a file's ancestor_levels are capped there
 MAX_ANCESTOR_LEVELS = 511
-# search-extremal's --budget and --restarts are capped at extremal.MAX_SEARCH_BUDGET,
-# verify-bellman's --samples at bellman.MAX_PSD_SAMPLES, and scan-unsliced's grid
-# from --step and --max-sum at bellman.MAX_SCAN_POINTS
+# verify-bellman's --samples is capped at bellman.MAX_PSD_SAMPLES, and scan-unsliced's
+# grid from --step and --max-sum at bellman.MAX_SCAN_POINTS
 
 
 def _max_depth() -> int:
@@ -334,8 +333,7 @@ def _cmd_search_extremal(args) -> tuple:
     from .martingale import analytic_to_json
 
     _check_depth(args.depth)
-    config = extremal.search(args.depth, budget=args.budget, seed=args.seed,
-                             restarts=args.restarts)
+    config = extremal.search(args.depth)
     if args.emit:
         payload = {
             "ratio": config.ratio,
@@ -346,7 +344,6 @@ def _cmd_search_extremal(args) -> tuple:
     summary = {
         "ratio": config.ratio,
         "depth": args.depth,
-        "budget": args.budget,
         "support": len(config.mu),
         "norm2": float(config.f.norm2()),
         "packing_intensity": float(config.mu.packing_intensity()),
@@ -438,11 +435,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", required=True)
     p.add_argument("--function")
 
-    p = add("search-extremal", _cmd_search_extremal, "seeded high-ratio search")
+    p = add("search-extremal", _cmd_search_extremal, "exact-recursion extremal configuration")
     p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--budget", type=int, default=800)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=6)
     p.add_argument("--emit", help="write the best configuration as JSON")
 
     p = add("certify-lower-bound", _cmd_certify_lower_bound, "closed-form lower bound")

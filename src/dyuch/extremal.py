@@ -1,23 +1,23 @@
 """Sharpness side of the embedding bound.
 
 Everything here chases the constant from below: admissible configurations
-and a seeded random search over measure and pair parameters with depth warm
-starts.  The closed-form certificate that the constant cannot be improved
-lives in bellman, beside the value function.
+and the exact finite-depth recursion for the best ratio at a given depth,
+with a builder that turns the recursion's choices into one configuration.
+The closed-form certificate that the constant cannot be improved lives in
+bellman, beside the value function.
 """
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass
 
 from .bellman import E
-from .dyadic import DEFAULT_TOL, _sum_pyramid, unit_root
-from .martingale import DyadicAnalytic, _rotated_leaves, _sliced_from_increments, _sliced_leaves, s0
-from .carleson import DiscreteMeasure, _spread, _subtree_sums, embedding_slack, embedding_sum
+from .dyadic import DEFAULT_TOL, unit_root
+from .martingale import DyadicAnalytic, _sliced_from_increments, s0
+from .carleson import DiscreteMeasure, embedding_slack, embedding_sum
 
 SLACK_TOL = 1e-9
-MAX_SEARCH_BUDGET = 100_000  # cap on search's budget, which sets its work, and on restarts
+TYPES = 4  # the recursion's subtree densities are k / TYPES for k = 0..TYPES
+HALVINGS = 56  # bisection steps on [1, e] for the best constant, past a float's precision
 
 
 @dataclass
@@ -51,178 +51,115 @@ class Configuration:
         return cls(f, mu, ratio)
 
 
-# A search state holds the root values u0, v0 and one row per 4-adic level
-# r = 0, 2, ..., depth - 2: "incs" rows of (dx, dy) increments for the pair
-# and "meas" rows of (own, ax, ay) splits for the measure, nodes left to right.
+# The recursion.  A node of type k has subtree density k / TYPES.  It keeps own
+# density m / TYPES and gives its quarters 4j .. 4j + 3 the types
+# (a - s, a + s, a - t, a + t), a = k - m, so each of its halves holds the same mass
+# and no density passes one.  Its pair values are f + (-z, z, iz, -iz), z = dy + i dx.
+# Fix c; the best of S - c * sum |J| |z_J|^2 over a subtree of height h with average
+# f is |I| |f|^2 g_h(k), g_0(k) = k / TYPES, and with g the quarters' g_{h-1},
+# G = g0 + g1 + g2 + g3, A = c - G / 4 and w = (g1 - g0) + i (g2 - g3):
+#   g_h(k) = max over (m, s, t) of m / TYPES + G / 4 + |w|^2 / (16 A),
+# reached at z = conj(w) f / (4 A).  An A <= 0 makes the sup infinite: c is beaten.
 
 
-def _flat_state(depth: int) -> dict:
-    # the hand-built pattern certifying ratio one at every depth
-    state = {"u0": 1.0, "v0": 0.0, "incs": [[(1.0, 1.0)]], "meas": [[(0.0, 0.5, 0.5)]]}
-    for _ in range(2, depth - 1, 2):
-        state = _embed_state(state)
-    return state
+def _quarters(g, a, s, t):
+    """G and w = (wr, wi) of quarters of types (a - s, a + s, a - t, a + t) under g."""
+    g0, g1, g2, g3 = g[a - s], g[a + s], g[a - t], g[a + t]
+    return g0 + g1 + g2 + g3, g1 - g0, g2 - g3
 
 
-def _random_state(rng: random.Random, depth: int) -> dict:
-    incs, meas = [], []
-    for r in range(0, depth - 1, 2):
-        amp = 2.0 / (1.0 + r)
-        inc_row, meas_row = [], []
-        for _ in range(1 << r):
-            inc_row.append((rng.uniform(-amp, amp), rng.uniform(-amp, amp)))
-            meas_row.append((rng.random(), rng.random(), rng.random()))
-        incs.append(inc_row)
-        meas.append(meas_row)
-    return {"u0": rng.uniform(-2.0, 2.0), "v0": rng.uniform(-2.0, 2.0), "incs": incs, "meas": meas}
+def _step(g, c):
+    """(g_h, policy) from g = g_{h-1} at c, policy[k] = (m, s, t); None if c is beaten."""
+    best = []  # per a: the quarters' best value and its (s, t)
+    for a in range(TYPES + 1):
+        top = None
+        for s in range(min(a, TYPES - a) + 1):
+            for t in range(min(a, TYPES - a) + 1):
+                G, wr, wi = _quarters(g, a, s, t)
+                A = c - G / 4
+                if not A > 0:
+                    return None
+                value = G / 4 + (wr * wr + wi * wi) / (16 * A)
+                if top is None or value > top[0]:
+                    top = (value, s, t)
+        best.append(top)
+    row, policy = [], []
+    for k in range(TYPES + 1):
+        value, m = max((m / TYPES + best[k - m][0], m) for m in range(k + 1))
+        row.append(value)
+        policy.append((m, *best[k - m][1:]))
+    return row, policy
 
 
-def _gaussians(rng: random.Random, count: int, sigma: float) -> list:
-    """[rng.gauss(0.0, sigma) for _ in range(count)] in one pass, leaving rng
-    in the same state: random.gauss's Box-Muller pairs, cosine half first,
-    with an unused sine half left cached in rng.gauss_next."""
-    out = []
-    spare = rng.gauss_next
-    if count and spare is not None:
-        out.append(0.0 + spare * sigma)
-        count, spare = count - 1, None
-    draw, append = rng.random, out.append
-    for _ in range((count + 1) >> 1):
-        x2pi = draw() * math.tau
-        g2rad = math.sqrt(-2.0 * math.log(1.0 - draw()))
-        spare = math.sin(x2pi) * g2rad
-        append(0.0 + math.cos(x2pi) * g2rad * sigma)
-        append(0.0 + spare * sigma)
-    if count & 1:
-        out.pop()  # the last sine half stays cached
-    elif count:
-        spare = None
-    rng.gauss_next = spare
-    return out
+def _table(height: int, c: float):
+    """(rows g_0 .. g_height, the policy of each step up) at c, or None if c is beaten."""
+    rows, policies = [[k / TYPES for k in range(TYPES + 1)]], []
+    for _ in range(height):
+        step = _step(rows[-1], c)
+        if step is None:
+            return None
+        rows.append(step[0])
+        policies.append(step[1])
+    return rows, policies
 
 
-def _jitter_state(rng: random.Random, state: dict, step: float) -> dict:
-    # one Gaussian per parameter, drawn in the order incs, meas, u0, v0
-    incs, meas = state["incs"], state["meas"]
-    count = 2 * sum(map(len, incs)) + 3 * sum(map(len, meas)) + 2
-    draws = iter(_gaussians(rng, count, step))
-    incs = [[(dx + a, dy + b) for (dx, dy), a, b in zip(row, draws, draws)] for row in incs]
-    meas = [[tuple([0.0 if q <= 0.0 else 1.0 if q >= 1.0 else q  # clamped to [0, 1]
-                    for q in (p0 + a, p1 + b, p2 + c)])
-             for (p0, p1, p2), a, b, c in zip(row, draws, draws, draws)] for row in meas]
-    u0, v0 = state["u0"] + next(draws), state["v0"] + next(draws)
-    return {"u0": u0, "v0": v0, "incs": incs, "meas": meas}
+def _best_constant(height: int):
+    """(c, rows, policies): C = inf{c : g_height(TYPES; c) <= c} bisected on [1, e],
+    with c the upper end, where the table still holds."""
+    lo, hi = 1.0, E
+    table = _table(height, hi)
+    if table is None or table[0][-1][TYPES] > hi:
+        raise ArithmeticError(f"the recursion beats e at height {height}")
+    for _ in range(HALVINGS):
+        mid = (lo + hi) / 2
+        trial = _table(height, mid)
+        if trial is None or trial[0][-1][TYPES] > mid:
+            lo = mid
+        else:
+            hi, table = mid, trial
+    return (hi, *table)
 
 
-def _embed_state(state: dict) -> dict:
-    """Refine a state two levels down without changing what it evaluates to.
-
-    New pair increments are zero (leaves repeat) and old bottom nodes keep
-    all their mass, so the ratio carries over exactly.
-    """
-    n = 4 * len(state["incs"][-1])
-    return {"u0": state["u0"], "v0": state["v0"], "incs": state["incs"] + [[(0.0, 0.0)] * n],
-            "meas": state["meas"] + [[(1.0, 0.5, 0.5)] * n]}
-
-
-def _pair_from_state(state: dict) -> DyadicAnalytic:
-    u = _sliced_from_increments(state["u0"], state["incs"])
-    return DyadicAnalytic(u, s0(u).shift(state["v0"]), validate=False)
-
-
-def _state_masses(state: dict):
-    """(nodes, masses) of a state's measure: a unit root mass spread with
-    _spread, node (r, j) keeping own of it and passing each half of the rest
-    on ax : 1 - ax and ay : 1 - ay for (own, ax, ay) = meas[r // 2][j], then
-    rescaled to unit packing intensity."""
-    meas, depth = state["meas"], 2 * len(state["meas"])
-
-    def split(r, j, m):
-        own, ax, ay = meas[r // 2][j]
-        take = own * m
-        half = (m - take) / 2
-        return take, ax * half, (1 - ax) * half, ay * half, (1 - ay) * half
-
-    nodes, masses = _spread(depth, 1.0, split)
-    sums = _subtree_sums(zip(nodes, masses), depth)
-    # the packing intensity, as DiscreteMeasure computes it; the root's unit mass makes it positive
-    c = 1.0 / max(max(level.values()) * (1 << 2 * k) for k, level in enumerate(sums) if level)
-    return nodes, [c * m for m in masses]
+def _build(depth: int, c: float, rows, policies) -> Configuration:
+    """The configuration that follows the policies from a root of type TYPES and
+    value f = 1, top down; Configuration.build validates it."""
+    nodes, masses, incs = [], [], []
+    level = [(1.0, 0.0, TYPES)]  # (u, v, type) of each node, left to right
+    for r in range(0, depth, 2):
+        below_height = (depth - r) // 2 - 1
+        g, policy = rows[below_height], policies[below_height]
+        row, below = [], []
+        for j, (u, v, k) in enumerate(level):
+            m, s, t = policy[k]
+            a = k - m
+            G, wr, wi = _quarters(g, a, s, t)
+            A4 = 4 * (c - G / 4)
+            zr, zi = (wr * u + wi * v) / A4, (wr * v - wi * u) / A4
+            row.append((zi, zr))  # (dx, dy)
+            below += ((u - zr, v - zi, a - s), (u + zr, v + zi, a + s),
+                      (u - zi, v + zr, a - t), (u + zi, v - zr, a + t))
+            nodes.append((r, j))
+            masses.append(m / TYPES * 2.0 ** -r)
+        incs.append(row)
+        level = below
+    for j, (_, _, k) in enumerate(level):  # bottom nodes keep their whole density
+        nodes.append((depth, j))
+        masses.append(k / TYPES * 2.0 ** -depth)
+    u = _sliced_from_increments(1.0, incs)
+    f = DyadicAnalytic(u, s0(u), validate=False)
+    return Configuration.build(f, DiscreteMeasure(unit_root(), depth, nodes, masses))
 
 
-def _measure_from_state(state: dict) -> DiscreteMeasure:
-    return DiscreteMeasure(unit_root(), 2 * len(state["meas"]), *_state_masses(state))
+def search(depth: int, budget=None, seed=None) -> Configuration:
+    """The best configuration at the given depth with subtree densities k / TYPES.
 
-
-def _evaluate_state(state: dict) -> float:
-    """The ratio of _pair_from_state and _measure_from_state bit for bit (-inf
-    for a zero pair), from their loops run on the float rows alone."""
-    depth, v0 = 2 * len(state["incs"]), state["v0"]
-    u = _sliced_leaves(state["u0"], state["incs"])
-    upyr = _sum_pyramid(u, False)
-    v = [x + v0 for x in _rotated_leaves(upyr, False)]  # s0(u).shift(v0)
-    cell = 2.0 ** -depth  # the leaf length, as l2_norm2 applies it
-    uu = vv = 0  # left folds, as PiecewiseConstant.inner adds
-    for x in u:
-        uu += x * x
-    for y in v:
-        vv += y * y
-    norm2 = uu * cell + vv * cell
-    if norm2 < 1e-15:
-        return -math.inf
-    vpyr = _sum_pyramid(v, False)
-    total = 0.0
-    for (r, j), m in zip(*_state_masses(state)):
-        a, b = upyr[r][j], vpyr[r][j]
-        total += m * (a * a + b * b)
-    return total / norm2
-
-
-def _search_state(depth: int, budget: int, seed: int, restarts: int) -> dict:
-    """Best state found at the given depth, warm started two levels up."""
-    rng = random.Random(seed)
-    restarts = min(restarts, budget)
-    seeds = [_flat_state(depth)]
-    if depth > 2:
-        seeds.append(_embed_state(_search_state(depth - 2, budget // 2, seed + 1, restarts)))
-
-    best_state, best_ratio = None, -math.inf
-    for state in seeds:
-        ratio = _evaluate_state(state)
-        if ratio > best_ratio:
-            best_state, best_ratio = state, ratio
-
-    per_phase = budget // max(1, restarts)
-    for _ in range(restarts):
-        phase_state = _random_state(rng, depth)
-        phase_ratio = _evaluate_state(phase_state)
-        for _ in range(per_phase - 1):
-            cand = _jitter_state(rng, phase_state, 0.15)
-            ratio = _evaluate_state(cand)
-            if ratio > phase_ratio:
-                phase_state, phase_ratio = cand, ratio
-        if phase_ratio > best_ratio:
-            best_state, best_ratio = phase_state, phase_ratio
-    return best_state
-
-
-def search(depth: int, budget: int = 2000, seed: int = 0, restarts: int = 6):
-    """Seeded search for high-ratio configurations at the given depth.
-
-    Warm starts from the best state two levels up, so the ratio is at least
-    that of _embed_state(_search_state(depth - 2, budget // 2, seed + 1,
-    restarts)); it may still drop as depth grows (search(d, 800, 0) gives
-    1.1700, 1.1547 and 1.1328 at d = 2, 4, 6).  Each level spends its budget
-    on at most that many random restarts with local jitter refinement, so a
-    search scores at most 2 * budget + depth states.  Same arguments, same
-    result, bit for bit, on Python 3.10 to 3.13: the jitter draws exactly
-    random.gauss's values, and every float total is a plain left fold.
+    Its ratio is the recursion's constant C(depth), which rises with depth
+    (1.1830, 1.3063, 1.3959 and 1.4639 at depths 2 to 8; (3 + sqrt 3) / 4 at
+    depth 2) and stays below e.  budget and seed are accepted for older
+    callers and ignored: every call at a depth returns the same
+    configuration, bit for bit, and no float total goes through the builtin
+    sum(), which compensates rounding from Python 3.12 on.
     """
     if depth < 2 or depth % 2:
         raise ValueError("depth must be an even number at least 2")
-    if not (1 <= budget <= MAX_SEARCH_BUDGET and 0 <= restarts <= MAX_SEARCH_BUDGET):
-        raise ValueError(f"budget must lie in 1..{MAX_SEARCH_BUDGET} and restarts in"
-                         f" 0..{MAX_SEARCH_BUDGET}, got {budget} and {restarts}")
-    state = _search_state(depth, budget, seed, restarts)
-    return Configuration.build(_pair_from_state(state), _measure_from_state(state))
-
+    return _build(depth, *_best_constant(depth // 2))

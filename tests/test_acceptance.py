@@ -316,7 +316,7 @@ def test_criterion_9_cli_deterministic_with_exit_discipline(tmp_path, capsys):
         ["kernel", "--interval", "L2N1", "--height", "1",
          "--emit", str(out / "kernel.json")],
         ["check-3e", "--measure", str(mu_path), "--function", str(pair_path)],
-        ["search-extremal", "--depth", "2", "--budget", "40", "--restarts", "2",
+        ["search-extremal", "--depth", "2",
          "--out", str(out / "search.json"), "--emit", str(out / "best.json")],
         ["certify-lower-bound", "--eps", "0.01", "0.001",
          "--csv", str(out / "bounds.csv")],

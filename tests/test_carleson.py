@@ -220,7 +220,7 @@ class TestSubtreeSums:
 
 
 class TestSpread:
-    """_spread is the one split walk; the generator and the search both pass it a split."""
+    """_spread is the split walk random_balanced_measure passes its split to."""
 
     @staticmethod
     def preorder(depth):

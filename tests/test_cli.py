@@ -720,25 +720,14 @@ class TestNonFiniteAndOverflow:
 class TestSearchExtremal:
     def test_deterministic_bytes(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        args = ["search-extremal", "--depth", "2", "--budget", "40", "--restarts", "2"]
+        args = ["search-extremal", "--depth", "2"]
         run(capsys, *args, "--out", str(a))
         run(capsys, *args, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
     def test_emit_rebuildable(self, capsys, tmp_path):
         emit = tmp_path / "best.json"
-        code, _, _ = run(
-            capsys,
-            "search-extremal",
-            "--depth",
-            "2",
-            "--budget",
-            "40",
-            "--restarts",
-            "2",
-            "--emit",
-            str(emit),
-        )
+        code, _, _ = run(capsys, "search-extremal", "--depth", "2", "--emit", str(emit))
         assert code == 0
         obj = json.loads(emit.read_text())
         cfg = Configuration.build(
@@ -751,9 +740,11 @@ class TestSearchExtremal:
     @pytest.mark.parametrize("argv", [
         ["--budget", "-1"], ["--budget", "0"], ["--budget", "100001"],
         ["--restarts", "-3"], ["--restarts", "100001"],
+        ["--budget", "800"], ["--restarts", "6"], ["--seed", "5"],
     ], ids=["negative-budget", "zero-budget", "budget-over-cap", "negative-restarts",
-            "restarts-over-cap"])
+            "restarts-over-cap", "budget", "restarts", "seed"])
     def test_knob_out_of_range_is_usage_error(self, capsys, tmp_path, argv):
+        # the recursion has no search knobs: each of these is an unknown option, at any value
         out_path = tmp_path / "rep.json"
         code, out, err = run(capsys, "search-extremal", "--depth", "4", *argv,
                              "--out", str(out_path))
@@ -887,7 +878,7 @@ class TestTolerance:
         [
             ["scan-unsliced", "--step", "0.25"],
             ["certify-lower-bound"],
-            ["search-extremal", "--depth", "2", "--budget", "1", "--restarts", "0"],
+            ["search-extremal", "--depth", "2"],
             ["kernel", "--interval", "L2N1", "--height", "1"],
         ],
         ids=lambda argv: argv[0],

@@ -104,8 +104,7 @@ RUNS = {
     "kernel-window": ["kernel", "--base", "real_line", "--ancestors", "1", "--interval",
                       "L2N3", "--height", "2", "--evaluate", "L0N1", "--emit", "e.json"],
     "kernel-bad-height": ["kernel", "--interval", "L2N1", "--height", "3"],
-    "search-extremal": ["search-extremal", "--depth", "4", "--budget", "60", "--restarts",
-                        "2", "--seed", "5", "--emit", "e.json"],
+    "search-extremal": ["search-extremal", "--depth", "4", "--emit", "e.json"],
     "certify-lower-bound": ["certify-lower-bound", "--eps", "0.01", "0.001", "1e-05",
                             "--csv", "lb.csv"],
     "certify-lower-bound-domain": ["certify-lower-bound", "--eps", "0.3"],
@@ -136,7 +135,7 @@ PINNED = {
     "kernel-window": "82b4984796173d7c",
     "scan-unsliced": "526f29b99b8fcdef",
     "scan-unsliced-d-zero": "c28f08454dde5cda",
-    "search-extremal": "465f6439d48de938",
+    "search-extremal": "ed9e033895d8ada7",
     "uchiyama": "eebbde3b17484b77",
     "uchiyama-shallow": "178b9a184df95eb9",
     "uchiyama-third-pi": "8b9ee54591435f3d",

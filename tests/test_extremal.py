@@ -1,4 +1,3 @@
-import hashlib
 import math
 import random
 from fractions import Fraction
@@ -11,23 +10,10 @@ from dyuch.bellman import (
     lower_bound_certificate,
     profile_residuals,
 )
-from dyuch.carleson import DiscreteMeasure, embedding_sum
+from dyuch.carleson import DiscreteMeasure
 from dyuch import extremal
 from dyuch.dyadic import DyadicInterval, unit_root
-from dyuch.extremal import (
-    MAX_SEARCH_BUDGET,
-    Configuration,
-    _embed_state,
-    _evaluate_state,
-    _flat_state,
-    _gaussians,
-    _jitter_state,
-    _measure_from_state,
-    _pair_from_state,
-    _random_state,
-    _search_state,
-    search,
-)
+from dyuch.extremal import Configuration, search
 from dyuch.martingale import DyadicAnalytic
 from interval_masses import measure_of
 
@@ -125,31 +111,21 @@ class TestConfiguration:
 
 class TestSearch:
     def test_deterministic(self):
-        a = search(2, budget=60, seed=5, restarts=3)
-        b = search(2, budget=60, seed=5, restarts=3)
+        a = search(2, budget=60, seed=5)
+        b = search(2, budget=60, seed=5)
         assert a.ratio == b.ratio
         assert a.f.u.leaves == b.f.u.leaves
         assert a.mu.masses == b.mu.masses
 
     def test_flat_floor(self):
         for depth in (2, 4):
-            cfg = search(depth, budget=1, seed=0, restarts=1)
-            assert cfg.ratio >= 1.0 - 1e-12
+            assert search(depth).ratio >= 1.0 - 1e-12
 
     def test_warm_start_invariant(self):
-        deep = search(4, budget=200, seed=3, restarts=4)
-        shallow = search(2, budget=100, seed=4, restarts=4)
-        assert deep.ratio >= shallow.ratio - 1e-12
-
-    @pytest.mark.parametrize("depth, budget, seed, restarts",
-                             [(4, 200, 3, 4), (4, 800, 0, 6), (6, 800, 0, 6), (6, 300, 9, 2)])
-    def test_never_below_its_warm_start(self, depth, budget, seed, restarts):
-        warm = _embed_state(_search_state(depth - 2, budget // 2, seed + 1, restarts))
-        floor = Configuration.build(_pair_from_state(warm), _measure_from_state(warm)).ratio
-        assert search(depth, budget, seed, restarts).ratio >= floor
+        assert search(4).ratio >= search(2).ratio - 1e-12
 
     def test_result_is_admissible(self):
-        cfg = search(4, budget=80, seed=7, restarts=2)
+        cfg = search(4)
         cfg.mu.require_balanced()
         assert float(cfg.mu.packing_intensity()) <= 1.0 + 1e-12
         assert cfg.ratio <= E + 1e-9
@@ -159,137 +135,53 @@ class TestSearch:
             with pytest.raises(ValueError):
                 search(bad, budget=1)
 
-    def test_knob_bounds(self):
-        for budget in (-1, 0, MAX_SEARCH_BUDGET + 1):
-            with pytest.raises(ValueError, match="budget"):
-                search(2, budget=budget)
-        for restarts in (-3, MAX_SEARCH_BUDGET + 1):
-            with pytest.raises(ValueError, match="restarts"):
-                search(2, budget=10, restarts=restarts)
-        assert search(2, budget=1, restarts=0).ratio >= 1.0 - 1e-12
 
-    @pytest.mark.parametrize("depth, budget, restarts, most", [
-        (2, 1, 100_000, 2),  # 100,001 states when restarts alone set the work
-        (8, 1, 5000, 10),  # 20,007
-        (4, 1, 1, 6), (4, 5, 0, 14), (6, 10, 7, 26), (8, 33, 1000, 74), (6, 800, 6, 1606),
+@pytest.fixture(scope="module")
+def searched():
+    return {depth: search(depth) for depth in range(2, 13, 2)}
+
+
+class TestRecursion:
+    def test_depth_two_closed_form(self, searched):
+        assert abs(searched[2].ratio - (3 + math.sqrt(3)) / 4) <= 1e-12
+
+    def test_built_ratio_is_the_recursion_constant(self, searched):
+        ratios = []
+        for depth, cfg in searched.items():
+            constant = extremal._best_constant(depth // 2)[0]
+            assert cfg.ratio == pytest.approx(constant, rel=1e-9)
+            ratios.append(cfg.ratio)
+        assert ratios == sorted(ratios)
+
+    @pytest.mark.parametrize("depth, floor", [
+        (4, 1.306323), (6, 1.395880), (8, 1.463855), (10, 1.517058),
     ])
-    def test_budget_caps_the_states_scored(self, monkeypatch, depth, budget, restarts, most):
-        # each level scores at most its budget plus its one or two seed states, so a search
-        # at most 2 * budget + depth (budget + 1 at depth 2, which has one level)
-        scored = []
-        real = extremal._evaluate_state
-        monkeypatch.setattr(extremal, "_evaluate_state", lambda s: scored.append(None) or real(s))
-        search(depth, budget=budget, restarts=restarts)
-        assert len(scored) <= most
+    def test_ratio_floor(self, searched, depth, floor):
+        assert searched[depth].ratio >= floor
 
-    @pytest.mark.parametrize(
-        "args, ratio, support, pinned",
-        [
-            ((4, 200, 3), 1.1153104308029502, 19, "af43ac8ff156a3a4"),
-            ((6, 300, 0), 1.1095968198201451, 5, "4524e498cb8413bf"),
-            # the benchmark's seed-1 calls, and the deepest search the CLI allows
-            ((6, 800, 1000), 1.143950571596901, 4, "ed21f9719224dea7"),
-            ((6, 800, 1001), 1.124935475033036, 4, "be767daedfcbf316"),
-            ((6, 800, 1002), 1.145322015294632, 3, "1fc9447dbab10902"),
-            ((8, 800, 0), 1.088545530079711, 4, "d16e508283c820d8"),
-        ],
-    )
-    def test_seeded_output_pinned(self, args, ratio, support, pinned):
-        # pinned digest: sha256 of repr((ratio, u leaves, v leaves, masses in order))
-        cfg = search(*args)
-        assert cfg.ratio == ratio
-        assert len(cfg.mu) == support
-        items = [(I.id, m) for I, m in cfg.mu.masses.items()]
-        state = (cfg.ratio, cfg.f.u.leaves, cfg.f.v.leaves, items)
-        assert hashlib.sha256(repr(state).encode()).hexdigest()[:16] == pinned
+    def test_exact_packing_and_balance(self, searched):
+        for cfg in searched.values():
+            assert cfg.mu.balance_residual() == 0.0
+            assert cfg.mu.packing_intensity() == 1.0
 
+    def test_budget_and_seed_change_nothing(self):
+        a, b = search(6, 800, 1), search(6)
+        assert a.ratio == b.ratio
+        assert a.f.u.leaves == b.f.u.leaves and a.f.v.leaves == b.f.v.leaves
+        assert a.mu.masses == b.mu.masses
 
-def _reference_ratio(state):
-    # the evaluation through the validated objects that search returns
-    f = _pair_from_state(state)
-    norm2 = float(f.norm2())
-    if norm2 < 1e-15:
-        return -math.inf
-    mu = _measure_from_state(state)
-    return float(embedding_sum(f, mu)) / norm2
+    def test_bellman_function_bounds_every_height(self):
+        # the paper's Bellman function e - e^(1 - M) caps g_h(M; e) at every height
+        rows, _ = extremal._table(50, E)
+        for row in rows:
+            for k, value in enumerate(row):
+                assert value <= E - math.exp(1 - k / extremal.TYPES)
 
-
-def _edge_states(depth):
-    flat = _flat_state(depth)
-    rooted = dict(flat, meas=[[(1.0, 0.3, 0.7)]] + flat["meas"][1:])
-    zero = dict(flat, u0=0.0, v0=0.0, incs=[[(0.0, 0.0)] * len(row) for row in flat["incs"]])
-    rng = random.Random(depth)
-    clamped = []
-    for ax, ay in ((0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (1.0, 1.0)):
-        state = _random_state(rng, depth)
-        state["meas"] = [[(own, ax, ay) for own, _, _ in row] for row in state["meas"]]
-        clamped.append(state)
-    return [flat, rooted, zero, *clamped]
-
-
-class TestEvaluator:
-    """The flat evaluator agrees bit for bit with the object path."""
-
-    @pytest.mark.parametrize("depth, count", [(2, 4000), (4, 3000), (6, 2000), (8, 1000)])
-    def test_matches_objects(self, depth, count):
-        rng = random.Random(9000 + depth)
-        states = _edge_states(depth)
-        while len(states) < count:
-            state = _random_state(rng, depth)
-            if depth > 2 and rng.random() < 0.2:
-                state = _embed_state(_random_state(rng, depth - 2))
-            states.append(state)
-            # jitter chains, wide enough to clamp some splits at 0 and 1
-            for step in (0.15, 0.15, 0.6):
-                state = _jitter_state(rng, state, step)
-                states.append(state)
-        for state in states:
-            got, want = _evaluate_state(state), _reference_ratio(state)
-            assert got == want or (got == want == -math.inf), state
-
-    def test_edge_states(self):
-        for depth in (2, 4, 6, 8):
-            flat, rooted, zero, *clamped = _edge_states(depth)
-            assert _evaluate_state(flat) == _reference_ratio(flat) == 1.0
-            assert _evaluate_state(zero) == -math.inf
-            assert _evaluate_state(rooted) == _reference_ratio(rooted)
-            assert len(_measure_from_state(rooted)) == 1
-            for state in clamped:
-                assert _evaluate_state(state) == _reference_ratio(state)
-
-    def test_jitter_draws(self):
-        # the same draws in the same order as the jitter with a clamp helper
-        def clamp(x):
-            return min(1.0, max(0.0, x))
-
-        for seed in range(20):
-            state = _random_state(random.Random(seed), 6)
-            rng, replay = random.Random(seed), random.Random(seed)
-            step = 0.15 if seed % 2 else 0.8
-            incs = [[(dx + replay.gauss(0.0, step), dy + replay.gauss(0.0, step))
-                     for dx, dy in row] for row in state["incs"]]
-            meas = [[tuple(clamp(p + replay.gauss(0.0, step)) for p in params)
-                     for params in row] for row in state["meas"]]
-            want = {"u0": state["u0"] + replay.gauss(0.0, step),
-                    "v0": state["v0"] + replay.gauss(0.0, step), "incs": incs, "meas": meas}
-            assert _jitter_state(rng, state, step) == want
-            # getstate holds gauss_next, the cached sine half a later random() cannot see
-            assert rng.getstate() == replay.getstate()
-
-
-class TestGaussians:
-    @pytest.mark.parametrize("cached", [False, True])
-    @pytest.mark.parametrize("count", range(10))
-    def test_same_draws_and_state_as_gauss(self, count, cached):
-        for seed in range(5):
-            rng, replay = random.Random(seed), random.Random(seed)
-            if cached:  # one gauss call leaves its sine half in gauss_next
-                rng.gauss(0.0, 1.0), replay.gauss(0.0, 1.0)
-            sigma = 0.15 if seed % 2 else 2.5
-            want = [replay.gauss(0.0, sigma) for _ in range(count)]
-            assert _gaussians(rng, count, sigma) == want
-            assert rng.getstate() == replay.getstate()
-            assert (rng.gauss_next is None) == (cached == (count % 2 == 1))
+    def test_below_the_constant_is_beaten(self):
+        constant = extremal._best_constant(3)[0]
+        below = constant * (1 - 1e-9)
+        table = extremal._table(3, below)
+        assert table is None or table[0][-1][extremal.TYPES] > below
 
 
 class TestProfiles:
