@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -18,6 +19,14 @@ from dyuch.martingale import DyadicAnalytic
 from interval_masses import measure_of
 
 E = math.e
+
+# what search returns at each depth, whatever its budget and seed: (ratio, support,
+# pinned digest, the sha256 of repr((ratio, u leaves, v leaves, masses in order)))
+EXACT_PINS = {
+    4: (1.3063235759751923, 7, "929b1b001c932491"),
+    6: (1.3958806654260874, 15, "f7e98847053a6dc0"),
+    8: (1.4638551074516786, 31, "eeafc61aa5f203f1"),
+}
 
 
 @pytest.fixture
@@ -134,6 +143,64 @@ class TestSearch:
         for bad in (0, 1, 3):
             with pytest.raises(ValueError):
                 search(bad, budget=1)
+
+    def test_knob_bounds(self):
+        # budget and seed are ignored, so no value of theirs is out of range;
+        # restarts is no longer a parameter
+        want = search(2)
+        for budget in (-1, 0, 10**9):
+            for seed in (None, -3, 10**9):
+                got = search(2, budget=budget, seed=seed)
+                assert got.ratio == want.ratio
+                assert got.f.u.leaves == want.f.u.leaves and got.mu.masses == want.mu.masses
+        with pytest.raises(TypeError):
+            search(2, budget=10, restarts=0)
+
+    @pytest.mark.parametrize("depth, budget, seed, most", [
+        (2, 1, 100_000, 2), (8, 1, 5000, 10),
+        (4, 1, 1, 6), (4, 5, 0, 14), (6, 10, 7, 26), (8, 33, 1000, 74), (6, 800, 6, 1606),
+    ])
+    def test_budget_caps_the_states_scored(self, monkeypatch, depth, budget, seed, most):
+        # most is the random search's cap, 2 * budget + depth states (budget + 1 at
+        # depth 2); the recursion scores the one configuration it builds, whatever
+        # the budget and seed
+        scored = []
+        real = extremal.embedding_sum
+        monkeypatch.setattr(extremal, "embedding_sum",
+                            lambda f, mu: scored.append(None) or real(f, mu))
+        search(depth, budget=budget, seed=seed)
+        assert len(scored) == 1 <= most
+
+    @pytest.mark.parametrize("depth, budget, seed, restarts",
+                             [(4, 200, 3, 4), (4, 800, 0, 6), (6, 800, 0, 6), (6, 300, 9, 2)])
+    def test_never_below_its_warm_start(self, depth, budget, seed, restarts):
+        # the best at depth - 2, where the random search started, is a floor at depth
+        floor = search(depth - 2, budget // 2, seed + 1).ratio
+        assert search(depth, budget, seed).ratio >= floor
+        with pytest.raises(TypeError):
+            search(depth, budget, seed, restarts)
+
+    @pytest.mark.parametrize(
+        "args, ratio, support, pinned",
+        [
+            ((4, 200, 3), 1.1153104308029502, 19, "af43ac8ff156a3a4"),
+            ((6, 300, 0), 1.1095968198201451, 5, "4524e498cb8413bf"),
+            # the benchmark's seed-1 calls, and the deepest search the CLI allowed
+            ((6, 800, 1000), 1.143950571596901, 4, "ed21f9719224dea7"),
+            ((6, 800, 1001), 1.124935475033036, 4, "be767daedfcbf316"),
+            ((6, 800, 1002), 1.145322015294632, 3, "1fc9447dbab10902"),
+            ((8, 800, 0), 1.088545530079711, 4, "d16e508283c820d8"),
+        ],
+    )
+    def test_seeded_output_pinned(self, args, ratio, support, pinned):
+        # ratio, support and pinned are what the seeded random search returned for
+        # args; the recursion returns its depth's one configuration, which beats it
+        cfg = search(*args)
+        items = [(I.id, m) for I, m in cfg.mu.masses.items()]
+        state = (cfg.ratio, cfg.f.u.leaves, cfg.f.v.leaves, items)
+        digest = hashlib.sha256(repr(state).encode()).hexdigest()[:16]
+        assert (cfg.ratio, len(cfg.mu), digest) == EXACT_PINS[args[0]]
+        assert cfg.ratio > ratio and (len(cfg.mu), digest) != (support, pinned)
 
 
 @pytest.fixture(scope="module")
