@@ -8,6 +8,7 @@ bellman, beside the value function.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .bellman import E
@@ -17,7 +18,6 @@ from .carleson import DiscreteMeasure, embedding_slack, embedding_sum
 
 SLACK_TOL = 1e-9
 TYPES = 4  # the recursion's subtree densities are k / TYPES for k = 0..TYPES
-HALVINGS = 56  # bisection steps on [1, e] for the best constant, past a float's precision
 
 
 @dataclass
@@ -60,6 +60,7 @@ class Configuration:
 # G = g0 + g1 + g2 + g3, A = c - G / 4 and w = (g1 - g0) + i (g2 - g3):
 #   g_h(k) = max over (m, s, t) of m / TYPES + G / 4 + |w|^2 / (16 A),
 # reached at z = conj(w) f / (4 A).  An A <= 0 makes the sup infinite: c is beaten.
+# g_h falls as c rises, so the table holds (g_h(TYPES) <= c) above C(2h) and not below.
 
 
 def _quarters(g, a, s, t):
@@ -104,19 +105,27 @@ def _table(height: int, c: float):
 
 
 def _best_constant(height: int):
-    """(c, rows, policies): C = inf{c : g_height(TYPES; c) <= c} bisected on [1, e],
-    with c the upper end, where the table still holds."""
-    lo, hi = 1.0, E
-    table = _table(height, hi)
-    if table is None or table[0][-1][TYPES] > hi:
+    """(c, rows, policies) at C = inf{c : g_height(TYPES; c) <= c}, the least float c
+    where the table holds: Illinois regula falsi on phi(c) = g_height(TYPES; c) - c
+    in [1, e], phi = inf where c is beaten, whose first trial is g_height(TYPES; e)."""
+    table = _table(height, E)
+    if table is None or not table[0][-1][TYPES] <= E:
         raise ArithmeticError(f"the recursion beats e at height {height}")
-    for _ in range(HALVINGS):
-        mid = (lo + hi) / 2
-        trial = _table(height, mid)
-        if trial is None or trial[0][-1][TYPES] > mid:
-            lo = mid
+    lo, flo, hi, fhi, side = 1.0, math.inf, E, table[0][-1][TYPES] - E, 0
+    c = E + fhi
+    while math.nextafter(lo, hi) < hi:
+        c = min(max(c, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+        trial = _table(height, c)
+        fc = math.inf if trial is None else trial[0][-1][TYPES] - c
+        if fc <= 0:
+            hi, fhi, table = c, fc, trial
+            flo /= 2 if side < 0 else 1  # Illinois: halve the end kept twice
+            side = -1
         else:
-            hi, table = mid, trial
+            lo, flo = c, fc
+            fhi /= 2 if side > 0 else 1
+            side = 1
+        c = hi - fhi * (hi - lo) / (fhi - flo) if flo < math.inf else (lo + hi) / 2
     return (hi, *table)
 
 

@@ -245,10 +245,96 @@ class TestRecursion:
                 assert value <= E - math.exp(1 - k / extremal.TYPES)
 
     def test_below_the_constant_is_beaten(self):
-        constant = extremal._best_constant(3)[0]
-        below = constant * (1 - 1e-9)
-        table = extremal._table(3, below)
-        assert table is None or table[0][-1][extremal.TYPES] > below
+        # the constant is the least float where the table holds
+        for height in range(1, 7):
+            constant = extremal._best_constant(height)[0]
+            assert extremal._table(height, constant)[0][-1][extremal.TYPES] <= constant
+            below = math.nextafter(constant, 0)
+            table = extremal._table(height, below)
+            assert table is None or table[0][-1][extremal.TYPES] > below, height
+
+
+def bisected_constant(height):
+    """The 56-halving bisection on [1, e] that _best_constant replaced, kept as
+    its reference: (e - 1) / 2**56 is below one ulp, so it ends at adjacent floats."""
+    lo, hi = 1.0, E
+    table = extremal._table(height, hi)
+    if table is None or table[0][-1][extremal.TYPES] > hi:
+        raise ArithmeticError(f"the recursion beats e at height {height}")
+    for _ in range(56):
+        mid = (lo + hi) / 2
+        trial = extremal._table(height, mid)
+        if trial is None or trial[0][-1][extremal.TYPES] > mid:
+            lo = mid
+        else:
+            hi, table = mid, trial
+    return (hi, *table)
+
+
+def counting_tables(monkeypatch, table):
+    """Route extremal._table through table and count its calls."""
+    calls = []
+    monkeypatch.setattr(extremal, "_table", lambda h, c: calls.append(c) or table(h, c))
+    return calls
+
+
+def flat_table(g):
+    """A stand-in for extremal._table whose g_height(TYPES; c) is g(c), None if beaten."""
+    def table(height, c):
+        value = g(c)
+        return None if value is None else ([[value] * (extremal.TYPES + 1)], [])
+    return table
+
+
+class TestBestConstant:
+    @pytest.mark.parametrize("types, depths", [(4, range(2, 41, 2)), (8, range(2, 21, 2))],
+                             ids=["types-4", "types-8"])
+    def test_matches_the_bisection(self, monkeypatch, types, depths):
+        monkeypatch.setattr(extremal, "TYPES", types)
+        for depth in depths:
+            assert extremal._best_constant(depth // 2) == bisected_constant(depth // 2)
+
+    def test_tables_per_solve(self, monkeypatch):
+        # the bisection built 57 tables per solve whatever the depth
+        calls = counting_tables(monkeypatch, extremal._table)
+        for depth in range(2, 41, 2):
+            calls.clear()
+            extremal._best_constant(depth // 2)
+            assert len(calls) <= 24, (depth, len(calls))
+
+    @pytest.mark.parametrize("g, constant", [
+        # beaten below 1.3, where the value blows up; the root is 1.5
+        (lambda c: 1 + 0.1 / (c - 1.3) if c > 1.3 else None, 1.5),
+        # beaten below 1.4 and flat above it: the root is the edge of the beaten region
+        (lambda c: 1.1 if c >= 1.4 else None, 1.4),
+        # phi is exactly 0 at a float, and the table already holds at g(e)
+        (lambda c: 1.3, 1.3),
+        (lambda c: 1.75, 1.75),
+        (lambda c: E, E),
+        # kinked: phi's slope jumps from -2 to -1.6 at 1.25, right of the root 1.2
+        (lambda c: max(2.4 - c, 1.9 - 0.6 * c), 1.2),
+        # kinked at the root: steep to the left, nearly flat to the right
+        (lambda c: 1.6 + 1e6 * (1.6 - c) if c < 1.6 else 1.6 - 1e-6 * (c - 1.6), 1.6),
+    ], ids=["beaten-below", "beaten-edge", "zero-1.3", "zero-1.75", "zero-e", "kink",
+            "kink-at-root"])
+    def test_least_float_on_synthetic_tables(self, monkeypatch, g, constant):
+        calls = counting_tables(monkeypatch, flat_table(g))
+        c, rows, policies = extremal._best_constant(1)
+        # a kink at the root costs more tables than the bisection's 57 (133 for the
+        # last case), but the halved stale end keeps it far from a one-ulp crawl
+        assert len(calls) <= 200
+        below = math.nextafter(c, 0)
+        assert g(c) <= c and (g(below) is None or g(below) > below)
+        assert c == pytest.approx(constant, rel=1e-15)
+        assert (rows, policies) == ([[g(c)] * (extremal.TYPES + 1)], [])
+        assert (c, rows, policies) == bisected_constant(1)
+
+    @pytest.mark.parametrize("g", [lambda c: None, lambda c: 3.0, lambda c: math.nan],
+                             ids=["none", "above-e", "nan"])
+    def test_beaten_at_e_raises(self, monkeypatch, g):
+        monkeypatch.setattr(extremal, "_table", flat_table(g))
+        with pytest.raises(ArithmeticError, match="beats e at height 1"):
+            extremal._best_constant(1)
 
 
 class TestProfiles:
